@@ -12,9 +12,14 @@ seeded with C_n^n = n^n/(2n)!!, or from the rearranged alternating form
 
     A_n(t) = (-1)^n/n! sum_{k<=n/2} (-1)^k binom(n,k) (k-n/2)^n t^{n-2k}.
 
-Everything in this module is exact rational arithmetic; floats appear only
-at the log-magnitude boundary (a_eval_logabs), which exists because values
-like A_500(t) span thousands of orders of magnitude.
+A_n(t) is evaluated by one integer kernel, the only evaluation path: at
+t = p/q the alternating form times n! 2^n q^n is an integer, summed by
+Horner's rule in p^2 and reduced by a single gcd at the end; nothing is
+cached.  The closed form and the recurrence stay as independent oracles.
+
+Everything in this module is exact arithmetic; floats appear only at the
+log-magnitude boundary (a_eval_logabs), which exists because values like
+A_500(t) span thousands of orders of magnitude.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DomainError
 
@@ -104,46 +108,51 @@ class APoly:
     coeffs: tuple[Fraction, ...]  # length n+1; only k == n (mod 2) entries nonzero
 
 
-@lru_cache(maxsize=None)
-def _a_coeffs(n: int) -> tuple[Fraction, ...]:
-    # alternating-binomial form: coefficient of t^{n-2k} is
-    # (-1)^{n+k} binom(n,k) (2k-n)^n / (n! 2^n)
-    denom = math.factorial(n) * 2**n
-    sign_n = -1 if n % 2 else 1
-    out = [Fraction(0)] * (n + 1)
+def _a_numerators(n: int):
+    # (-1)^{n+k} binom(n,k) (2k-n)^n for k = 0..n//2: the numerator, over
+    # n! 2^n, of the coefficient of t^{n-2k}
+    binom = 1
     for k in range(n // 2 + 1):
-        base = 2 * k - n
-        if base == 0:
-            continue
-        num = sign_n * (-1 if k % 2 else 1) * math.comb(n, k) * base**n
-        out[n - 2 * k] = Fraction(num, denom)
-    return tuple(out)
+        num = binom * (2 * k - n) ** n
+        yield -num if (n + k) % 2 else num
+        binom = binom * (n - k) // (k + 1)
+
+
+def _a_kernel(n: int, t: Fraction) -> Fraction:
+    # integer Horner sum in p^2 with a running power of q^2, one gcd at the
+    # end; the power-of-two part of q (all of it for a float t) is a shift
+    p, q = t.numerator, t.denominator
+    twos = (q & -q).bit_length() - 1
+    p2, q2 = p * p, (q >> twos) ** 2
+    acc, q_pow = 0, 1
+    for k, num in enumerate(_a_numerators(n)):
+        acc = acc * p2 + (num * q_pow << 2 * twos * k)
+        q_pow *= q2
+    if n % 2:
+        acc *= p
+    return Fraction(acc, math.factorial(n) * 2**n * q**n)
 
 
 def a_poly(n: int) -> APoly:
     """Exact polynomial A_n(t); agrees with coeff_closed_form coefficientwise."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return APoly(n=n, coeffs=_a_coeffs(n))
+    denom = math.factorial(n) * 2**n
+    out = [Fraction(0)] * (n + 1)
+    for k, num in enumerate(_a_numerators(n)):
+        out[n - 2 * k] = Fraction(num, denom)
+    return APoly(n=n, coeffs=tuple(out))
 
 
 def a_eval_exact(n: int, t) -> Fraction:
-    """Exact A_n(t) at rational t, by Horner evaluation of the cached polynomial.
+    """Exact A_n(t) at rational t, from the integer kernel.
 
     t may be a Fraction, an int, or a float (floats convert exactly to the
     dyadic rational they represent).
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return _a_eval_cached(n, Fraction(t))
-
-
-@lru_cache(maxsize=4096)
-def _a_eval_cached(n: int, t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(_a_coeffs(n)):
-        acc = acc * t + c
-    return acc
+    return _a_kernel(n, Fraction(t))
 
 
 def _round_dyadic(t: float) -> Fraction:
@@ -154,7 +163,7 @@ def _round_dyadic(t: float) -> Fraction:
 
 
 def a_eval_logabs(n: int, t) -> tuple[float, int]:
-    """(ln|A_n(t)|, sign) computed through the exact rational path.
+    """(ln|A_n(t)|, sign) of the exact value from the integer kernel.
 
     A float t is first rounded to a dyadic rational with 64 fractional
     bits (documented, deterministic); exact inputs (int, Fraction) are
@@ -168,7 +177,7 @@ def a_eval_logabs(n: int, t) -> tuple[float, int]:
         tr = _round_dyadic(t)
     else:
         tr = Fraction(t)
-    v = _a_eval_cached(n, tr)
+    v = _a_kernel(n, tr)
     if v == 0:
         return -math.inf, 0
     log_abs = math.log(abs(v.numerator)) - math.log(v.denominator)

@@ -116,27 +116,36 @@ def _lhs_power_large(x: float) -> float:
     return x * math.exp(s) / (1.0 + s)
 
 
-def _bisect_increasing(g, t: float, hi_cap: float | None) -> tuple[float, int]:
-    """Root of g(x)*t = 1 for strictly increasing g, x > 0.
+# (lhs, cap, branch) of each implicit radius equation; a cap pins the upper
+# bracket: sqrt(1 - R^2) confines the large-t search to (0, 1]
+_KAPTEYN_DOMAIN = (_lhs_kapteyn, None, "kapteyn_domain")
+_SMALL_T = (_lhs_power_small, None, "small_t")
+_LARGE_T = (_lhs_power_large, 1.0, "large_t")
 
-    Doubles the upper bracket until the sign changes (unless hi_cap pins
-    it), then bisects to relative width 1e-15.
+
+def _bisect_radius(t: float, lhs, cap: float | None, branch: str) -> RadiusResult:
+    """Root of lhs(x)*t = 1 for strictly increasing lhs, x > 0.
+
+    Doubles the upper bracket until the sign changes (unless cap pins it),
+    then bisects to relative width 1e-15.
     """
+    if not t > 0.0:
+        raise DomainError(f"t must be positive, got {t}")
     lo = 1e-300
-    if hi_cap is None:
+    if cap is None:
         hi = 1.0
-        while g(hi) * t < 1.0:
+        while lhs(hi) * t < 1.0:
             hi *= 2.0
             if hi > 1e300:
                 raise KapteynError("bracket expansion ran away")
     else:
-        hi = hi_cap
+        hi = cap
     iterations = 0
     while hi - lo > _REL_WIDTH * max(lo, 1e-300):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if g(mid) * t < 1.0:
+        if lhs(mid) * t < 1.0:
             lo = mid
         else:
             hi = mid
@@ -144,33 +153,15 @@ def _bisect_increasing(g, t: float, hi_cap: float | None) -> tuple[float, int]:
     # the final bracket is a few ulps wide; hand back whichever candidate
     # leaves the smallest residual.  The cap is listed first so that a root
     # sitting exactly on it (R(1) = 1) is recovered exactly on a tie.
-    candidates = ([] if hi_cap is None else [hi_cap]) + [0.5 * (lo + hi), lo, hi]
-    return min(candidates, key=lambda x: abs(g(x) * t - 1.0)), iterations
+    candidates = ([] if cap is None else [cap]) + [0.5 * (lo + hi), lo, hi]
+    root = min(candidates, key=lambda x: abs(lhs(x) * t - 1.0))
+    return RadiusResult(t=t, radius=root, branch=branch,
+                        residual=abs(lhs(root) * t - 1.0), iterations=iterations)
 
 
 def solve_r(t: float) -> RadiusResult:
     """Kapteyn-domain radius r(t): unique positive root of its implicit equation."""
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    root, iters = _bisect_increasing(_lhs_kapteyn, t, None)
-    residual = abs(_lhs_kapteyn(root) * t - 1.0)
-    return RadiusResult(t=t, radius=root, branch="kapteyn_domain",
-                        residual=residual, iterations=iters)
-
-
-def _solve_R_small(t: float) -> RadiusResult:
-    root, iters = _bisect_increasing(_lhs_power_small, t, None)
-    residual = abs(_lhs_power_small(root) * t - 1.0)
-    return RadiusResult(t=t, radius=root, branch="small_t",
-                        residual=residual, iterations=iters)
-
-
-def _solve_R_large(t: float) -> RadiusResult:
-    # sqrt(1 - R^2) confines the search to (0, 1]; R(t) <= 1 for t >= 1
-    root, iters = _bisect_increasing(_lhs_power_large, t, 1.0)
-    residual = abs(_lhs_power_large(root) * t - 1.0)
-    return RadiusResult(t=t, radius=root, branch="large_t",
-                        residual=residual, iterations=iters)
+    return _bisect_radius(t, *_KAPTEYN_DOMAIN)
 
 
 def solve_R(t: float) -> RadiusResult:
@@ -180,16 +171,7 @@ def solve_R(t: float) -> RadiusResult:
     convergence of sum A_n(t) z^n; for 0 < t < 1 it is the small-t model,
     which misses that radius by up to 6% (see solve_R_true).
     """
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    if t >= 1.0:
-        result = _solve_R_large(t)
-        if t == 1.0:
-            # both implicit equations must hand back the same unit radius
-            other = _solve_R_small(t)
-            assert abs(result.radius - other.radius) < 1e-10
-        return result
-    return _solve_R_small(t)
+    return _bisect_radius(t, *(_LARGE_T if t >= 1.0 else _SMALL_T))
 
 
 def solve_R_true(t: float) -> RadiusResult:

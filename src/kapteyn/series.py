@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .bessel import SeriesEvalReport, _jn_scaled_sum, _require_finite
 from .coeffs import _cos_half_pi, _dfact, a_eval_logabs
-from .domain import kapteyn_converges, omega, solve_R
+from .domain import kapteyn_converges, omega, solve_R_true
 from .errors import ConvergenceError, DomainError
 
 _MAX_OUTER_TERMS = 2000
@@ -76,21 +76,24 @@ def _sum_with_quiet_stop(term_at, z_desc: str, tol: float, tail_ratio: float):
     total = 0j
     quiet = 0
     n = 0
-    while n < _MAX_OUTER_TERMS:
-        n += 1
-        term = term_at(n)
-        total += term
-        if abs(term) < tol * max(1.0, abs(total)):
-            quiet += 1
-            if quiet >= _QUIET_TERMS:
-                break
+    try:
+        while n < _MAX_OUTER_TERMS:
+            n += 1
+            term = term_at(n)
+            total += term
+            if abs(term) < tol * max(1.0, abs(total)):
+                quiet += 1
+                if quiet >= _QUIET_TERMS:
+                    break
+            else:
+                quiet = 0
         else:
-            quiet = 0
-    else:
-        raise ConvergenceError(
-            f"series for {z_desc} did not settle within {_MAX_OUTER_TERMS} terms"
-        )
-    next_mag = abs(term_at(n + 1))
+            raise ConvergenceError(
+                f"series for {z_desc} did not settle within {_MAX_OUTER_TERMS} terms"
+            )
+        next_mag = abs(term_at(n + 1))
+    except OverflowError as exc:
+        raise ConvergenceError(f"series for {z_desc} overflowed at term {n}") from exc
     tail = 2.0 * next_mag / max(1e-12, 1.0 - tail_ratio)
     return SeriesEvalReport(value=total, terms_used=n, tail_bound=tail)
 
@@ -123,7 +126,8 @@ def eval_direct(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
 def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     """F(z,t) by the power series sum A_n(t) z^n with exact coefficients.
 
-    Requires |z| below the solved radius R(|t|) with a 1e-6 safety margin.
+    Requires |z| below the radius of convergence solve_R_true(|t|) with a
+    1e-6 safety margin.
     Each term is formed from the exact value of A_n(t) through its log
     magnitude and sign, so coefficients far beyond float range still
     produce correctly rounded term values.
@@ -139,7 +143,7 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     if t == 0.0:
         radius = math.inf  # every A_n(0) vanishes
     else:
-        radius = solve_R(abs(t)).radius
+        radius = solve_R_true(abs(t)).radius
         if not az < radius - _RADIUS_MARGIN:
             raise DomainError(
                 f"|z| = {az:g} is not inside the convergence radius "

@@ -13,6 +13,7 @@ from kapteyn import (
     coeff_closed_form,
     coeff_table_recurrence,
 )
+from kapteyn.coeffs import _round_dyadic
 
 # the first five polynomials, written out coefficient-by-coefficient
 PRINTED = {
@@ -135,6 +136,17 @@ class TestEvalExact:
         rel = abs(a_eval_exact(n, t) - lead) / lead
         assert rel < 0.01
 
+    @given(st.integers(1, 40),
+           st.one_of(st.integers(-4, 4),
+                     st.fractions(min_value=-4, max_value=4, max_denominator=1000)))
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_matches_both_oracles(self, n, t):
+        t = Fraction(t)
+        closed = sum(coeff_closed_form(n, k) * t**k for k in range(n + 1))
+        row = coeff_table_recurrence(n).rows[n - 1]
+        recurrence = sum(c * t**k for k, c in enumerate(row))
+        assert a_eval_exact(n, t) == closed == recurrence
+
     def test_float_input_uses_exact_dyadic(self):
         assert a_eval_exact(3, 0.5) == a_eval_exact(3, Fraction(1, 2))
 
@@ -166,6 +178,12 @@ class TestEvalLogAbs:
         log_abs, sign = a_eval_logabs(12, Fraction(7, 5))
         assert sign == (1 if v > 0 else -1)
         assert log_abs == pytest.approx(math.log(abs(v)), rel=1e-13)
+
+    @given(st.integers(1, 120),
+           st.floats(min_value=-20, max_value=20, allow_nan=False, allow_infinity=False))
+    @settings(max_examples=60, deadline=None)
+    def test_float_is_rounded_to_dyadic(self, n, t):
+        assert a_eval_logabs(n, t) == a_eval_logabs(n, _round_dyadic(t))
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):

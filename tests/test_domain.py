@@ -15,7 +15,7 @@ from kapteyn import (
     solve_R_true,
     solve_r,
 )
-from kapteyn.domain import _lhs_power_small, _solve_R_large, _solve_R_small
+from kapteyn.domain import _lhs_power_small, _LARGE_T, _SMALL_T, _bisect_radius
 
 # frozen oracle: 200-iteration bisection on r e^{sqrt(1+r^2)}/(1+sqrt(1+r^2)) = 1
 LAPLACE_LIMIT = 0.6627434193491815
@@ -82,8 +82,8 @@ class TestSolveR:
 
 class TestSolveCapitalR:
     def test_unity_from_both_branches(self):
-        assert _solve_R_small(1.0).radius == pytest.approx(1.0, abs=1e-10)
-        assert _solve_R_large(1.0).radius == pytest.approx(1.0, abs=1e-10)
+        assert _bisect_radius(1.0, *_SMALL_T).radius == pytest.approx(1.0, abs=1e-10)
+        assert _bisect_radius(1.0, *_LARGE_T).radius == pytest.approx(1.0, abs=1e-10)
         assert solve_R(1.0).branch == "large_t"
 
     def test_branch_selection(self):

@@ -20,6 +20,7 @@ from kapteyn import (
     kapteyn_to_taylor,
     kapteyn_to_taylor_exact,
     solve_R,
+    solve_R_true,
     solve_r,
     taylor_to_kapteyn,
     taylor_to_kapteyn_exact,
@@ -54,6 +55,11 @@ class TestEvalDirect:
         with pytest.raises(ConvergenceError):
             eval_direct(0.99, 1.0, 1e-10)
 
+    def test_overflowing_terms_raise_convergence_error(self):
+        # inside the domain, but the computed terms grow past float range
+        with pytest.raises(ConvergenceError):
+            eval_direct(-1.4676281218153417 + 0.01702673947714306j, 0.7250137137132295)
+
     def test_negative_t_matches_parity(self):
         plus = eval_direct(0.2, 0.5, 1e-11).value
         minus = eval_direct(-0.2, -0.5, 1e-11).value
@@ -80,6 +86,23 @@ class TestEvalPower:
             eval_power(1.0, 1.0)
         with pytest.raises(DomainError):
             eval_power(0.5, 10.0)  # R(10) ~ 0.074
+
+    def test_gate_is_the_true_radius_above_the_model(self):
+        # the small-t model gives R(0.5) = 1.5404 < 1.55 < 1.5792 = true R
+        assert solve_R(0.5).radius < 1.55 < solve_R_true(0.5).radius
+        p = eval_power(1.55, 0.5)
+        d = eval_direct(1.55, 0.5)
+        assert abs(p.value - d.value) <= p.tail_bound
+
+    def test_gate_is_the_true_radius_below_the_model(self, monkeypatch):
+        # the small-t model gives R(0.1) = 3.0006 > 2.9 > 2.8652 = true R,
+        # where the series diverges; the refusal must come before any term
+        def no_terms(n, t):
+            raise AssertionError(f"A_{n} computed for a point outside the radius")
+
+        monkeypatch.setattr("kapteyn.series.a_eval_logabs", no_terms)
+        with pytest.raises(DomainError):
+            eval_power(2.9j, 0.1)
 
     @pytest.mark.parametrize("z,t", [(0.2 + 0.1j, 0.7), (-0.2, 2.0), (0.1j, 4.0)])
     def test_cross_oracle_against_direct(self, z, t):
