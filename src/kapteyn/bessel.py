@@ -43,6 +43,11 @@ def _require_finite(z: complex) -> complex:
     return z
 
 
+def _require_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be finite and positive, got {tol}")
+
+
 def sqrt1mz2(z: complex) -> complex:
     """Square root of 1 - z^2 on the branch with Re >= 0.
 
@@ -56,9 +61,8 @@ def sqrt1mz2(z: complex) -> complex:
     return s
 
 
-def _jn_scaled_sum(
-    n: int, z: complex, log_scale: float, tol: float, max_terms: int = _MAX_TERMS
-) -> tuple[complex, int, float]:
+def _jn_scaled_sum(n: int, z: complex, log_scale: float,
+                   tol: float) -> tuple[complex, int, float]:
     """Sum e^{log_scale} * J_n(nz) termwise; return (value, terms, next-term magnitude).
 
     Stops once the next term is below tol in absolute value and the term
@@ -92,9 +96,9 @@ def _jn_scaled_sum(
             )
         if mag < threshold and j + 1 > aw:
             return scale * total, j + 1, mag * scale
-        if j + 2 > max_terms:
+        if j + 2 > _MAX_TERMS:
             raise ConvergenceError(
-                f"tolerance {tol:g} not reached within {max_terms} terms of J_{n}(nz)"
+                f"tolerance {tol:g} not reached within {_MAX_TERMS} terms of J_{n}(nz)"
             )
         rho = nxt
         total += nxt
@@ -112,8 +116,7 @@ def bessel_jn_scaled(n: int, z: complex, tol: float = 1e-12) -> SeriesEvalReport
     """
     if n < 1:
         raise DomainError(f"order n must be >= 1, got {n}")
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    _require_tol(tol)
     z = _require_finite(z)
     if abs(z) > _MAX_ABS_Z:
         raise DomainError(f"|z| = {abs(z):g} exceeds supported bound {_MAX_ABS_Z}")

@@ -29,6 +29,17 @@ _FIG2_N_RANGE = (1, 300)
 _FIG2_T = 0.1
 _ESTIMATE_ORDER = 500
 
+# figures over a t grid: id -> (default samples, header, values at t after t)
+_T_FIGURES = {
+    1: (61, ["t", "estimate"],
+        lambda t: [domain.coeff_radius_estimate(_ESTIMATE_ORDER, t)]),
+    3: (41, ["t", "R_solved", "estimate_500"],
+        lambda t: [domain.solve_R(t).radius,
+                   domain.coeff_radius_estimate(_ESTIMATE_ORDER, t)]),
+    4: (100, ["t", "r", "R"],
+        lambda t: [domain.solve_r(t).radius, domain.solve_R(t).radius]),
+}
+
 
 class UsageError(Exception):
     pass
@@ -138,30 +149,14 @@ def _cmd_figure(args) -> tuple[list[str], list[list[str]]]:
             rows.append([str(n), _float_str(log_abs), str(sign)])
         return ["n", "ln_abs_A_n", "sign"], rows
 
-    lo, hi = _FIG_T_RANGE
-    if args.range is not None:
-        lo, hi = args.range
-    samples = args.samples if args.samples is not None else {1: 61, 3: 41, 4: 100}[fid]
+    default_samples, header, values_at = _T_FIGURES[fid]
+    lo, hi = _FIG_T_RANGE if args.range is None else args.range
+    samples = args.samples if args.samples is not None else default_samples
     if samples < 1:
         raise UsageError(f"--samples must be >= 1, got {samples}")
-    ts = _log_grid(lo, hi, samples)
-    rows = []
-    if fid == 1:
-        for t in ts:
-            est = domain.coeff_radius_estimate(_ESTIMATE_ORDER, t)
-            rows.append([_float_str(t), _float_str(est)])
-        return ["t", "estimate"], rows
-    if fid == 3:
-        for t in ts:
-            R = domain.solve_R(t).radius
-            est = domain.coeff_radius_estimate(_ESTIMATE_ORDER, t)
-            rows.append([_float_str(t), _float_str(R), _float_str(est)])
-        return ["t", "R_solved", "estimate_500"], rows
-    for t in ts:
-        r = domain.solve_r(t).radius
-        R = domain.solve_R(t).radius
-        rows.append([_float_str(t), _float_str(r), _float_str(R)])
-    return ["t", "r", "R"], rows
+    rows = [[_float_str(v) for v in (t, *values_at(t))]
+            for t in _log_grid(lo, hi, samples)]
+    return header, rows
 
 
 def _read_sequence(path: str) -> list[float]:

@@ -17,9 +17,11 @@ t = p/q the alternating form times n! 2^n q^n is an integer, summed by
 Horner's rule in p^2 and reduced by a single gcd at the end; nothing is
 cached.  The closed form and the recurrence stay as independent oracles.
 
-Everything in this module is exact arithmetic; floats appear only at the
-log-magnitude boundary (a_eval_logabs), which exists because values like
-A_500(t) span thousands of orders of magnitude.
+Everything in this module is exact arithmetic.  A float t is taken as the
+dyadic rational it represents, exactly, by a_eval_exact and a_eval_logabs
+alike; floats come out only at the log-magnitude boundary (a_eval_logabs),
+which exists because values like A_500(t) span thousands of orders of
+magnitude.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-
-_DYADIC_BITS = 64
 
 
 def _dfact(m: int) -> int:
@@ -147,37 +147,25 @@ def a_poly(n: int) -> APoly:
 def a_eval_exact(n: int, t) -> Fraction:
     """Exact A_n(t) at rational t, from the integer kernel.
 
-    t may be a Fraction, an int, or a float (floats convert exactly to the
-    dyadic rational they represent).
+    t may be a Fraction, an int, or a finite float (floats convert exactly
+    to the dyadic rational they represent).
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return _a_kernel(n, Fraction(t))
-
-
-def _round_dyadic(t: float) -> Fraction:
-    # round to 64 fractional bits; floats >= 2^53 are integers already
-    if abs(t) >= 2.0**53:
-        return Fraction(t)
-    return Fraction(round(math.ldexp(t, _DYADIC_BITS)), 1 << _DYADIC_BITS)
+    try:
+        t = Fraction(t)
+    except (OverflowError, ValueError):  # inf, nan
+        raise DomainError(f"t must be finite, got {t}") from None
+    return _a_kernel(n, t)
 
 
 def a_eval_logabs(n: int, t) -> tuple[float, int]:
-    """(ln|A_n(t)|, sign) of the exact value from the integer kernel.
+    """(ln|A_n(t)|, sign) of the exact value a_eval_exact(n, t).
 
-    A float t is first rounded to a dyadic rational with 64 fractional
-    bits (documented, deterministic); exact inputs (int, Fraction) are
-    used as-is.  Returns sign 0 (with log -inf) iff the exact value is 0.
+    t is taken as a_eval_exact takes it, a float exactly.  Returns sign 0
+    (with log -inf) iff the exact value is 0.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if isinstance(t, float):
-        if not math.isfinite(t):
-            raise DomainError(f"t must be finite, got {t}")
-        tr = _round_dyadic(t)
-    else:
-        tr = Fraction(t)
-    v = _a_kernel(n, tr)
+    v = a_eval_exact(n, t)
     if v == 0:
         return -math.inf, 0
     log_abs = math.log(abs(v.numerator)) - math.log(v.denominator)

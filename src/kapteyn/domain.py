@@ -126,12 +126,13 @@ _LARGE_T = (_lhs_power_large, 1.0, "large_t")
 def _bisect_radius(t: float, lhs, cap: float | None, branch: str) -> RadiusResult:
     """Root of lhs(x)*t = 1 for strictly increasing lhs, x > 0.
 
-    Doubles the upper bracket until the sign changes (unless cap pins it),
-    then bisects to relative width 1e-15.
+    Brackets from 0 (so a subnormal root at huge t is still found), doubles
+    the upper bracket until the sign changes (unless cap pins it), then
+    bisects to relative width 1e-15.
     """
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    lo = 1e-300
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
+    lo = 0.0
     if cap is None:
         hi = 1.0
         while lhs(hi) * t < 1.0:
@@ -231,6 +232,8 @@ def psi_large_t(t: float) -> float:
     value is psi(1) = 1.  The mismatch is inherent to the asymptote; use
     solve_R for the implicit-equation value.
     """
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     return 0.5 * math.e * t
 
 

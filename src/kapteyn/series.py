@@ -12,12 +12,16 @@ The general coefficient maps connect sum a_n z^n = sum alpha_n J_n(nz):
     to Taylor:   a_k = sum_{n=1..k} alpha_n cos(pi(k-n)/2) n^k
                        / ((k-n)!! (k+n)!!)
 
-Both are computed in exact rational arithmetic with floats only at the
-boundary.  Convention note: the to-Kapteyn direction is stated for the
-expansion f = alpha_0 + 2 sum alpha_n J_n(nz); under the no-factor-2
-convention used by the to-Taylor direction the two maps invert each other
-through a factor 2, i.e. taylor_to_kapteyn(2 * kapteyn_to_taylor(alpha))
-recovers alpha.
+Neither weight is written out again here: the to-Kapteyn weights are the
+terms of theta_poly(n) divided by n/2, and the to-Taylor weight of alpha_n
+in a_k is C_n^k, the t^n coefficient of coeffs.a_poly(k).  Both maps are
+computed in exact rational arithmetic with floats only at the boundary.
+
+Convention note: the to-Kapteyn direction is stated for the expansion
+f = alpha_0 + 2 sum alpha_n J_n(nz); under the no-factor-2 convention used
+by the to-Taylor direction the two maps invert each other through a
+factor 2, i.e. taylor_to_kapteyn(2 * kapteyn_to_taylor(alpha)) recovers
+alpha.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bessel import SeriesEvalReport, _jn_scaled_sum, _require_finite
-from .coeffs import _cos_half_pi, _dfact, a_eval_logabs
+from .bessel import SeriesEvalReport, _jn_scaled_sum, _require_finite, _require_tol
+from .coeffs import a_eval_logabs, a_poly
 from .domain import kapteyn_converges, omega, solve_R_true
 from .errors import ConvergenceError, DomainError
 
@@ -70,8 +74,10 @@ def _sum_with_quiet_stop(term_at, z_desc: str, tol: float, tail_ratio: float):
     """Accumulate term_at(n) for n = 1.. until 5 consecutive quiet terms.
 
     Returns a report whose tail_bound is a geometric tail estimate: the
-    first omitted term, inflated by 2/(1 - tail_ratio) so it also bounds
-    the sum of everything left out, not just the next term.
+    larger of the first two omitted terms, inflated by 2/(1 - tail_ratio)
+    so it also bounds the sum of everything left out.  Two terms, because
+    A_n(t) has the parity of n: at small t the odd terms scale like t and
+    the even ones like t^2, so the next term alone can miss the tail.
     """
     total = 0j
     quiet = 0
@@ -91,7 +97,7 @@ def _sum_with_quiet_stop(term_at, z_desc: str, tol: float, tail_ratio: float):
             raise ConvergenceError(
                 f"series for {z_desc} did not settle within {_MAX_OUTER_TERMS} terms"
             )
-        next_mag = abs(term_at(n + 1))
+        next_mag = max(abs(term_at(n + 1)), abs(term_at(n + 2)))
     except OverflowError as exc:
         raise ConvergenceError(f"series for {z_desc} overflowed at term {n}") from exc
     tail = 2.0 * next_mag / max(1e-12, 1.0 - tail_ratio)
@@ -106,8 +112,7 @@ def eval_direct(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     tol*max(1, |partial sum|), capped at 2000 terms.
     """
     z = _require_finite(z)
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    _require_tol(tol)
     if not kapteyn_converges(z, t):
         raise DomainError(
             f"(z={z!r}, t={t!r}) lies outside the Kapteyn convergence domain"
@@ -133,8 +138,7 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     produce correctly rounded term values.
     """
     z = _require_finite(z)
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    _require_tol(tol)
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t}")
     az = abs(z)
@@ -205,35 +209,24 @@ def theta_poly(n: int) -> ThetaPoly:
 
 
 def taylor_to_kapteyn_exact(a, n_out: int) -> list[Fraction]:
-    """Exact to-Kapteyn map on a 1-indexed rational sequence a (a[0] is a_1)."""
+    """Exact to-Kapteyn map on a 1-indexed rational sequence a (a[0] is a_1).
+
+    alpha_n sums a_m times the theta_poly(n) term at exponent -m, all over
+    n/2.
+    """
     a = [Fraction(v) for v in a]
-    out = []
-    for n in range(1, n_out + 1):
-        acc = Fraction(0)
-        for k in range(n // 2 + 1):
-            m = n - 2 * k
-            if m < 1:
-                continue  # the m = 0 term carries a vanishing (n-2k)^2 factor
-            w = Fraction(m * m * math.factorial(n - k - 1), 4 * math.factorial(k))
-            w /= Fraction(n, 2) ** (m + 1)
-            acc += w * a[m - 1]
-        out.append(acc)
-    return out
+    return [sum(c * a[-e - 1] for e, c in theta_poly(n).terms) / Fraction(n, 2)
+            for n in range(1, n_out + 1)]
 
 
 def kapteyn_to_taylor_exact(alpha, n_out: int) -> list[Fraction]:
-    """Exact to-Taylor map on a 1-indexed rational sequence alpha."""
+    """Exact to-Taylor map on a 1-indexed rational sequence alpha.
+
+    a_k = sum_n alpha_n [t^n] A_k(t), with A_k from coeffs.a_poly.
+    """
     alpha = [Fraction(v) for v in alpha]
-    out = []
-    for k in range(1, n_out + 1):
-        acc = Fraction(0)
-        for n in range(1, k + 1):
-            sign = _cos_half_pi(k - n)
-            if sign == 0:
-                continue
-            acc += alpha[n - 1] * Fraction(sign * n**k, _dfact(k - n) * _dfact(k + n))
-        out.append(acc)
-    return out
+    return [sum(alpha[n - 1] * c for n, c in enumerate(a_poly(k).coeffs) if c)
+            for k in range(1, n_out + 1)]
 
 
 def _check_map_args(seq: CoeffSequence, expected: str, n_out: int) -> None:
@@ -257,7 +250,7 @@ def taylor_to_kapteyn(a: CoeffSequence, n_out: int) -> CoeffSequence:
     the doubled Taylor sequence (see module docstring).
     """
     _check_map_args(a, "taylor_a", n_out)
-    exact = taylor_to_kapteyn_exact([Fraction(v) for v in a.values], n_out)
+    exact = taylor_to_kapteyn_exact(a.values, n_out)
     return CoeffSequence(values=tuple(float(v) for v in exact),
                          convention="kapteyn_alpha")
 
@@ -265,6 +258,6 @@ def taylor_to_kapteyn(a: CoeffSequence, n_out: int) -> CoeffSequence:
 def kapteyn_to_taylor(alpha: CoeffSequence, n_out: int) -> CoeffSequence:
     """Map Kapteyn coefficients alpha_n to the Taylor coefficients of the sum."""
     _check_map_args(alpha, "kapteyn_alpha", n_out)
-    exact = kapteyn_to_taylor_exact([Fraction(v) for v in alpha.values], n_out)
+    exact = kapteyn_to_taylor_exact(alpha.values, n_out)
     return CoeffSequence(values=tuple(float(v) for v in exact),
                          convention="taylor_a")

@@ -98,8 +98,9 @@ class TestBesselJnScaled:
     def test_rejects_bad_order_and_tolerance(self):
         with pytest.raises(DomainError):
             bessel_jn_scaled(0, 0.5)
-        with pytest.raises(DomainError):
-            bessel_jn_scaled(3, 0.5, tol=0.0)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                bessel_jn_scaled(3, 0.5, tol=tol)
 
     def test_overflowing_order_raises_convergence_error(self):
         # n ln(n|z|/2) - ln n! grows without bound at |z| = 4

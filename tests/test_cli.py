@@ -74,6 +74,11 @@ class TestEval:
         assert code == EXIT_DOMAIN
         assert "domain violation" in err
 
+    def test_non_finite_tolerance_exit_code(self, capsys):
+        code, _, err = run_cli(["eval", "0.3", "0", "0.5", "--tol", "inf"], capsys)
+        assert code == EXIT_DOMAIN
+        assert "tolerance" in err
+
     def test_outside_radius_power_method(self, capsys):
         code, _, err = run_cli(["eval", "0.5", "0", "10", "--method", "power"], capsys)
         assert code == EXIT_DOMAIN

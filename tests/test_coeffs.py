@@ -13,7 +13,6 @@ from kapteyn import (
     coeff_closed_form,
     coeff_table_recurrence,
 )
-from kapteyn.coeffs import _round_dyadic
 
 # the first five polynomials, written out coefficient-by-coefficient
 PRINTED = {
@@ -151,8 +150,9 @@ class TestEvalExact:
         assert a_eval_exact(3, 0.5) == a_eval_exact(3, Fraction(1, 2))
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            a_eval_exact(0, 1)
+        for n, t in ((0, 1), (3, math.inf), (3, -math.inf), (3, math.nan)):
+            with pytest.raises(DomainError):
+                a_eval_exact(n, t)
 
 
 class TestEvalLogAbs:
@@ -180,11 +180,21 @@ class TestEvalLogAbs:
         assert log_abs == pytest.approx(math.log(abs(v)), rel=1e-13)
 
     @given(st.integers(1, 120),
-           st.floats(min_value=-20, max_value=20, allow_nan=False, allow_infinity=False))
+           st.one_of(st.floats(min_value=-20, max_value=20,
+                               allow_nan=False, allow_infinity=False),
+                     st.floats(min_value=5e-324, max_value=2.0**-12),
+                     st.floats(min_value=-(2.0**-12), max_value=-5e-324)))
     @settings(max_examples=60, deadline=None)
-    def test_float_is_rounded_to_dyadic(self, n, t):
-        assert a_eval_logabs(n, t) == a_eval_logabs(n, _round_dyadic(t))
+    def test_float_is_taken_exactly(self, n, t):
+        assert a_eval_logabs(n, t) == a_eval_logabs(n, Fraction(t))
+
+    def test_tiny_float_keeps_its_value(self):
+        # A_3(t) = (9 t^3 - t)/16 is negative for small t > 0
+        log_abs, sign = a_eval_logabs(3, 1e-30)
+        assert sign == -1
+        assert log_abs == pytest.approx(math.log(abs(a_eval_exact(3, 1e-30))), rel=1e-15)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            a_eval_logabs(3, math.inf)
+        for t in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                a_eval_logabs(3, t)

@@ -6,6 +6,7 @@ import pytest
 from kapteyn import (
     DomainError,
     ZeroCoefficientError,
+    a_eval_exact,
     coeff_radius_estimate,
     kapteyn_converges,
     omega,
@@ -74,10 +75,15 @@ class TestSolveR:
         assert 0.95 < solve_r(1000.0).radius * 1000.0 * math.e / 2 < 1.05
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            solve_r(0.0)
-        with pytest.raises(DomainError):
-            solve_r(-2.0)
+        for t in (0.0, -2.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                solve_r(t)
+
+    def test_subnormal_root_at_huge_t(self):
+        # the root 2/(e t) ~ 7.36e-309 lies below any fixed positive bracket
+        res = solve_r(1e308)
+        assert res.radius == pytest.approx(2.0 / (math.e * 1e308), rel=1e-6)
+        assert res.residual < 1e-6
 
 
 class TestSolveCapitalR:
@@ -113,8 +119,9 @@ class TestSolveCapitalR:
             assert solve_R(t).residual < 1e-12
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            solve_R(-1.0)
+        for t in (-1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                solve_R(t)
 
 
 class TestSolveRTrue:
@@ -171,7 +178,7 @@ class TestSolveRTrue:
         assert gaps[-1] < 0.01
 
     def test_rejects_nonpositive_and_nan(self):
-        for t in (0.0, -0.5, math.nan):
+        for t in (0.0, -0.5, math.nan, math.inf):
             with pytest.raises(DomainError):
                 solve_R_true(t)
 
@@ -226,6 +233,11 @@ class TestPsiAsymptotes:
             with pytest.raises(DomainError):
                 psi_small_t(t)
 
+    def test_large_t_domain(self):
+        for t in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                psi_large_t(t)
+
     def test_large_t_values(self):
         assert psi_large_t(2.0) == pytest.approx(math.e)
         assert psi_large_t(1000.0) == pytest.approx(1.0 / solve_R(1000.0).radius, rel=0.01)
@@ -239,6 +251,11 @@ class TestCoeffRadiusEstimate:
 
     def test_tracks_solver_at_t10(self):
         assert coeff_radius_estimate(500, 10.0) == pytest.approx(solve_R(10.0).radius, rel=0.05)
+
+    def test_tiny_float_t(self):
+        # t far below 2**-64: A_50(t) ~ C_2^50 t^2 must keep its value
+        expected = float(abs(a_eval_exact(50, 1e-30))) ** (-1 / 50)
+        assert coeff_radius_estimate(50, 1e-30) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_coefficient_signalled(self):
         with pytest.raises(ZeroCoefficientError):

@@ -1,5 +1,14 @@
-"""CLI stdout compared byte for byte with files recorded before the integer
-A_n kernel replaced the Fraction caches (tests/golden/<name>.csv)."""
+"""CLI stdout compared byte for byte with recorded files
+(tests/golden/<name>.csv).
+
+Each file was recorded from the code as it stood before a refactor that
+had to leave the output unchanged: the figure, coeff, radius and direct
+eval cases before the integer A_n kernel replaced the Fraction caches; the
+expand cases (on the committed 40-entry input seq40.csv), the figure
+cases with an explicit --range, the power eval and the JSON figure before
+the coefficient maps took their weights from a_poly and theta_poly, float
+t became exact in a_eval_logabs, and figures 1, 3 and 4 moved to one loop.
+"""
 
 from pathlib import Path
 
@@ -8,18 +17,26 @@ import pytest
 from kapteyn.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "golden"
+SEQ40 = str(GOLDEN / "seq40.csv")
 
 CASES = {
     "figure1": ["figure", "1", "--samples", "12"],
     "figure2": ["figure", "2"],
     "figure3": ["figure", "3", "--samples", "8"],
     "figure4": ["figure", "4"],
+    "figure1_range": ["figure", "1", "--range", "0.2", "5", "--samples", "7"],
+    "figure3_range": ["figure", "3", "--range", "0.3", "3", "--samples", "5"],
+    "figure4_range": ["figure", "4", "--range", "0.01", "100", "--samples", "9"],
+    "figure4_json": ["--json", "figure", "4", "--samples", "5"],
     "coeff60_exact": ["coeff", "60", "--exact"],
     "coeff200": ["coeff", "200"],
     "radius_0.1": ["radius", "0.1"],
     "radius_1": ["radius", "1"],
     "radius_7.5": ["radius", "7.5"],
     "eval_direct": ["eval", "0.3", "0", "1", "--method", "direct"],
+    "eval_power": ["eval", "1.5", "0", "0.5", "--method", "power"],
+    "expand_to_taylor": ["expand", "--direction", "to-taylor", "--input", SEQ40],
+    "expand_to_kapteyn": ["expand", "--direction", "to-kapteyn", "--input", SEQ40],
 }
 
 

@@ -14,6 +14,7 @@ from kapteyn import (
     a_eval_exact,
     a_eval_logabs,
     bessel_jn_scaled,
+    coeff_closed_form,
     eval_direct,
     eval_power,
     fundamental_residual,
@@ -60,6 +61,11 @@ class TestEvalDirect:
         with pytest.raises(ConvergenceError):
             eval_direct(-1.4676281218153417 + 0.01702673947714306j, 0.7250137137132295)
 
+    def test_rejects_non_finite_tolerance(self):
+        for tol in (math.inf, math.nan, 0.0):
+            with pytest.raises(DomainError):
+                eval_direct(0.3, 0.5, tol)
+
     def test_negative_t_matches_parity(self):
         plus = eval_direct(0.2, 0.5, 1e-11).value
         minus = eval_direct(-0.2, -0.5, 1e-11).value
@@ -86,6 +92,23 @@ class TestEvalPower:
             eval_power(1.0, 1.0)
         with pytest.raises(DomainError):
             eval_power(0.5, 10.0)  # R(10) ~ 0.074
+
+    def test_rejects_non_finite_tolerance(self):
+        for tol in (math.inf, math.nan, 0.0):
+            with pytest.raises(DomainError):
+                eval_power(0.3, 0.5, tol)
+
+    def test_tiny_t_within_tail_bound_of_mpmath(self):
+        # a float t far below 2**-12 must enter the coefficients exactly, and
+        # the tail bound must cover the odd terms, which scale like t while
+        # the even ones scale like t^2
+        mpmath = pytest.importorskip("mpmath")
+        z, t = 0.5, 1e-19
+        with mpmath.workdps(40):
+            ref = complex(mpmath.fsum(mpmath.mpf(t) ** n * mpmath.besselj(n, n * z)
+                                      for n in range(1, 12)))
+        rep = eval_power(z, t)
+        assert abs(rep.value - ref) <= rep.tail_bound
 
     def test_gate_is_the_true_radius_above_the_model(self):
         # the small-t model gives R(0.5) = 1.5404 < 1.55 < 1.5792 = true R
@@ -216,11 +239,13 @@ class TestTaylorToKapteyn:
 
 class TestKapteynToTaylor:
     def test_geometric_alphas_give_poly_values(self):
-        # alpha_n = 3^n reproduces the polynomial values A_k(3) exactly
+        # alpha_n = 3^n reproduces the polynomial values A_k(3) exactly; the
+        # closed form is an oracle that does not share the map's weights
         alpha = [Fraction(3) ** n for n in range(1, 6)]
         out = kapteyn_to_taylor_exact(alpha, 5)
         for k, v in enumerate(out, start=1):
             assert v == a_eval_exact(k, 3)
+            assert v == sum(coeff_closed_form(k, n) * 3**n for n in range(1, k + 1))
 
     def test_delta_gives_j1_taylor_coefficients(self):
         out = kapteyn_to_taylor_exact([1, 0, 0, 0, 0, 0, 0, 0], 8)
