@@ -10,6 +10,7 @@ numerical failure, 2 domain violation, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -39,6 +40,11 @@ _T_FIGURES = {
     4: (100, ["t", "r", "R"],
         lambda t: [domain.solve_r(t).radius, domain.solve_R(t).radius]),
 }
+_EVALUATORS = {"direct": series.eval_direct, "power": series.eval_power}
+_SOLVERS = {"R": domain.solve_R, "r": domain.solve_r}
+# expand direction -> (input convention, map)
+_EXPANSIONS = {"to-kapteyn": ("taylor_a", series.taylor_to_kapteyn),
+               "to-taylor": ("kapteyn_alpha", series.kapteyn_to_taylor)}
 
 
 class UsageError(Exception):
@@ -67,8 +73,13 @@ def _float_str(x) -> str:
     return f"{x:.15g}"
 
 
-def _value_str(c: Fraction, exact: bool) -> str:
-    return str(c) if exact else _float_str(c)
+def _cell(v) -> str:
+    """A CSV/JSON cell: strings as they are, integers exact, numbers by _float_str."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, int):
+        return str(v)
+    return _float_str(v)
 
 
 def _log_grid(lo: float, hi: float, count: int) -> list[float]:
@@ -80,60 +91,46 @@ def _log_grid(lo: float, hi: float, count: int) -> list[float]:
     return [math.exp(math.log(lo) + i * step) for i in range(count)]
 
 
-def _cmd_coeff(args) -> tuple[list[str], list[list[str]]]:
+def _cmd_coeff(args) -> tuple[list[str], list[list]]:
     if args.k is not None and args.k > args.n:
         raise UsageError(f"k = {args.k} exceeds n = {args.n}")
-    header = ["n", "k", "value"]
-    rows = []
     if args.k is None:
-        poly = coeffs.a_poly(args.n)
-        for k, c in enumerate(poly.coeffs):
-            if c != 0:
-                rows.append([str(args.n), str(k), _value_str(c, args.exact)])
+        entries = [(k, c) for k, c in enumerate(coeffs.a_poly(args.n).coeffs) if c != 0]
     else:
-        c = coeffs.coeff_closed_form(args.n, args.k)
-        rows.append([str(args.n), str(args.k), _value_str(c, args.exact)])
-    return header, rows
+        entries = [(args.k, coeffs.coeff_closed_form(args.n, args.k))]
+    return ["n", "k", "value"], [[args.n, k, str(c) if args.exact else c]
+                                 for k, c in entries]
 
 
-def _cmd_eval(args) -> tuple[list[str], list[list[str]]]:
+def _report_cells(rep: series.SeriesEvalReport) -> list:
+    return [rep.value.real, rep.value.imag, rep.terms_used, rep.tail_bound]
+
+
+def _cmd_eval(args) -> tuple[list[str], list[list]]:
     z = complex(args.z_re, args.z_im)
-    if args.method == "direct":
-        rep = series.eval_direct(z, args.t, args.tol)
-    elif args.method == "power":
-        rep = series.eval_power(z, args.t, args.tol)
-    else:
-        d = series.eval_direct(z, args.t, args.tol)
-        p = series.eval_power(z, args.t, args.tol)
-        header = ["direct_re", "direct_im", "direct_terms", "direct_tail",
-                  "power_re", "power_im", "power_terms", "power_tail", "abs_diff"]
-        row = [_float_str(d.value.real), _float_str(d.value.imag),
-               str(d.terms_used), _float_str(d.tail_bound),
-               _float_str(p.value.real), _float_str(p.value.imag),
-               str(p.terms_used), _float_str(p.tail_bound),
-               _float_str(abs(d.value - p.value))]
-        return header, [row]
-    header = ["value_re", "value_im", "terms_used", "tail_bound"]
-    row = [_float_str(rep.value.real), _float_str(rep.value.imag),
-           str(rep.terms_used), _float_str(rep.tail_bound)]
-    return header, [row]
+    methods = ["direct", "power"] if args.method == "both" else [args.method]
+    reps = [_EVALUATORS[m](z, args.t, args.tol) for m in methods]
+    if len(reps) == 1:
+        return ["value_re", "value_im", "terms_used", "tail_bound"], [_report_cells(reps[0])]
+    d, p = reps
+    header = ["direct_re", "direct_im", "direct_terms", "direct_tail",
+              "power_re", "power_im", "power_terms", "power_tail", "abs_diff"]
+    return header, [_report_cells(d) + _report_cells(p) + [abs(d.value - p.value)]]
 
 
-def _cmd_radius(args) -> tuple[list[str], list[list[str]]]:
+def _cmd_radius(args) -> tuple[list[str], list[list]]:
     if args.t == 0.0:
         raise UsageError("t must be nonzero")
     t = abs(args.t)
     header = ["t", "which", "radius", "branch", "residual", "iterations"]
     rows = []
-    picks = ["R", "r"] if args.which == "both" else [args.which]
-    for which in picks:
-        res = domain.solve_R(t) if which == "R" else domain.solve_r(t)
-        rows.append([_float_str(args.t), which, _float_str(res.radius), res.branch,
-                     _float_str(res.residual), str(res.iterations)])
+    for which in (["R", "r"] if args.which == "both" else [args.which]):
+        res = _SOLVERS[which](t)
+        rows.append([args.t, which, res.radius, res.branch, res.residual, res.iterations])
     return header, rows
 
 
-def _cmd_figure(args) -> tuple[list[str], list[list[str]]]:
+def _cmd_figure(args) -> tuple[list[str], list[list]]:
     fid = args.id
     if fid == 2:
         n_lo, n_hi = _FIG2_N_RANGE
@@ -143,10 +140,7 @@ def _cmd_figure(args) -> tuple[list[str], list[list[str]]]:
             n_hi = args.samples
         if not 1 <= n_lo <= n_hi:
             raise UsageError(f"bad n range [{n_lo}, {n_hi}]")
-        rows = []
-        for n in range(n_lo, n_hi + 1):
-            log_abs, sign = coeffs.a_eval_logabs(n, _FIG2_T)
-            rows.append([str(n), _float_str(log_abs), str(sign)])
+        rows = [[n, *coeffs.a_eval_logabs(n, _FIG2_T)] for n in range(n_lo, n_hi + 1)]
         return ["n", "ln_abs_A_n", "sign"], rows
 
     default_samples, header, values_at = _T_FIGURES[fid]
@@ -154,9 +148,7 @@ def _cmd_figure(args) -> tuple[list[str], list[list[str]]]:
     samples = args.samples if args.samples is not None else default_samples
     if samples < 1:
         raise UsageError(f"--samples must be >= 1, got {samples}")
-    rows = [[_float_str(v) for v in (t, *values_at(t))]
-            for t in _log_grid(lo, hi, samples)]
-    return header, rows
+    return header, [[t, *values_at(t)] for t in _log_grid(lo, hi, samples)]
 
 
 def _read_sequence(path: str) -> list[float]:
@@ -187,7 +179,7 @@ def _read_sequence(path: str) -> list[float]:
     return [entries[i] for i in range(1, len(entries) + 1)]
 
 
-def _cmd_expand(args) -> tuple[list[str], list[list[str]]]:
+def _cmd_expand(args) -> tuple[list[str], list[list]]:
     values = _read_sequence(args.input)
     header = ["index", "value"]
     if not values:
@@ -195,14 +187,9 @@ def _cmd_expand(args) -> tuple[list[str], list[list[str]]]:
     n_out = args.n if args.n is not None else len(values)
     if n_out > len(values):
         raise UsageError(f"--n {n_out} exceeds input length {len(values)}")
-    if args.direction == "to-kapteyn":
-        seq = series.CoeffSequence(tuple(values), "taylor_a")
-        mapped = series.taylor_to_kapteyn(seq, n_out)
-    else:
-        seq = series.CoeffSequence(tuple(values), "kapteyn_alpha")
-        mapped = series.kapteyn_to_taylor(seq, n_out)
-    rows = [[str(i + 1), _float_str(v)] for i, v in enumerate(mapped.values)]
-    return header, rows
+    convention, expand = _EXPANSIONS[args.direction]
+    mapped = expand(series.CoeffSequence(tuple(values), convention), n_out)
+    return header, [[i, v] for i, v in enumerate(mapped.values, start=1)]
 
 
 def build_parser() -> _Parser:
@@ -265,6 +252,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         header, rows = args.func(args)
+        rows = [[_cell(v) for v in row] for row in rows]
+        out_path = getattr(args, "out", "-")
+        with (contextlib.nullcontext(sys.stdout) if out_path == "-"
+              else open(out_path, "w", newline="")) as stream:
+            _write(header, rows, stream, args.json)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -272,17 +264,6 @@ def main(argv=None) -> int:
         print(f"domain violation: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (KapteynError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-
-    out_path = getattr(args, "out", "-")
-    try:
-        if out_path == "-":
-            _write(header, rows, sys.stdout, args.json)
-        else:
-            with open(out_path, "w", newline="") as fh:
-                _write(header, rows, fh, args.json)
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     return EXIT_OK

@@ -229,7 +229,9 @@ def kapteyn_to_taylor_exact(alpha, n_out: int) -> list[Fraction]:
             for k in range(1, n_out + 1)]
 
 
-def _check_map_args(seq: CoeffSequence, expected: str, n_out: int) -> None:
+def _map(seq: CoeffSequence, expected: str, n_out: int, exact_map, out: str
+         ) -> CoeffSequence:
+    """Check seq and n_out, run exact_map on seq's values, return floats as out."""
     if seq.convention != expected:
         raise DomainError(
             f"expected a {expected!r} sequence, got {seq.convention!r}"
@@ -240,6 +242,8 @@ def _check_map_args(seq: CoeffSequence, expected: str, n_out: int) -> None:
         raise DomainError(
             f"need at least {n_out} input coefficients, got {len(seq.values)}"
         )
+    exact = exact_map(seq.values, n_out)
+    return CoeffSequence(values=tuple(float(v) for v in exact), convention=out)
 
 
 def taylor_to_kapteyn(a: CoeffSequence, n_out: int) -> CoeffSequence:
@@ -249,15 +253,9 @@ def taylor_to_kapteyn(a: CoeffSequence, n_out: int) -> CoeffSequence:
     J_n(nz); callers working in the no-factor-2 convention should hand in
     the doubled Taylor sequence (see module docstring).
     """
-    _check_map_args(a, "taylor_a", n_out)
-    exact = taylor_to_kapteyn_exact(a.values, n_out)
-    return CoeffSequence(values=tuple(float(v) for v in exact),
-                         convention="kapteyn_alpha")
+    return _map(a, "taylor_a", n_out, taylor_to_kapteyn_exact, "kapteyn_alpha")
 
 
 def kapteyn_to_taylor(alpha: CoeffSequence, n_out: int) -> CoeffSequence:
     """Map Kapteyn coefficients alpha_n to the Taylor coefficients of the sum."""
-    _check_map_args(alpha, "kapteyn_alpha", n_out)
-    exact = kapteyn_to_taylor_exact(alpha.values, n_out)
-    return CoeffSequence(values=tuple(float(v) for v in exact),
-                         convention="taylor_a")
+    return _map(alpha, "kapteyn_alpha", n_out, kapteyn_to_taylor_exact, "taylor_a")

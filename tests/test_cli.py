@@ -184,6 +184,13 @@ class TestFigure:
         assert code == EXIT_FAILURE
         assert "error" in err
 
+    def test_refused_command_creates_no_file(self, capsys, tmp_path):
+        out = tmp_path / "fig.csv"
+        code, _, err = run_cli(["figure", "4", "--samples", "0", "--out", str(out)], capsys)
+        assert code == EXIT_USAGE
+        assert "usage error" in err
+        assert not out.exists()
+
     def test_bad_id_is_usage_error(self, capsys):
         code, _, _ = run_cli(["figure", "9"], capsys)
         assert code == EXIT_USAGE

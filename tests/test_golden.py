@@ -7,7 +7,10 @@ eval cases before the integer A_n kernel replaced the Fraction caches; the
 expand cases (on the committed 40-entry input seq40.csv), the figure
 cases with an explicit --range, the power eval and the JSON figure before
 the coefficient maps took their weights from a_poly and theta_poly, float
-t became exact in a_eval_logabs, and figures 1, 3 and 4 moved to one loop.
+t became exact in a_eval_logabs, and figures 1, 3 and 4 moved to one loop;
+the eval (both methods, JSON direct), single-entry coeff, single-radius and
+figure 2 --range cases before every CLI cell went through one formatter and
+eval, radius and expand took their work from tables.
 """
 
 from pathlib import Path
@@ -28,13 +31,21 @@ CASES = {
     "figure3_range": ["figure", "3", "--range", "0.3", "3", "--samples", "5"],
     "figure4_range": ["figure", "4", "--range", "0.01", "100", "--samples", "9"],
     "figure4_json": ["--json", "figure", "4", "--samples", "5"],
+    "figure2_range": ["figure", "2", "--range", "40", "80"],
     "coeff60_exact": ["coeff", "60", "--exact"],
     "coeff200": ["coeff", "200"],
+    "coeff7_3": ["coeff", "7", "3"],
+    "coeff60_5_exact": ["coeff", "60", "5", "--exact"],
+    "coeff60_6_exact": ["coeff", "60", "6", "--exact"],
     "radius_0.1": ["radius", "0.1"],
     "radius_1": ["radius", "1"],
     "radius_7.5": ["radius", "7.5"],
+    "radius_-2_R": ["radius", "-2", "--which", "R"],
+    "radius_0.5_r": ["radius", "0.5", "--which", "r"],
     "eval_direct": ["eval", "0.3", "0", "1", "--method", "direct"],
     "eval_power": ["eval", "1.5", "0", "0.5", "--method", "power"],
+    "eval_both": ["eval", "0.2", "0.1", "0.7"],
+    "eval_direct_json": ["--json", "eval", "0.3", "0", "1", "--method", "direct"],
     "expand_to_taylor": ["expand", "--direction", "to-taylor", "--input", SEQ40],
     "expand_to_kapteyn": ["expand", "--direction", "to-kapteyn", "--input", SEQ40],
 }
