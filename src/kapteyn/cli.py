@@ -57,14 +57,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _float_str(x) -> str:
-    """15-significant-digit decimal; exact rationals outside float range
-    are scaled through a power of ten instead of overflowing."""
+    """15-significant-digit decimal; exact rationals outside the normal
+    float range are scaled through a power of ten instead of overflowing
+    or losing digits to a subnormal float."""
     if isinstance(x, Fraction):
         try:
             f = float(x)
         except OverflowError:
             f = math.inf
-        if math.isfinite(f) and (f != 0.0 or x == 0):
+        if x == 0 or sys.float_info.min <= abs(f) < math.inf:
             return f"{f:.15g}"
         log10 = (math.log(abs(x.numerator)) - math.log(x.denominator)) / math.log(10)
         e = int(math.floor(log10))

@@ -37,7 +37,6 @@ from .errors import ConvergenceError, DomainError
 
 _MAX_OUTER_TERMS = 2000
 _QUIET_TERMS = 5  # consecutive below-threshold terms required to stop
-_RADIUS_MARGIN = 1e-6
 
 _CONVENTIONS = ("kapteyn_alpha", "taylor_a")
 
@@ -131,8 +130,11 @@ def eval_direct(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
 def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     """F(z,t) by the power series sum A_n(t) z^n with exact coefficients.
 
-    Requires |z| below the radius of convergence solve_R_true(|t|) with a
-    1e-6 safety margin.
+    Requires |z| below the radius of convergence R = solve_R_true(|t|).
+    The terms fall like (|z|/R)^n, so reaching tol takes about
+    ln(tol)/ln(|z|/R) of them; a point where that exceeds the 2000-term cap
+    is refused with DomainError before any coefficient is computed (at
+    tol = 1e-10, every |z|/R above 0.98855).
     Each term is formed from the exact value of A_n(t) through its log
     magnitude and sign, so coefficients far beyond float range still
     produce correctly rounded term values.
@@ -148,10 +150,15 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
         radius = math.inf  # every A_n(0) vanishes
     else:
         radius = solve_R_true(abs(t)).radius
-        if not az < radius - _RADIUS_MARGIN:
+        if not az < radius:
             raise DomainError(
                 f"|z| = {az:g} is not inside the convergence radius "
-                f"R({abs(t):g}) = {radius:g} (margin {_RADIUS_MARGIN:g})"
+                f"R({abs(t):g}) = {radius:g}"
+            )
+        if math.log(tol) < _MAX_OUTER_TERMS * math.log(az / radius):
+            raise DomainError(
+                f"|z|/R({abs(t):g}) = {az / radius:.6g} is too close to 1: "
+                f"tol {tol:g} needs more than {_MAX_OUTER_TERMS} terms"
             )
     log_az = math.log(az)
     u = z / az  # unit-modulus direction; magnitudes are carried in logs
@@ -208,13 +215,21 @@ def theta_poly(n: int) -> ThetaPoly:
     return ThetaPoly(n=n, terms=tuple(terms))
 
 
+def _rationals(seq, n_out: int) -> list[Fraction]:
+    """seq as Fractions; DomainError if it has fewer than n_out entries."""
+    values = [Fraction(v) for v in seq]
+    if len(values) < n_out:
+        raise DomainError(f"need at least {n_out} input coefficients, got {len(values)}")
+    return values
+
+
 def taylor_to_kapteyn_exact(a, n_out: int) -> list[Fraction]:
     """Exact to-Kapteyn map on a 1-indexed rational sequence a (a[0] is a_1).
 
     alpha_n sums a_m times the theta_poly(n) term at exponent -m, all over
     n/2.
     """
-    a = [Fraction(v) for v in a]
+    a = _rationals(a, n_out)
     return [sum(c * a[-e - 1] for e, c in theta_poly(n).terms) / Fraction(n, 2)
             for n in range(1, n_out + 1)]
 
@@ -224,7 +239,7 @@ def kapteyn_to_taylor_exact(alpha, n_out: int) -> list[Fraction]:
 
     a_k = sum_n alpha_n [t^n] A_k(t), with A_k from coeffs.a_poly.
     """
-    alpha = [Fraction(v) for v in alpha]
+    alpha = _rationals(alpha, n_out)
     return [sum(alpha[n - 1] * c for n, c in enumerate(a_poly(k).coeffs) if c)
             for k in range(1, n_out + 1)]
 
@@ -238,10 +253,6 @@ def _map(seq: CoeffSequence, expected: str, n_out: int, exact_map, out: str
         )
     if n_out < 1:
         raise DomainError(f"output length must be >= 1, got {n_out}")
-    if len(seq.values) < n_out:
-        raise DomainError(
-            f"need at least {n_out} input coefficients, got {len(seq.values)}"
-        )
     exact = exact_map(seq.values, n_out)
     return CoeffSequence(values=tuple(float(v) for v in exact), convention=out)
 

@@ -45,6 +45,20 @@ class TestCoeff:
         _, rows = parse_csv(out)
         assert float(rows[0][2]) == -1 / 16
 
+    def test_subnormal_value_matches_mpmath(self, capsys):
+        # C_2^200 is about 1.1e-316, a subnormal float whose own digits are
+        # wrong from the 9th on; the printed value must carry 15 true digits
+        mpmath = pytest.importorskip("mpmath")
+        from kapteyn import coeff_closed_form
+
+        c = coeff_closed_form(200, 2)
+        with mpmath.workdps(40):
+            expected = mpmath.nstr(mpmath.mpf(c.numerator) / c.denominator, 15)
+        code, out, _ = run_cli(["coeff", "200", "2"], capsys)
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert rows == [["200", "2", expected]]
+
     def test_k_above_n_is_usage_error(self, capsys):
         code, _, err = run_cli(["coeff", "3", "5"], capsys)
         assert code == EXIT_USAGE

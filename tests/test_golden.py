@@ -10,7 +10,10 @@ the coefficient maps took their weights from a_poly and theta_poly, float
 t became exact in a_eval_logabs, and figures 1, 3 and 4 moved to one loop;
 the eval (both methods, JSON direct), single-entry coeff, single-radius and
 figure 2 --range cases before every CLI cell went through one formatter and
-eval, radius and expand took their work from tables.
+eval, radius and expand took their work from tables.  Line 2 of
+coeff200.csv was re-recorded when a rational whose float is subnormal
+started printing its own digits (-1.13676663124626e-316, as mpmath gives)
+instead of the subnormal float's.
 """
 
 from pathlib import Path

@@ -127,6 +127,23 @@ class TestEvalPower:
         with pytest.raises(DomainError):
             eval_power(2.9j, 0.1)
 
+    def test_tiny_radius_is_not_refused(self):
+        # R(1e6) is below 1e-6, yet |z|/R = 0.30 here
+        assert 2.2e-7 / solve_R_true(1e6).radius == pytest.approx(0.30, abs=0.01)
+        p = eval_power(2.2e-7, 1e6)
+        d = eval_direct(2.2e-7, 1e6)
+        assert abs(p.value - d.value) <= p.tail_bound + d.tail_bound
+
+    def test_too_close_to_the_radius_is_refused_at_once(self, monkeypatch):
+        # at |z|/R = 0.995 the terms fall too slowly to reach tol = 1e-10
+        # within the term cap, so the call fails before any coefficient
+        def no_terms(n, t):
+            raise AssertionError(f"A_{n} computed for a point that needs too many terms")
+
+        monkeypatch.setattr("kapteyn.series.a_eval_logabs", no_terms)
+        with pytest.raises(DomainError):
+            eval_power(0.995 * solve_R_true(0.5).radius, 0.5)
+
     @pytest.mark.parametrize("z,t", [(0.2 + 0.1j, 0.7), (-0.2, 2.0), (0.1j, 4.0)])
     def test_cross_oracle_against_direct(self, z, t):
         d = eval_direct(z, t, 1e-10).value
@@ -235,6 +252,8 @@ class TestTaylorToKapteyn:
         seq = CoeffSequence((1.0, 2.0), "taylor_a")
         with pytest.raises(DomainError):
             taylor_to_kapteyn(seq, 5)
+        with pytest.raises(DomainError):
+            taylor_to_kapteyn_exact([1, 2], 5)
 
 
 class TestKapteynToTaylor:
@@ -246,6 +265,12 @@ class TestKapteynToTaylor:
         for k, v in enumerate(out, start=1):
             assert v == a_eval_exact(k, 3)
             assert v == sum(coeff_closed_form(k, n) * 3**n for n in range(1, k + 1))
+
+    def test_short_input_rejected(self):
+        with pytest.raises(DomainError):
+            kapteyn_to_taylor(CoeffSequence((1.0, 2.0), "kapteyn_alpha"), 5)
+        with pytest.raises(DomainError):
+            kapteyn_to_taylor_exact([1, 2], 5)
 
     def test_delta_gives_j1_taylor_coefficients(self):
         out = kapteyn_to_taylor_exact([1, 0, 0, 0, 0, 0, 0, 0], 8)
