@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import coeffs, domain, series
 from .errors import DomainError, KapteynError
@@ -141,7 +142,8 @@ def _cmd_figure(args) -> tuple[list[str], list[list]]:
             n_hi = args.samples
         if not 1 <= n_lo <= n_hi:
             raise UsageError(f"bad n range [{n_lo}, {n_hi}]")
-        rows = [[n, *coeffs.a_eval_logabs(n, _FIG2_T)] for n in range(n_lo, n_hi + 1)]
+        stream = islice(coeffs._a_logabs_stream(_FIG2_T), n_lo - 1, n_hi)
+        rows = [[n, *v] for n, v in enumerate(stream, n_lo)]
         return ["n", "ln_abs_A_n", "sign"], rows
 
     default_samples, header, values_at = _T_FIGURES[fid]

@@ -14,8 +14,9 @@ seeded with C_n^n = n^n/(2n)!!, or from the rearranged alternating form
 
 A_n(t) is evaluated by one integer kernel, the only evaluation path: at
 t = p/q the alternating form times n! 2^n q^n is an integer, summed by
-Horner's rule in p^2 and reduced by a single gcd at the end; nothing is
-cached.  The closed form and the recurrence stay as independent oracles.
+Horner's rule in p^2 and reduced by shifts and one gcd of odd parts.  At
+one t the numerator rows stream across n, two held at a time; nothing is
+cached across calls.  The closed form and the recurrence stay as oracles.
 
 Everything in this module is exact arithmetic.  A float t is taken as the
 dyadic rational it represents, exactly, by a_eval_exact and a_eval_logabs
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from .errors import DomainError
 
@@ -118,19 +120,59 @@ def _a_numerators(n: int):
         binom = binom * (n - k) // (k + 1)
 
 
-def _a_kernel(n: int, t: Fraction) -> Fraction:
-    # integer Horner sum in p^2 with a running power of q^2, one gcd at the
-    # end; the power-of-two part of q (all of it for a float t) is a shift
+def _numerator_rows():
+    # the rows _a_numerators(n) for n = 1, 2, ..., holding only the last two:
+    # row n comes from row n-2 by num(n, k+1) = -num(n-2, k) n(n-1) j^2 /
+    # ((k+1)(n-1-k)) with j = n-2-2k, and num(n, 0) = n^n
+    rows = [list(_a_numerators(2)), list(_a_numerators(1))]  # by parity of n
+    yield from (rows[1], rows[0])
+    for n in count(3):
+        rows[n % 2] = [n**n] + [-num * (n * (n - 1) * (n - 2 - 2 * k) ** 2)
+                                // ((k + 1) * (n - 1 - k))
+                                for k, num in enumerate(rows[n % 2])]
+        yield rows[n % 2]
+
+
+def _a_kernel(n: int, nums, t: Fraction) -> tuple[int, int]:
+    # A_n(t) as an unreduced integer pair from its numerators: a Horner sum in
+    # p^2 with a running power of q^2 over n! 2^n q^n; the power-of-two part
+    # of q (all of it for a float t) is a shift
     p, q = t.numerator, t.denominator
     twos = (q & -q).bit_length() - 1
     p2, q2 = p * p, (q >> twos) ** 2
     acc, q_pow = 0, 1
-    for k, num in enumerate(_a_numerators(n)):
+    for k, num in enumerate(nums):
         acc = acc * p2 + (num * q_pow << 2 * twos * k)
         q_pow *= q2
     if n % 2:
         acc *= p
-    return Fraction(acc, math.factorial(n) * 2**n * q**n)
+    return acc, math.factorial(n) * 2**n * q**n
+
+
+def _logabs(acc: int, den: int) -> tuple[float, int]:
+    # (ln|acc/den|, sign) from acc/den in lowest terms, the pair a Fraction
+    # would hold; the common powers of two go first by shifts, so the gcd
+    # runs against the odd part of den, much shorter than den itself
+    if acc == 0:
+        return -math.inf, 0
+    twos = min(acc & -acc, den & -den).bit_length() - 1
+    acc, den = acc >> twos, den >> twos
+    g = math.gcd(acc, den >> ((den & -den).bit_length() - 1))
+    return math.log(abs(acc // g)) - math.log(den // g), (1 if acc > 0 else -1)
+
+
+def _exact(t) -> Fraction:
+    try:
+        return Fraction(t)
+    except (OverflowError, ValueError):  # inf, nan
+        raise DomainError(f"t must be finite, got {t}") from None
+
+
+def _a_logabs_stream(t):
+    """(ln|A_n(t)|, sign) for n = 1, 2, ..., each == a_eval_logabs(n, t),
+    from numerator rows streamed across n; t is checked at the call."""
+    t = _exact(t)
+    return (_logabs(*_a_kernel(n, row, t)) for n, row in enumerate(_numerator_rows(), 1))
 
 
 def a_poly(n: int) -> APoly:
@@ -152,11 +194,7 @@ def a_eval_exact(n: int, t) -> Fraction:
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    try:
-        t = Fraction(t)
-    except (OverflowError, ValueError):  # inf, nan
-        raise DomainError(f"t must be finite, got {t}") from None
-    return _a_kernel(n, t)
+    return Fraction(*_a_kernel(n, _a_numerators(n), _exact(t)))
 
 
 def a_eval_logabs(n: int, t) -> tuple[float, int]:
@@ -165,8 +203,6 @@ def a_eval_logabs(n: int, t) -> tuple[float, int]:
     t is taken as a_eval_exact takes it, a float exactly.  Returns sign 0
     (with log -inf) iff the exact value is 0.
     """
-    v = a_eval_exact(n, t)
-    if v == 0:
-        return -math.inf, 0
-    log_abs = math.log(abs(v.numerator)) - math.log(v.denominator)
-    return log_abs, (1 if v > 0 else -1)
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    return _logabs(*_a_kernel(n, _a_numerators(n), _exact(t)))

@@ -29,9 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from .bessel import SeriesEvalReport, _jn_scaled_sum, _require_finite, _require_tol
-from .coeffs import a_eval_logabs, a_poly
+from .coeffs import _a_logabs_stream, a_poly
 from .domain import kapteyn_converges, omega, solve_R_true
 from .errors import ConvergenceError, DomainError
 
@@ -69,8 +70,8 @@ class ThetaPoly:
     terms: tuple[tuple[int, Fraction], ...]
 
 
-def _sum_with_quiet_stop(term_at, z_desc: str, tol: float, tail_ratio: float):
-    """Accumulate term_at(n) for n = 1.. until 5 consecutive quiet terms.
+def _sum_with_quiet_stop(terms, z_desc: str, tol: float, tail_ratio: float):
+    """Accumulate the terms n = 1.. of an iterator until 5 consecutive quiet terms.
 
     Returns a report whose tail_bound is a geometric tail estimate: the
     larger of the first two omitted terms, inflated by 2/(1 - tail_ratio)
@@ -84,7 +85,7 @@ def _sum_with_quiet_stop(term_at, z_desc: str, tol: float, tail_ratio: float):
     try:
         while n < _MAX_OUTER_TERMS:
             n += 1
-            term = term_at(n)
+            term = next(terms)
             total += term
             if abs(term) < tol * max(1.0, abs(total)):
                 quiet += 1
@@ -96,7 +97,7 @@ def _sum_with_quiet_stop(term_at, z_desc: str, tol: float, tail_ratio: float):
             raise ConvergenceError(
                 f"series for {z_desc} did not settle within {_MAX_OUTER_TERMS} terms"
             )
-        next_mag = max(abs(term_at(n + 1)), abs(term_at(n + 2)))
+        next_mag = max(abs(next(terms)), abs(next(terms)))
     except OverflowError as exc:
         raise ConvergenceError(f"series for {z_desc} overflowed at term {n}") from exc
     tail = 2.0 * next_mag / max(1e-12, 1.0 - tail_ratio)
@@ -124,7 +125,8 @@ def eval_direct(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
         value, _, _ = _jn_scaled_sum(n, z, n * log_abs_t, inner_tol)
         return (sign_t**n) * value
 
-    return _sum_with_quiet_stop(term_at, f"F({z!r},{t!r})", tol, omega(z) * abs(t))
+    return _sum_with_quiet_stop(map(term_at, count(1)), f"F({z!r},{t!r})", tol,
+                                omega(z) * abs(t))
 
 
 def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
@@ -136,8 +138,11 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     is refused with DomainError before any coefficient is computed (at
     tol = 1e-10, every |z|/R above 0.98855).
     Each term is formed from the exact value of A_n(t) through its log
-    magnitude and sign, so coefficients far beyond float range still
-    produce correctly rounded term values.
+    magnitude and sign, so coefficients far beyond float range still give
+    finite terms.  The terms are not correctly rounded: exp(ln|A_n| +
+    n ln|z|) inherits the rounding of the logs, a relative error up to a
+    few times |ln|A_n(t)|| * 2^-52 (at z = 1.55, t = 0.5: 6e-15 at n = 50
+    and 2.4e-13 at n = 700, against the exact A_n z^n).
     """
     z = _require_finite(z)
     _require_tol(tol)
@@ -163,14 +168,9 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     log_az = math.log(az)
     u = z / az  # unit-modulus direction; magnitudes are carried in logs
 
-    def term_at(n: int) -> complex:
-        log_a, sign = a_eval_logabs(n, t)
-        if sign == 0:
-            return 0j
-        mag = math.exp(log_a + n * log_az)
-        return sign * mag * u**n
-
-    return _sum_with_quiet_stop(term_at, f"F({z!r},{t!r})", tol, az / radius)
+    terms = (sign * math.exp(log_a + n * log_az) * u**n if sign else 0j
+             for n, (log_a, sign) in enumerate(_a_logabs_stream(t), 1))
+    return _sum_with_quiet_stop(terms, f"F({z!r},{t!r})", tol, az / radius)
 
 
 def fundamental_residual(z: complex, tol: float = 1e-10) -> float:

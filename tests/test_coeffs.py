@@ -1,8 +1,9 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kapteyn import (
@@ -13,6 +14,7 @@ from kapteyn import (
     coeff_closed_form,
     coeff_table_recurrence,
 )
+from kapteyn.coeffs import _a_logabs_stream, _a_numerators, _numerator_rows
 
 # the first five polynomials, written out coefficient-by-coefficient
 PRINTED = {
@@ -195,6 +197,47 @@ class TestEvalLogAbs:
         assert log_abs == pytest.approx(math.log(abs(a_eval_exact(3, 1e-30))), rel=1e-15)
 
     def test_rejects_non_finite(self):
+        # the stream refuses at the call, before its first item is asked for
         for t in (math.inf, -math.inf, math.nan):
             with pytest.raises(DomainError):
                 a_eval_logabs(3, t)
+            with pytest.raises(DomainError):
+                _a_logabs_stream(t)
+
+
+def _logabs_of_fraction(v: Fraction) -> tuple[float, int]:
+    # (ln|v|, sign) from the pair a Fraction holds, reduced by one gcd of the full pair
+    if v == 0:
+        return -math.inf, 0
+    return math.log(abs(v.numerator)) - math.log(v.denominator), (1 if v > 0 else -1)
+
+
+class TestLogAbsStream:
+    def test_rows_match_the_single_n_numerators(self):
+        rows = islice(_numerator_rows(), 200)
+        for n, row in enumerate(rows, 1):
+            assert row == list(_a_numerators(n)), n
+
+    @given(st.integers(1, 300),
+           st.one_of(st.fractions(min_value=-20, max_value=20, max_denominator=10**6),
+                     st.floats(min_value=-20, max_value=20,
+                               allow_nan=False, allow_infinity=False),
+                     st.floats(min_value=5e-324, max_value=2.0**-1020),
+                     st.floats(min_value=-(2.0**-1020), max_value=-5e-324)))
+    @example(300, 0.0)
+    @example(300, 1.0)
+    @example(300, 20.0)
+    @example(300, -0.4)
+    @example(3, Fraction(1, 3))  # an exact root: sign 0
+    @settings(max_examples=30, deadline=None)
+    def test_matches_single_n(self, n, t):
+        assert next(islice(_a_logabs_stream(t), n - 1, None)) == a_eval_logabs(n, t)
+
+    @pytest.mark.parametrize("t", [0.05, 0.1, 0.3, 0.5, 1, 2.7, 20, -0.4, Fraction(3, 7)])
+    def test_reduction_matches_the_full_gcd(self, t):
+        # shifting off the powers of two before the gcd leaves the reduced
+        # pair, so every log equals that of the exact Fraction
+        stream = islice(_a_logabs_stream(t), 150)
+        for n, got in enumerate(stream, 1):
+            assert got == _logabs_of_fraction(a_eval_exact(n, t)), n
+        assert a_eval_logabs(500, t) == _logabs_of_fraction(a_eval_exact(500, t))

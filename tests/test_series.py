@@ -120,10 +120,10 @@ class TestEvalPower:
     def test_gate_is_the_true_radius_below_the_model(self, monkeypatch):
         # the small-t model gives R(0.1) = 3.0006 > 2.9 > 2.8652 = true R,
         # where the series diverges; the refusal must come before any term
-        def no_terms(n, t):
-            raise AssertionError(f"A_{n} computed for a point outside the radius")
+        def no_terms(t):
+            raise AssertionError(f"A_n({t}) streamed for a point outside the radius")
 
-        monkeypatch.setattr("kapteyn.series.a_eval_logabs", no_terms)
+        monkeypatch.setattr("kapteyn.series._a_logabs_stream", no_terms)
         with pytest.raises(DomainError):
             eval_power(2.9j, 0.1)
 
@@ -137,12 +137,35 @@ class TestEvalPower:
     def test_too_close_to_the_radius_is_refused_at_once(self, monkeypatch):
         # at |z|/R = 0.995 the terms fall too slowly to reach tol = 1e-10
         # within the term cap, so the call fails before any coefficient
-        def no_terms(n, t):
-            raise AssertionError(f"A_{n} computed for a point that needs too many terms")
+        def no_terms(t):
+            raise AssertionError(f"A_n({t}) streamed for a point that needs too many terms")
 
-        monkeypatch.setattr("kapteyn.series.a_eval_logabs", no_terms)
+        monkeypatch.setattr("kapteyn.series._a_logabs_stream", no_terms)
         with pytest.raises(DomainError):
             eval_power(0.995 * solve_R_true(0.5).radius, 0.5)
+
+    def test_each_row_is_built_once(self, monkeypatch):
+        # N terms and the two-term tail take rows 1..N+2 from one stream;
+        # only the two seed rows come from the single-n numerators
+        from kapteyn import coeffs
+
+        seeds, summed = [], []
+        numerators, kernel = coeffs._a_numerators, coeffs._a_kernel
+
+        def counted_numerators(n):
+            seeds.append(n)
+            return numerators(n)
+
+        def recorded_kernel(n, nums, t):
+            summed.append(n)
+            return kernel(n, nums, t)
+
+        monkeypatch.setattr(coeffs, "_a_numerators", counted_numerators)
+        monkeypatch.setattr(coeffs, "_a_kernel", recorded_kernel)
+        rep = eval_power(0.9, 0.5)
+        assert rep.terms_used > 20
+        assert summed == list(range(1, rep.terms_used + 3))
+        assert len(seeds) <= 2
 
     @pytest.mark.parametrize("z,t", [(0.2 + 0.1j, 0.7), (-0.2, 2.0), (0.1j, 4.0)])
     def test_cross_oracle_against_direct(self, z, t):
