@@ -1,7 +1,11 @@
-"""Bessel functions J_n(nz) by truncated power series, for complex z.
+"""Bessel functions J_n(nz) by truncated power series, for complex z, and
+the argument checks and report type the evaluators share.
 
-The evaluator targets the scaled argument form J_n(nz) that Kapteyn series
-are built from.  Terms are generated by the multiplicative recurrence
+bessel_jn_scaled targets the scaled argument form J_n(nz) that Kapteyn
+series are built from.  It is the public Bessel evaluator and a test
+oracle; series.eval_direct does not sum it, because near real z = 1 each
+series cancels like 1.5^n.  Terms are generated by the multiplicative
+recurrence
 
     term[j+1] = term[j] * (-(nz/2)^2) / ((j+1)(n+j+1))
 
@@ -24,11 +28,12 @@ _MAX_ABS_Z = 4.0
 
 @dataclass(frozen=True)
 class SeriesEvalReport:
-    """Result of an adaptive series evaluation.
+    """Result of an adaptive evaluation, with its error bound.
 
-    tail_bound is the magnitude of the first omitted term (series
-    evaluators in higher-level modules widen it to a geometric tail
-    estimate; see their docstrings).
+    terms_used counts series terms, or trapezoid nodes for
+    series.eval_direct.  tail_bound is the magnitude of the first omitted
+    term for bessel_jn_scaled; the evaluators of F in series bound the
+    whole error (see their docstrings).
     """
 
     value: complex
@@ -61,20 +66,28 @@ def sqrt1mz2(z: complex) -> complex:
     return s
 
 
-def _jn_scaled_sum(n: int, z: complex, log_scale: float,
-                   tol: float) -> tuple[complex, int, float]:
-    """Sum e^{log_scale} * J_n(nz) termwise; return (value, terms, next-term magnitude).
+def bessel_jn_scaled(n: int, z: complex, tol: float = 1e-12) -> SeriesEvalReport:
+    """Evaluate J_n(nz) for n >= 1 by its power series.
 
     Stops once the next term is below tol in absolute value and the term
     index has passed |nz/2| (before that, factorial-ratio terms may still
-    be growing).
+    be growing); tail_bound is that next term's magnitude.  Arguments with
+    |z| > 4 are rejected; they sit far outside the region the truncated
+    series is meant for, and the cancellation between the large
+    factorial-ratio terms would swallow double precision anyway.
     """
+    if n < 1:
+        raise DomainError(f"order n must be >= 1, got {n}")
+    _require_tol(tol)
+    z = _require_finite(z)
+    if abs(z) > _MAX_ABS_Z:
+        raise DomainError(f"|z| = {abs(z):g} exceeds supported bound {_MAX_ABS_Z}")
     w = n * z / 2.0
     aw = abs(w)
     if aw == 0.0:
-        return 0j, 1, 0.0
+        return SeriesEvalReport(value=0j, terms_used=1, tail_bound=0.0)
 
-    log_first = n * cmath.log(w) + log_scale - math.lgamma(n + 1)
+    log_first = n * cmath.log(w) - math.lgamma(n + 1)
     try:
         scale = math.exp(log_first.real)
     except OverflowError:
@@ -95,7 +108,8 @@ def _jn_scaled_sum(n: int, z: complex, log_scale: float,
                 f"series for J_{n}({n}*{z!r}) overflowed during the growth phase"
             )
         if mag < threshold and j + 1 > aw:
-            return scale * total, j + 1, mag * scale
+            return SeriesEvalReport(value=scale * total, terms_used=j + 1,
+                                    tail_bound=mag * scale)
         if j + 2 > _MAX_TERMS:
             raise ConvergenceError(
                 f"tolerance {tol:g} not reached within {_MAX_TERMS} terms of J_{n}(nz)"
@@ -103,22 +117,3 @@ def _jn_scaled_sum(n: int, z: complex, log_scale: float,
         rho = nxt
         total += nxt
         j += 1
-
-
-def bessel_jn_scaled(n: int, z: complex, tol: float = 1e-12) -> SeriesEvalReport:
-    """Evaluate J_n(nz) for n >= 1 by its power series.
-
-    Returns a report whose tail_bound (magnitude of the first omitted
-    term) is below tol.  Arguments with |z| > 4 are rejected; they sit far
-    outside the region the truncated series is meant for, and the
-    cancellation between the large factorial-ratio terms would swallow
-    double precision anyway.
-    """
-    if n < 1:
-        raise DomainError(f"order n must be >= 1, got {n}")
-    _require_tol(tol)
-    z = _require_finite(z)
-    if abs(z) > _MAX_ABS_Z:
-        raise DomainError(f"|z| = {abs(z):g} exceeds supported bound {_MAX_ABS_Z}")
-    value, terms, tail = _jn_scaled_sum(n, z, 0.0, tol)
-    return SeriesEvalReport(value=value, terms_used=terms, tail_bound=tail)

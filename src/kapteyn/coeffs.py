@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 
 from .errors import DomainError
 
@@ -168,11 +168,13 @@ def _exact(t) -> Fraction:
         raise DomainError(f"t must be finite, got {t}") from None
 
 
-def _a_logabs_stream(t):
-    """(ln|A_n(t)|, sign) for n = 1, 2, ..., each == a_eval_logabs(n, t),
-    from numerator rows streamed across n; t is checked at the call."""
+def _a_logabs_stream(t, n_lo: int = 1):
+    """(ln|A_n(t)|, sign) for n = n_lo, n_lo + 1, ..., each ==
+    a_eval_logabs(n, t), from numerator rows streamed across n; the rows
+    below n_lo are built but not summed.  t is checked at the call."""
     t = _exact(t)
-    return (_logabs(*_a_kernel(n, row, t)) for n, row in enumerate(_numerator_rows(), 1))
+    rows = islice(enumerate(_numerator_rows(), 1), n_lo - 1, None)
+    return (_logabs(*_a_kernel(n, row, t)) for n, row in rows)
 
 
 def a_poly(n: int) -> APoly:

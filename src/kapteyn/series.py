@@ -1,9 +1,10 @@
 """Evaluators for F(z,t) and the Taylor <-> Kapteyn coefficient maps.
 
 F(z,t) = sum_{n>=1} t^n J_n(nz) is evaluated two independent ways: the
-direct Kapteyn sum, and the power series sum_{n>=1} A_n(t) z^n built from
-the exact coefficients.  Agreement between the two is the strongest
-correctness oracle in the package.
+Kapteyn sum taken under Bessel's integral, as the trapezoid rule on one
+contour, and the power series sum_{n>=1} A_n(t) z^n built from the exact
+coefficients.  Agreement between the two is the strongest correctness
+oracle in the package.
 
 The general coefficient maps connect sum a_n z^n = sum alpha_n J_n(nz):
 
@@ -26,18 +27,23 @@ alpha.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 
-from .bessel import SeriesEvalReport, _jn_scaled_sum, _require_finite, _require_tol
+from .bessel import SeriesEvalReport, _require_finite, _require_tol
 from .coeffs import _a_logabs_stream, a_poly
 from .domain import kapteyn_converges, omega, solve_R_true
 from .errors import ConvergenceError, DomainError
 
 _MAX_OUTER_TERMS = 2000
 _QUIET_TERMS = 5  # consecutive below-threshold terms required to stop
+_MAX_NODES = 1 << 16  # trapezoid nodes; about 0.1 s of work
+_MIN_NODES = 32
+_BISECTIONS = 64
+_EPS = sys.float_info.epsilon
 
 _CONVENTIONS = ("kapteyn_alpha", "taylor_a")
 
@@ -70,46 +76,38 @@ class ThetaPoly:
     terms: tuple[tuple[int, Fraction], ...]
 
 
-def _sum_with_quiet_stop(terms, z_desc: str, tol: float, tail_ratio: float):
-    """Accumulate the terms n = 1.. of an iterator until 5 consecutive quiet terms.
-
-    Returns a report whose tail_bound is a geometric tail estimate: the
-    larger of the first two omitted terms, inflated by 2/(1 - tail_ratio)
-    so it also bounds the sum of everything left out.  Two terms, because
-    A_n(t) has the parity of n: at small t the odd terms scale like t and
-    the even ones like t^2, so the next term alone can miss the tail.
-    """
-    total = 0j
-    quiet = 0
-    n = 0
-    try:
-        while n < _MAX_OUTER_TERMS:
-            n += 1
-            term = next(terms)
-            total += term
-            if abs(term) < tol * max(1.0, abs(total)):
-                quiet += 1
-                if quiet >= _QUIET_TERMS:
-                    break
-            else:
-                quiet = 0
-        else:
-            raise ConvergenceError(
-                f"series for {z_desc} did not settle within {_MAX_OUTER_TERMS} terms"
-            )
-        next_mag = max(abs(next(terms)), abs(next(terms)))
-    except OverflowError as exc:
-        raise ConvergenceError(f"series for {z_desc} overflowed at term {n}") from exc
-    tail = 2.0 * next_mag / max(1e-12, 1.0 - tail_ratio)
-    return SeriesEvalReport(value=total, terms_used=n, tail_bound=tail)
+def _trapezoid_nodes(n: int, scale: float, big: complex, small: complex
+                     ) -> tuple[complex, float]:
+    """Mean of v = w/(1-w), w = scale * e * exp(big/e - small*e), over the
+    n-th roots of unity e (n odd, the pairs taken as exact conjugates, so a
+    real z and t give a real mean), and a bound on its rounding: kappa ulps
+    of w move v by kappa eps |w|/|1-w|^2; the division adds 4 ulps of v."""
+    kappa = 24.0 * (1.0 + abs(big) + abs(small))
+    half = [cmath.rect(1.0, 2.0 * math.pi * k / n) for k in range(1, n // 2 + 1)]
+    vs, rounding = [], 0.0
+    for e in [1.0 + 0j, *half, *(e.conjugate() for e in half)]:
+        w = scale * e * cmath.exp(big * e.conjugate() - small * e)
+        vs.append(w / (1.0 - w))
+        rounding += kappa * abs(w) / abs(1.0 - w) ** 2 + 4.0 * abs(vs[-1])
+    value = complex(math.fsum(v.real for v in vs), math.fsum(v.imag for v in vs)) / n
+    return value, _EPS * (rounding / n + 2.0 * abs(value))
 
 
 def eval_direct(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
-    """F(z,t) by the direct Kapteyn sum of t^n J_n(nz).
+    """F(z,t) = (1/2pi) int w/(1-w) dtau, w = t exp(i(tau - z sin tau)), by
+    the trapezoid rule on the line Im tau = c that minimises sup|w|.
 
-    Requires the convergence test omega(z)*|t| < 1; raises DomainError
-    otherwise.  Summation stops after five consecutive terms below
-    tol*max(1, |partial sum|), capped at 2000 terms.
+    The integrand is the sum of t^n J_n(nz) under Bessel's integral.  A
+    line with sup|w| < 1 exists exactly on the Kapteyn domain omega(z)|t| <
+    1 (DomainError outside it).  On a strip |Im tau - c| < a where |w| <= s
+    < 1, N nodes err by at most 2M/(e^{aN} - 1), M = s/(1-s) (Trefethen &
+    Weideman, SIAM Review 56(3), 2014).  c minimises ln sup|w| = ln|t| - c
+    + hypot(Im z cosh c, Re z sinh c) in closed form; a is half the widest
+    such strip, N the least odd count >= 33 with that bound <= tol (the
+    error itself falls like e^{-2aN}).  Past 65536 nodes ConvergenceError
+    comes before any node (at z = 0.5: 1 - omega|t| below about 6e-7).
+    terms_used is N; tail_bound is the theorem bound plus the nodes'
+    rounding, the larger of the two near the domain boundary.
     """
     z = _require_finite(z)
     _require_tol(tol)
@@ -117,16 +115,48 @@ def eval_direct(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
         raise DomainError(
             f"(z={z!r}, t={t!r}) lies outside the Kapteyn convergence domain"
         )
-    log_abs_t = math.log(abs(t)) if t != 0.0 else -math.inf
-    sign_t = 1.0 if t >= 0.0 else -1.0
-    inner_tol = tol * 1e-3
+    az = abs(z)
+    if az == 0.0 or t == 0.0:
+        return SeriesEvalReport(value=0j, terms_used=0, tail_bound=0.0)
+    if t < 0.0:
+        z, t = -z, -t  # F(z, -t) = F(-z, t), as J_n(-x) = (-1)^n J_n(x)
+    # the line c as s = -c - ln|z|: e^{i tau} runs over |u| = |z| e^s, and
+    # all is scaled by |z|, so neither a tiny z nor a huge t overflows
+    zu, z2, log_tz = z / az, az * az, math.log(t) + math.log(az)
 
-    def term_at(n: int) -> complex:
-        value, _, _ = _jn_scaled_sum(n, z, n * log_abs_t, inner_tol)
-        return (sign_t**n) * value
+    def log_sup(s: float) -> float:  # ln sup|w| on the line s; convex in s
+        if abs(s) > 700.0:
+            return math.inf  # exp overflows; no strip this wide has sup|w| < 1
+        sig, isig = math.exp(s), math.exp(-s)
+        return log_tz + s + 0.5 * math.hypot(zu.imag * (isig + z2 * sig),
+                                              zu.real * (isig - z2 * sig))
 
-    return _sum_with_quiet_stop(map(term_at, count(1)), f"F({z!r},{t!r})", tol,
-                                omega(z) * abs(t))
+    # the minimum has |z| sinh c = q, q^4 - D q^2 - (Im z)^2 = 0, D = 1 - |z|^2
+    d = (1.0 - az) * (1.0 + az)
+    r = math.hypot(d, 2.0 * z.imag)
+    q = math.sqrt(0.5 * (d + r) if d >= 0.0 else 2.0 * z.imag**2 / (r - d))
+    s = -math.log(q + math.hypot(az, q))
+
+    def log_sup_strip(a: float) -> float:
+        return max(log_sup(s - a), log_sup(s + a))
+
+    # widest strip by bisection; sup|w| >= t e^{-c} puts c - ln t outside it
+    lo, hi = 0.0, -s - log_tz
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if log_sup_strip(mid) < 0.0 else (lo, mid)
+    a, ln_sup = 0.5 * lo, log_sup_strip(0.5 * lo)
+    m = math.exp(ln_sup) / -math.expm1(ln_sup) if ln_sup < 0.0 else math.inf
+    need = math.log1p(2.0 * m / tol) / a if a > 0.0 else math.inf
+    if not need <= _MAX_NODES:
+        raise ConvergenceError(
+            f"F({z!r},{t!r}) needs more than {_MAX_NODES} trapezoid nodes for tol {tol:g}"
+        )
+    n = max(_MIN_NODES, math.ceil(need)) | 1
+    sig = math.exp(s)
+    value, rounding = _trapezoid_nodes(n, t * az * sig, 0.5 * zu / sig, 0.5 * z * az * sig)
+    return SeriesEvalReport(value=value, terms_used=n,
+                            tail_bound=2.0 * m / math.expm1(a * n) + rounding)
 
 
 def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
@@ -136,13 +166,17 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     The terms fall like (|z|/R)^n, so reaching tol takes about
     ln(tol)/ln(|z|/R) of them; a point where that exceeds the 2000-term cap
     is refused with DomainError before any coefficient is computed (at
-    tol = 1e-10, every |z|/R above 0.98855).
-    Each term is formed from the exact value of A_n(t) through its log
-    magnitude and sign, so coefficients far beyond float range still give
-    finite terms.  The terms are not correctly rounded: exp(ln|A_n| +
-    n ln|z|) inherits the rounding of the logs, a relative error up to a
-    few times |ln|A_n(t)|| * 2^-52 (at z = 1.55, t = 0.5: 6e-15 at n = 50
-    and 2.4e-13 at n = 700, against the exact A_n z^n).
+    tol = 1e-10, every |z|/R above 0.98855).  Summation stops after five
+    consecutive terms below tol * max(1, |partial sum|).
+
+    Each term comes from the exact A_n(t) = P/Q (lowest terms) through
+    ln P - ln Q and its sign, so coefficients far beyond float range still
+    give finite terms, but each log errs by up to an ulp of itself: a term
+    is off by up to about (ln P + ln Q) 2^-52, relative (212 times
+    |ln|A_n(t)|| 2^-52 at t = 0.7, n = 219).  tail_bound is the larger of
+    the first two omitted terms (A_n(t) has the parity of n, and at small
+    t the odd and even terms differ by a factor t) times 2/(1 - |z|/R),
+    plus the rounding: N ulps of sum |term| for N terms, and each term's.
     """
     z = _require_finite(z)
     _require_tol(tol)
@@ -165,12 +199,31 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
                 f"|z|/R({abs(t):g}) = {az / radius:.6g} is too close to 1: "
                 f"tol {tol:g} needs more than {_MAX_OUTER_TERMS} terms"
             )
-    log_az = math.log(az)
-    u = z / az  # unit-modulus direction; magnitudes are carried in logs
-
-    terms = (sign * math.exp(log_a + n * log_az) * u**n if sign else 0j
+    log_az, u = math.log(az), z / az  # magnitudes are carried in logs
+    log_2q = math.log(2 * Fraction(t).denominator)
+    terms = ((n, sign * math.exp(log_a + n * log_az) * u**n if sign else 0j, log_a)
              for n, (log_a, sign) in enumerate(_a_logabs_stream(t), 1))
-    return _sum_with_quiet_stop(terms, f"F({z!r},{t!r})", tol, az / radius)
+    total, abs_sum, ulps, quiet, n = 0j, 0.0, 0.0, 0, 0
+    try:
+        for n, term, log_a in terms:
+            total += term
+            abs_sum += abs(term)
+            if term:  # its own error: 2(ln P + ln Q) ulps from the logs, with
+                # ln Q <= ln(n! (2q)^n), then n ln|z|, exp and u^n
+                ulps += abs(term) * (4.0 * (math.lgamma(n + 1) + n * log_2q)
+                                     + 3.0 * abs(log_a) + 4.0 * n * (abs(log_az) + 1.0) + 8.0)
+            quiet = quiet + 1 if abs(term) < tol * max(1.0, abs(total)) else 0
+            if quiet == _QUIET_TERMS:
+                break
+            if n == _MAX_OUTER_TERMS:
+                raise ConvergenceError(
+                    f"series for F({z!r},{t!r}) did not settle within {_MAX_OUTER_TERMS} terms"
+                )
+        tail = 2.0 * max(abs(next(terms)[1]), abs(next(terms)[1])) / (1.0 - az / radius)
+    except OverflowError as exc:
+        raise ConvergenceError(f"series for F({z!r},{t!r}) overflowed at term {n}") from exc
+    return SeriesEvalReport(value=total, terms_used=n,
+                            tail_bound=tail + _EPS * (n * abs_sum + ulps))
 
 
 def fundamental_residual(z: complex, tol: float = 1e-10) -> float:

@@ -1,0 +1,22 @@
+import pytest
+
+
+@pytest.fixture
+def kapteyn_mpmath():
+    """F(z,t) as the Kapteyn sum of t^n J_n(nz) with mpmath's Bessel functions
+    at 30 digits, stopped after three terms below 1e-22 of the sum; an
+    oracle that shares no code with either evaluator."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def value(z, t) -> complex:
+        with mpmath.workdps(30):
+            z, t = mpmath.mpmathify(z), mpmath.mpf(t)
+            total, quiet, n = 0, 0, 0
+            while quiet < 3:
+                n += 1
+                term = t**n * mpmath.besselj(n, n * z)
+                total += term
+                quiet = quiet + 1 if abs(term) < 1e-22 * max(1, abs(total)) else 0
+            return complex(total)
+
+    return value

@@ -98,6 +98,16 @@ class TestEval:
         assert code == EXIT_DOMAIN
         assert "radius" in err
 
+    def test_near_boundary_point_matches_mpmath(self, capsys, kapteyn_mpmath):
+        # omega(0.9) * 0.95 = 0.92: the Bessel-series evaluator gave up here
+        # ("did not settle within 2000 terms"); the quadrature does not
+        code, out, _ = run_cli(["eval", "0.9", "0", "0.95"], capsys)
+        assert code == EXIT_OK
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert float(row["direct_re"]) == pytest.approx(kapteyn_mpmath(0.9, 0.95).real,
+                                                        rel=1e-12)
+
     def test_single_method_columns(self, capsys):
         code, out, _ = run_cli(["eval", "0.2", "0.1", "0.7", "--method", "direct"], capsys)
         assert code == EXIT_OK
@@ -183,6 +193,23 @@ class TestFigure:
         # magnitudes shrink roughly geometrically at t = 0.1
         assert float(rows[-1][1]) < float(rows[0][1])
         assert all(r[2] in {"-1", "0", "1"} for r in rows)
+
+    def test_figure2_range_sums_only_its_rows(self, capsys, monkeypatch):
+        # rows below n_lo are built from the row two back, but not summed
+        from kapteyn import coeffs
+
+        summed = []
+        kernel = coeffs._a_kernel
+
+        def recorded(n, nums, t):
+            summed.append(n)
+            return kernel(n, nums, t)
+
+        monkeypatch.setattr(coeffs, "_a_kernel", recorded)
+        code, out, _ = run_cli(["figure", "2", "--range", "40", "80"], capsys)
+        assert code == EXIT_OK
+        assert summed == list(range(40, 81))
+        assert len(parse_csv(out)[1]) == 80 - 40 + 1
 
     def test_figure1_small_sample(self, capsys):
         code, out, _ = run_cli(["figure", "1", "--samples", "3",

@@ -13,7 +13,12 @@ figure 2 --range cases before every CLI cell went through one formatter and
 eval, radius and expand took their work from tables.  Line 2 of
 coeff200.csv was re-recorded when a rational whose float is subnormal
 started printing its own digits (-1.13676663124626e-316, as mpmath gives)
-instead of the subnormal float's.
+instead of the subnormal float's.  eval_direct, eval_direct_json and
+eval_both were re-recorded when eval_direct became a trapezoid rule (its
+value, node count and bound all changed: F(0.3, 1) now prints 3/14 to all
+15 digits), and eval_power and eval_both again when eval_power's
+tail_bound gained a rounding term (its value and term count are as
+before).
 """
 
 from pathlib import Path

@@ -13,13 +13,14 @@ from kapteyn import (
     DomainError,
     a_eval_exact,
     a_eval_logabs,
-    bessel_jn_scaled,
     coeff_closed_form,
     eval_direct,
     eval_power,
     fundamental_residual,
+    kapteyn_converges,
     kapteyn_to_taylor,
     kapteyn_to_taylor_exact,
+    omega,
     solve_R,
     solve_R_true,
     solve_r,
@@ -31,6 +32,21 @@ from kapteyn import (
 # Taylor coefficients of J_1: 1/2, 0, -1/16, 0, 1/384, 0, -1/18432, ...
 J1_TAYLOR = (Fraction(1, 2), Fraction(0), Fraction(-1, 16), Fraction(0),
              Fraction(1, 384), Fraction(0), Fraction(-1, 18432), Fraction(0))
+
+
+@pytest.fixture
+def node_calls(monkeypatch):
+    """(n, line) of each call eval_direct makes to its quadrature."""
+    from kapteyn import series
+
+    calls, nodes = [], series._trapezoid_nodes
+
+    def recorded(n, *line):
+        calls.append((n, line))
+        return nodes(n, *line)
+
+    monkeypatch.setattr(series, "_trapezoid_nodes", recorded)
+    return calls
 
 
 class TestEvalDirect:
@@ -51,15 +67,41 @@ class TestEvalDirect:
         with pytest.raises(DomainError):
             eval_direct(1.0, 1.0)  # boundary is excluded (strict inequality)
 
-    def test_slow_convergence_hits_term_cap(self):
-        # just inside the domain the term ratio is ~0.999; the cap fires
-        with pytest.raises(ConvergenceError):
-            eval_direct(0.99, 1.0, 1e-10)
+    def test_near_boundary_within_tail_bound_of_closed_form(self):
+        # 1 - omega(z) is 9.5e-4 and 9.4e-7 here, so the Kapteyn terms
+        # barely fall; the quadrature converges, and near the pole of
+        # w/(1-w) rounding dominates the bound; F(z,1) = z/(2(1-z))
+        for z in (0.99, 0.9999):
+            rep = eval_direct(z, 1.0, 1e-10)
+            assert abs(rep.value - z / (2 * (1 - z))) <= rep.tail_bound
+            assert rep.tail_bound <= 1e-8 * abs(rep.value)
 
-    def test_overflowing_terms_raise_convergence_error(self):
-        # inside the domain, but the computed terms grow past float range
+    def test_point_whose_bessel_terms_overflowed_matches_mpmath(self, kapteyn_mpmath):
+        # inside the domain; the J_n(nz) power series overflowed here
+        z, t = -1.4676281218153417 + 0.01702673947714306j, 0.7250137137132295
+        rep = eval_direct(z, t)
+        assert abs(rep.value - kapteyn_mpmath(z, t)) <= rep.tail_bound
+
+    def test_node_cap_refuses_before_any_node(self, monkeypatch):
+        # 1 - omega(z)|t| = 1e-12: the strip where |w| < 1 is about 1e-6
+        # wide, so the error theorem asks for far more than 65536 nodes
+        def no_nodes(*args):
+            raise AssertionError("a trapezoid node was evaluated")
+
+        monkeypatch.setattr("kapteyn.series._trapezoid_nodes", no_nodes)
+        t = (1.0 - 1e-12) / omega(0.5)
+        assert kapteyn_converges(0.5, t)
         with pytest.raises(ConvergenceError):
-            eval_direct(-1.4676281218153417 + 0.01702673947714306j, 0.7250137137132295)
+            eval_direct(0.5, t)
+
+    def test_matches_mpmath_digits_near_the_boundary(self):
+        # omega(0.9) * 0.95 = 0.92; mpmath's Kapteyn sum gives these digits
+        rep = eval_direct(0.9, 0.95)
+        assert rep.value == pytest.approx(2.3532728508319987, rel=1e-14)
+
+    def test_terms_used_counts_nodes(self, node_calls):
+        rep = eval_direct(0.2 + 0.1j, 0.7)
+        assert [n for n, _ in node_calls] == [rep.terms_used]
 
     def test_rejects_non_finite_tolerance(self):
         for tol in (math.inf, math.nan, 0.0):
@@ -202,11 +244,37 @@ class TestTruncationHonesty:
         assert abs(rep.value - longer) <= rep.tail_bound
 
     @pytest.mark.parametrize("z,t", [(0.9, 0.25), (0.5 + 0.3j, 0.5), (0.2, 2.0), (-0.35, 1.0)])
-    def test_direct_tail_bound(self, z, t):
+    def test_direct_tail_bound(self, z, t, node_calls):
+        # the same line with 2N + 1 nodes (the rule takes odd counts)
+        from kapteyn import series
+
         rep = eval_direct(z, t, 1e-8)
-        longer = sum(t**n * bessel_jn_scaled(n, z, 1e-18).value
-                     for n in range(1, 2 * rep.terms_used + 1))
+        ((n, line),) = node_calls
+        longer, _ = series._trapezoid_nodes(2 * n + 1, *line)
         assert abs(rep.value - longer) <= rep.tail_bound
+
+
+# |value - F| <= tail_bound on a fixed grid: |z| = 0.1 and 0.4 at four
+# angles, against t of both signs.  At |z| = 0.1 rounding is most of the
+# bound: at (0.1 e^{0.7i}, 0.7) eval_power is 1.1e-16 off, and its
+# truncation bound alone is 6.6e-18.  F is mpmath's Kapteyn sum, or the
+# closed form z/(2(1-z)) at t = 1.
+_BUDGET_GRID = [(r * cmath.exp(1j * ang), t)
+                for r in (0.1, 0.4) for ang in (0.0, 0.7, 1.5708, 2.5)
+                for t in (0.1, 0.7, 0.9, -0.4)]
+# tiny and huge t; |z|/R = 0.95 at (1.5, 0.5); near the Kapteyn boundary,
+# omega|t| = 0.989 (with |z|/R = 0.95), 0.995 and 0.92
+_BUDGET_EXTRA = [(0.5, 1e-19), (2.2e-7, 1e6), (1.5, 0.5),
+                 (0.95, 1.0), (0.66j, 1.0), (0.9, 0.95), (0.9, -0.95)]
+
+
+class TestErrorBudget:
+    @pytest.mark.parametrize("z,t", _BUDGET_GRID + _BUDGET_EXTRA)
+    def test_both_evaluators_within_tail_bound(self, z, t, kapteyn_mpmath):
+        ref = z / (2 * (1 - z)) if t == 1.0 else kapteyn_mpmath(z, t)
+        for evaluate in (eval_direct, eval_power):
+            rep = evaluate(z, t)
+            assert abs(rep.value - ref) <= rep.tail_bound, evaluate.__name__
 
 
 class TestFundamentalResidual:
