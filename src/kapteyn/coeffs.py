@@ -12,17 +12,14 @@ seeded with C_n^n = n^n/(2n)!!, or from the rearranged alternating form
 
     A_n(t) = (-1)^n/n! sum_{k<=n/2} (-1)^k binom(n,k) (k-n/2)^n t^{n-2k}.
 
-A_n(t) is evaluated by one integer kernel, the only evaluation path: at
-t = p/q the alternating form times n! 2^n q^n is an integer, summed by
-Horner's rule in p^2 and reduced by shifts and one gcd of odd parts.  At
-one t the numerator rows stream across n, two held at a time; nothing is
-cached across calls.  The closed form and the recurrence stay as oracles.
-
-Everything in this module is exact arithmetic.  A float t is taken as the
-dyadic rational it represents, exactly, by a_eval_exact and a_eval_logabs
-alike; floats come out only at the log-magnitude boundary (a_eval_logabs),
-which exists because values like A_500(t) span thousands of orders of
-magnitude.
+A single A_n(t) is evaluated exactly by one integer kernel: at t = p/q the
+alternating form times n! 2^n q^n is an integer, summed by Horner's rule in
+p^2; a float t is taken as the dyadic rational it is.  The stream across n
+that eval_power and figure 2 read instead carries the terms as fixed-width
+binary floats and certifies each sum (_row_logabs).  Floats leave only as
+(ln|A_n(t)|, sign), since A_500(t) can lie far outside float range.
+Nothing is cached across calls; the closed form and the recurrence stay as
+oracles.
 """
 
 from __future__ import annotations
@@ -33,6 +30,9 @@ from fractions import Fraction
 from itertools import count, islice
 
 from .errors import DomainError
+
+_WIDTH = 256  # the stream's starting mantissa width, in bits
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # HI has 32 bits
 
 
 def _dfact(m: int) -> int:
@@ -120,19 +120,6 @@ def _a_numerators(n: int):
         binom = binom * (n - k) // (k + 1)
 
 
-def _numerator_rows():
-    # the rows _a_numerators(n) for n = 1, 2, ..., holding only the last two:
-    # row n comes from row n-2 by num(n, k+1) = -num(n-2, k) n(n-1) j^2 /
-    # ((k+1)(n-1-k)) with j = n-2-2k, and num(n, 0) = n^n
-    rows = [list(_a_numerators(2)), list(_a_numerators(1))]  # by parity of n
-    yield from (rows[1], rows[0])
-    for n in count(3):
-        rows[n % 2] = [n**n] + [-num * (n * (n - 1) * (n - 2 - 2 * k) ** 2)
-                                // ((k + 1) * (n - 1 - k))
-                                for k, num in enumerate(rows[n % 2])]
-        yield rows[n % 2]
-
-
 def _a_kernel(n: int, nums, t: Fraction) -> tuple[int, int]:
     # A_n(t) as an unreduced integer pair from its numerators: a Horner sum in
     # p^2 with a running power of q^2 over n! 2^n q^n; the power-of-two part
@@ -149,16 +136,16 @@ def _a_kernel(n: int, nums, t: Fraction) -> tuple[int, int]:
     return acc, math.factorial(n) * 2**n * q**n
 
 
-def _logabs(acc: int, den: int) -> tuple[float, int]:
-    # (ln|acc/den|, sign) from acc/den in lowest terms, the pair a Fraction
-    # would hold; the common powers of two go first by shifts, so the gcd
-    # runs against the odd part of den, much shorter than den itself
+def _logabs(acc: int, den: int, e2: int = 0) -> tuple[float, int]:
+    # (ln|acc 2^e2 / den|, sign) for den > 0, within about an ulp of max(1,
+    # |ln|): the log of the ratio of the top bits, in [1/2, 1], plus e ln 2
     if acc == 0:
         return -math.inf, 0
-    twos = min(acc & -acc, den & -den).bit_length() - 1
-    acc, den = acc >> twos, den >> twos
-    g = math.gcd(acc, den >> ((den & -den).bit_length() - 1))
-    return math.log(abs(acc // g)) - math.log(den // g), (1 if acc > 0 else -1)
+    la, lb = acc.bit_length(), den.bit_length()
+    r = (abs(acc) << 128 >> la) // (den << 64 >> lb)  # 64 or 65 bits
+    e = e2 + la - lb - 64 + r.bit_length()
+    f = math.log(math.ldexp(float(r), -r.bit_length()))
+    return math.fsum((f, e * _LN2_HI, e * _LN2_LO)), (1 if acc > 0 else -1)
 
 
 def _exact(t) -> Fraction:
@@ -168,13 +155,82 @@ def _exact(t) -> Fraction:
         raise DomainError(f"t must be finite, got {t}") from None
 
 
+def _scaled(num: int, den: int, width: int) -> tuple[int, int]:
+    # (floor(num 2^s / den), s), the quotient of width or width + 1 bits
+    s = width + den.bit_length() - num.bit_length()
+    return (num << s if s >= 0 else num >> -s) // den, s
+
+
+def _term_rows(t: Fraction, width: int):
+    # (n, mantissas, exponents) for n = 1, 2, ...: T(n, k) = |num(n, k)|
+    # x^(m-k) / (n! 2^n) ~ mantissa 2^exponent, x = t^2, m = n // 2, for each
+    # num(n, k) != 0.  Row n is T(n, 0) = n^n x^m / (n! 2^n) ahead of row
+    # n - 2 times j^2 / (4 k1 (n - k1)), j = n - 2 k1; each step truncates once
+    xm, xs = _scaled(t.numerator**2, t.denominator**2, width)
+    pm, pe = 1 << (width - 1), 1 - width  # x^m, exactly 1 at m = 0
+    rows, fact = [([], []), ([], [])], 1
+    for n in count(1):
+        fact *= n
+        if n % 2 == 0:
+            pm, s = _scaled(pm * xm, 1, width)
+            pe -= xs + s
+        head, s = _scaled(n**n * pm, fact, width)
+        ms, es = [head], [pe - s - n]
+        for a, e, j, k1 in zip(*rows[n % 2], range(n - 2, 0, -2), count(1)):
+            b, d = a * (j * j), k1 * (n - k1)
+            s = width + d.bit_length() - b.bit_length()
+            ms.append((b << s if s >= 0 else b >> -s) // d)
+            es.append(e - s - 2)
+        rows[n % 2] = ms, es
+        yield n, ms, es
+
+
+def _row_logabs(n: int, ms, es, t: Fraction, width: int):
+    """(ln|A_n(t)|, sign) from row n of _term_rows, A_n(t) = t^(n mod 2)
+    sum (-1)^k T(n, k), or None if the rounding bound cannot certify it.
+
+    Aligned to the unit 2^top, the N terms sum exactly to S units: E from
+    even k less O from odd.  T(n, k) has 2(m - k) + 1 + k <= n + 1
+    truncations of relative size u = 2^(1 - width) on its lineage (x's in
+    each of the m - k factors of x^(m-k), the m - k products, the head
+    T(n - 2k, 0), k steps), so if (n + 1) u <= 1/2 it is low by at most
+    2 (n + 1) u of itself, and aligning drops under a unit: S is off by at
+    most B = (n + 1)(E + O + N) 2^(2 - width) + N + 1 units.  The required
+    |S| >= 2^64 B implies (n + 1) u <= 1/2, as |S| <= E + O, and bounds the
+    relative error of S by 2^-64, so its sign is right.
+    """
+    top = max(es)
+    even = sum(a >> top - e for a, e in zip(ms[::2], es[::2]))
+    odd = sum(a >> top - e for a, e in zip(ms[1::2], es[1::2]))
+    total, terms = even - odd, len(ms)
+    bound = ((n + 1) * (even + odd + terms) >> width - 2) + terms + 1
+    if abs(total) < bound << 64:
+        return None
+    p, q = (t.numerator, t.denominator) if n % 2 else (1, 1)
+    return _logabs(total * p, q, top)
+
+
 def _a_logabs_stream(t, n_lo: int = 1):
-    """(ln|A_n(t)|, sign) for n = n_lo, n_lo + 1, ..., each ==
-    a_eval_logabs(n, t), from numerator rows streamed across n; the rows
-    below n_lo are built but not summed.  t is checked at the call."""
+    """(ln|A_n(t)|, sign) for n = n_lo, n_lo + 1, ..., each log within a
+    few ulps of max(1, |ln|A_n(t)||), each sign exact.  An n that
+    _row_logabs cannot certify is taken from the exact kernel, and unless
+    it is 0 the rows restart from n = 1 twice as wide, yielding nothing
+    twice.  Rows below n_lo are built but not summed; t is checked here."""
     t = _exact(t)
-    rows = islice(enumerate(_numerator_rows(), 1), n_lo - 1, None)
-    return (_logabs(*_a_kernel(n, row, t)) for n, row in rows)
+
+    def stream(n_next, width):
+        while True:
+            for n, ms, es in islice(_term_rows(t, width), n_next - 1, None):
+                n_next, got = n + 1, _row_logabs(n, ms, es, t, width)
+                if got is None:
+                    got = _logabs(*_a_kernel(n, _a_numerators(n), t))
+                    if got[1]:
+                        yield got
+                        break
+                yield got
+            width *= 2
+
+    return stream(n_lo, _WIDTH)
 
 
 def a_poly(n: int) -> APoly:

@@ -160,7 +160,7 @@ def eval_direct(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
 
 
 def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
-    """F(z,t) by the power series sum A_n(t) z^n with exact coefficients.
+    """F(z,t) by the power series sum A_n(t) z^n with certified coefficients.
 
     Requires |z| below the radius of convergence R = solve_R_true(|t|).
     The terms fall like (|z|/R)^n, so reaching tol takes about
@@ -169,14 +169,13 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     tol = 1e-10, every |z|/R above 0.98855).  Summation stops after five
     consecutive terms below tol * max(1, |partial sum|).
 
-    Each term comes from the exact A_n(t) = P/Q (lowest terms) through
-    ln P - ln Q and its sign, so coefficients far beyond float range still
-    give finite terms, but each log errs by up to an ulp of itself: a term
-    is off by up to about (ln P + ln Q) 2^-52, relative (212 times
-    |ln|A_n(t)|| 2^-52 at t = 0.7, n = 219).  tail_bound is the larger of
-    the first two omitted terms (A_n(t) has the parity of n, and at small
-    t the odd and even terms differ by a factor t) times 2/(1 - |z|/R),
-    plus the rounding: N ulps of sum |term| for N terms, and each term's.
+    Each term comes from (ln|A_n(t)|, sign) of coeffs._a_logabs_stream,
+    so coefficients far beyond float range still give finite terms; each
+    log errs by a few ulps of max(1, |ln|A_n(t)||) and each sign is exact.
+    tail_bound is the larger of the first two omitted terms (A_n(t) has the
+    parity of n, and at small t the odd and even terms differ by a factor
+    t) times 2/(1 - |z|/R), plus the rounding: N ulps of sum |term| for N
+    terms, and each term's.
     """
     z = _require_finite(z)
     _require_tol(tol)
@@ -200,7 +199,6 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
                 f"tol {tol:g} needs more than {_MAX_OUTER_TERMS} terms"
             )
     log_az, u = math.log(az), z / az  # magnitudes are carried in logs
-    log_2q = math.log(2 * Fraction(t).denominator)
     terms = ((n, sign * math.exp(log_a + n * log_az) * u**n if sign else 0j, log_a)
              for n, (log_a, sign) in enumerate(_a_logabs_stream(t), 1))
     total, abs_sum, ulps, quiet, n = 0j, 0.0, 0.0, 0, 0
@@ -208,10 +206,10 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
         for n, term, log_a in terms:
             total += term
             abs_sum += abs(term)
-            if term:  # its own error: 2(ln P + ln Q) ulps from the logs, with
-                # ln Q <= ln(n! (2q)^n), then n ln|z|, exp and u^n
-                ulps += abs(term) * (4.0 * (math.lgamma(n + 1) + n * log_2q)
-                                     + 3.0 * abs(log_a) + 4.0 * n * (abs(log_az) + 1.0) + 8.0)
+            if term:  # its own error: the log's few ulps of max(1, |log_a|),
+                # then n ln|z|, exp and u^n
+                ulps += abs(term) * (4.0 * max(1.0, abs(log_a))
+                                     + 4.0 * n * (abs(log_az) + 1.0) + 8.0)
             quiet = quiet + 1 if abs(term) < tol * max(1.0, abs(total)) else 0
             if quiet == _QUIET_TERMS:
                 break

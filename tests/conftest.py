@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 
@@ -5,12 +7,14 @@ import pytest
 def kapteyn_mpmath():
     """F(z,t) as the Kapteyn sum of t^n J_n(nz) with mpmath's Bessel functions
     at 30 digits, stopped after three terms below 1e-22 of the sum; an
-    oracle that shares no code with either evaluator."""
+    oracle that shares no code with either evaluator.  t may be a float or
+    a Fraction."""
     mpmath = pytest.importorskip("mpmath")
 
     def value(z, t) -> complex:
+        t = Fraction(t)
         with mpmath.workdps(30):
-            z, t = mpmath.mpmathify(z), mpmath.mpf(t)
+            z, t = mpmath.mpmathify(z), mpmath.mpf(t.numerator) / t.denominator
             total, quiet, n = 0, 0, 0
             while quiet < 3:
                 n += 1

@@ -199,13 +199,13 @@ class TestFigure:
         from kapteyn import coeffs
 
         summed = []
-        kernel = coeffs._a_kernel
+        row_logabs = coeffs._row_logabs
 
-        def recorded(n, nums, t):
+        def recorded(n, *args):
             summed.append(n)
-            return kernel(n, nums, t)
+            return row_logabs(n, *args)
 
-        monkeypatch.setattr(coeffs, "_a_kernel", recorded)
+        monkeypatch.setattr(coeffs, "_row_logabs", recorded)
         code, out, _ = run_cli(["figure", "2", "--range", "40", "80"], capsys)
         assert code == EXIT_OK
         assert summed == list(range(40, 81))

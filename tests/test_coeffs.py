@@ -14,7 +14,8 @@ from kapteyn import (
     coeff_closed_form,
     coeff_table_recurrence,
 )
-from kapteyn.coeffs import _a_logabs_stream, _a_numerators, _numerator_rows
+from kapteyn import coeffs
+from kapteyn.coeffs import _a_logabs_stream, _a_numerators, _term_rows
 
 # the first five polynomials, written out coefficient-by-coefficient
 PRINTED = {
@@ -205,18 +206,65 @@ class TestEvalLogAbs:
                 _a_logabs_stream(t)
 
 
-def _logabs_of_fraction(v: Fraction) -> tuple[float, int]:
-    # (ln|v|, sign) from the pair a Fraction holds, reduced by one gcd of the full pair
+# the t at which both log-magnitude paths are checked against mpmath
+_GRID_T = [0.05, 0.1, 0.3, 0.5, 0.7, 1, 2.7, 20, -0.4, Fraction(3, 7), 0.29971, 1e-19]
+
+
+def _check_logabs(got: tuple[float, int], v: Fraction) -> None:
+    # (ln|v|, sign) to within 4 ulps of max(1, |ln|v||), against mpmath at
+    # 256 bits, with the exact sign; an exact 0 is (-inf, 0)
     if v == 0:
-        return -math.inf, 0
-    return math.log(abs(v.numerator)) - math.log(v.denominator), (1 if v > 0 else -1)
+        assert got == (-math.inf, 0)
+        return
+    mpmath = pytest.importorskip("mpmath")
+
+    def top_bits(a: int):  # a to 320 bits, as converting all of it is slow
+        s = max(a.bit_length() - 320, 0)
+        return mpmath.ldexp(a >> s, s)
+
+    with mpmath.workprec(256):
+        ref = mpmath.log(top_bits(abs(v.numerator)) / top_bits(v.denominator))
+        assert abs(got[0] - ref) <= 4 * 2.0**-52 * max(1, abs(ref))
+    assert got[1] == (1 if v > 0 else -1)
 
 
 class TestLogAbsStream:
-    def test_rows_match_the_single_n_numerators(self):
-        rows = islice(_numerator_rows(), 200)
-        for n, row in enumerate(rows, 1):
-            assert row == list(_a_numerators(n)), n
+    @pytest.mark.parametrize("t", [0.1, 0.7, 20, -0.4, Fraction(3, 7)])
+    def test_terms_match_the_exact_numerators(self, t):
+        # T(n, k) = |num(n, k)| x^(m-k) / (n! 2^n), x = t^2, is low by at
+        # most n + 1 truncations of 2^(1 - width) each, for every nonzero num
+        t, width = Fraction(t), 64
+        for n, ms, es in islice(_term_rows(t, width), 120):
+            nums = [num for num in _a_numerators(n) if num]
+            assert len(ms) == len(es) == len(nums), n
+            for k, (a, e, num) in enumerate(zip(ms, es, nums)):
+                exact = abs(num) * t ** (2 * (n // 2 - k)) / (math.factorial(n) * 2**n)
+                got = a * Fraction(2) ** e
+                assert 2 ** (width - 1) <= a < 2 ** (width + 1)
+                assert 0 <= (exact - got) / exact <= (n + 1) * Fraction(2) ** (1 - width), (n, k)
+
+    @pytest.mark.parametrize("t", [0.1, 0.3, 0.7, -0.4, Fraction(3, 7)])
+    def test_accepted_sums_are_within_the_certificate(self, t, monkeypatch):
+        # every sum _row_logabs accepts is within 2^-64 of A_n(t), relative,
+        # checked exactly; at these narrow widths many sums are refused, so
+        # acceptance is near its threshold, where a bound too small would show
+        t, seen = Fraction(t), []
+
+        def recorded(acc, den, e2=0):
+            seen.append(Fraction(acc, den) * Fraction(2) ** e2)
+            return 0.0, 1
+
+        monkeypatch.setattr(coeffs, "_logabs", recorded)
+        accepted = refused = 0
+        for width in (80, 96, 128):
+            for n, ms, es in islice(_term_rows(t, width), 150):
+                if coeffs._row_logabs(n, ms, es, t, width) is None:
+                    refused += 1
+                    continue
+                accepted += 1
+                exact = a_eval_exact(n, t)
+                assert abs(seen[-1] - exact) <= abs(exact) / 2**64, (width, n)
+        assert accepted > 100 and refused > 100
 
     @given(st.integers(1, 300),
            st.one_of(st.fractions(min_value=-20, max_value=20, max_denominator=10**6),
@@ -230,14 +278,46 @@ class TestLogAbsStream:
     @example(300, -0.4)
     @example(3, Fraction(1, 3))  # an exact root: sign 0
     @settings(max_examples=30, deadline=None)
-    def test_matches_single_n(self, n, t):
-        assert next(islice(_a_logabs_stream(t), n - 1, None)) == a_eval_logabs(n, t)
+    def test_both_paths_match_mpmath(self, n, t):
+        v = a_eval_exact(n, t)
+        _check_logabs(next(islice(_a_logabs_stream(t), n - 1, None)), v)
+        _check_logabs(a_eval_logabs(n, t), v)
 
-    @pytest.mark.parametrize("t", [0.05, 0.1, 0.3, 0.5, 1, 2.7, 20, -0.4, Fraction(3, 7)])
-    def test_reduction_matches_the_full_gcd(self, t):
-        # shifting off the powers of two before the gcd leaves the reduced
-        # pair, so every log equals that of the exact Fraction
-        stream = islice(_a_logabs_stream(t), 150)
-        for n, got in enumerate(stream, 1):
-            assert got == _logabs_of_fraction(a_eval_exact(n, t)), n
-        assert a_eval_logabs(500, t) == _logabs_of_fraction(a_eval_exact(500, t))
+    @pytest.mark.parametrize("t", _GRID_T)
+    def test_grid_matches_mpmath(self, t):
+        for n, got in enumerate(islice(_a_logabs_stream(t), 400), 1):
+            v = a_eval_exact(n, t)
+            _check_logabs(got, v)
+            _check_logabs(a_eval_logabs(n, t), v)
+
+    def test_exact_root_yields_sign_zero(self):
+        # A_3(1/3) = (9 t^3 - t)/16 = 0 exactly; the stream goes on past it
+        got = list(islice(_a_logabs_stream(Fraction(1, 3)), 6))
+        assert got[2] == (-math.inf, 0)
+        for n, v in enumerate(got, 1):
+            _check_logabs(v, a_eval_exact(n, Fraction(1, 3)))
+
+    @pytest.mark.parametrize("t", [0.3, -0.4, Fraction(3, 7), 20])
+    def test_narrow_start_restarts_and_stays_accurate(self, t, monkeypatch):
+        # at 8 bits no sum is certified: each nonzero n is taken exactly and
+        # the rows restart from n = 1 twice as wide, until they certify
+        widths, exact = [], []
+        rows, kernel = coeffs._term_rows, coeffs._a_kernel
+
+        def recorded_rows(t, width):
+            widths.append(width)
+            return rows(t, width)
+
+        def recorded_kernel(n, nums, t):
+            exact.append(n)
+            return kernel(n, nums, t)
+
+        monkeypatch.setattr(coeffs, "_WIDTH", 8)
+        monkeypatch.setattr(coeffs, "_term_rows", recorded_rows)
+        monkeypatch.setattr(coeffs, "_a_kernel", recorded_kernel)
+        values = list(islice(_a_logabs_stream(t), 150))
+        assert widths[:4] == [8, 16, 32, 64]
+        assert widths == [8 * 2**i for i in range(len(widths))]
+        assert len(exact) >= len(widths) - 1 and exact == sorted(set(exact))
+        for n, got in enumerate(values, 1):
+            _check_logabs(got, a_eval_exact(n, t))

@@ -18,7 +18,13 @@ eval_both were re-recorded when eval_direct became a trapezoid rule (its
 value, node count and bound all changed: F(0.3, 1) now prints 3/14 to all
 15 digits), and eval_power and eval_both again when eval_power's
 tail_bound gained a rounding term (its value and term count are as
-before).
+before).  figure1, figure2, figure3, their --range cases, eval_power and
+eval_both were re-recorded when ln|A_n(t)| came to be taken from the ratio
+of the top bits of its numerator and denominator rather than as the
+difference of their logs, and the stream behind eval_power and figure 2
+to be summed in certified fixed precision: only last digits moved, each
+changed coefficient cell no farther from mpmath than before, and
+eval_power's tail_bound moved with its re-derived per-term rounding.
 """
 
 from pathlib import Path

@@ -187,27 +187,39 @@ class TestEvalPower:
             eval_power(0.995 * solve_R_true(0.5).radius, 0.5)
 
     def test_each_row_is_built_once(self, monkeypatch):
-        # N terms and the two-term tail take rows 1..N+2 from one stream;
-        # only the two seed rows come from the single-n numerators
+        # N terms and the two-term tail sum rows 1..N+2 of one stream, each
+        # once; the exact kernel runs only at A_4(1/2) = 0, and the rows are
+        # built once
         from kapteyn import coeffs
 
-        seeds, summed = [], []
-        numerators, kernel = coeffs._a_numerators, coeffs._a_kernel
+        summed, exact, widths = [], [], []
+        row_logabs, kernel, rows = coeffs._row_logabs, coeffs._a_kernel, coeffs._term_rows
 
-        def counted_numerators(n):
-            seeds.append(n)
-            return numerators(n)
+        def recorded_sum(n, *args):
+            summed.append(n)
+            return row_logabs(n, *args)
 
         def recorded_kernel(n, nums, t):
-            summed.append(n)
+            exact.append(n)
             return kernel(n, nums, t)
 
-        monkeypatch.setattr(coeffs, "_a_numerators", counted_numerators)
+        def recorded_rows(t, width):
+            widths.append(width)
+            return rows(t, width)
+
+        monkeypatch.setattr(coeffs, "_row_logabs", recorded_sum)
         monkeypatch.setattr(coeffs, "_a_kernel", recorded_kernel)
+        monkeypatch.setattr(coeffs, "_term_rows", recorded_rows)
         rep = eval_power(0.9, 0.5)
         assert rep.terms_used > 20
         assert summed == list(range(1, rep.terms_used + 3))
-        assert len(seeds) <= 2
+        assert exact == [4] and len(widths) == 1
+
+    def test_exact_zero_coefficient(self, kapteyn_mpmath):
+        # A_3(1/3) = 0 exactly: the stream yields sign 0 there and goes on
+        t = Fraction(1, 3)
+        rep = eval_power(0.5, t)
+        assert abs(rep.value - kapteyn_mpmath(0.5, t)) <= rep.tail_bound
 
     @pytest.mark.parametrize("z,t", [(0.2 + 0.1j, 0.7), (-0.2, 2.0), (0.1j, 4.0)])
     def test_cross_oracle_against_direct(self, z, t):
