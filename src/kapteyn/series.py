@@ -33,16 +33,14 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bessel import SeriesEvalReport, _require_finite, _require_tol
+from .bessel import (_MAX_NODES, _MIN_NODES, SeriesEvalReport, _require_finite,
+                     _require_tol, _saddle_line, _widest)
 from .coeffs import _a_logabs_stream, a_poly
 from .domain import kapteyn_converges, omega, solve_R_true
 from .errors import ConvergenceError, DomainError
 
 _MAX_OUTER_TERMS = 2000
 _QUIET_TERMS = 5  # consecutive below-threshold terms required to stop
-_MAX_NODES = 1 << 16  # trapezoid nodes; about 0.1 s of work
-_MIN_NODES = 32
-_BISECTIONS = 64
 _EPS = sys.float_info.epsilon
 
 _CONVENTIONS = ("kapteyn_alpha", "taylor_a")
@@ -95,19 +93,17 @@ def _trapezoid_nodes(n: int, scale: float, big: complex, small: complex
 
 def eval_direct(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     """F(z,t) = (1/2pi) int w/(1-w) dtau, w = t exp(i(tau - z sin tau)), by
-    the trapezoid rule on the line Im tau = c that minimises sup|w|.
+    the trapezoid rule on bessel._saddle_line, where sup|w| is least.
 
     The integrand is the sum of t^n J_n(nz) under Bessel's integral.  A
     line with sup|w| < 1 exists exactly on the Kapteyn domain omega(z)|t| <
-    1 (DomainError outside it).  On a strip |Im tau - c| < a where |w| <= s
-    < 1, N nodes err by at most 2M/(e^{aN} - 1), M = s/(1-s) (Trefethen &
-    Weideman, SIAM Review 56(3), 2014).  c minimises ln sup|w| = ln|t| - c
-    + hypot(Im z cosh c, Re z sinh c) in closed form; a is half the widest
-    such strip, N the least odd count >= 33 with that bound <= tol (the
-    error itself falls like e^{-2aN}).  Past 65536 nodes ConvergenceError
-    comes before any node (at z = 0.5: 1 - omega|t| below about 6e-7).
-    terms_used is N; tail_bound is the theorem bound plus the nodes'
-    rounding, the larger of the two near the domain boundary.
+    1 (DomainError outside it).  a is half the widest strip |Im tau - c| < a
+    where |w| <= s < 1, and N the least odd count >= 33 with the bound
+    2M/(e^{aN} - 1) <= tol, M = s/(1-s) (the error itself falls like
+    e^{-2aN}).  Past 65536 nodes ConvergenceError comes before any node (at
+    z = 0.5: 1 - omega|t| below about 6e-7).  terms_used is N; tail_bound
+    is the theorem bound plus the nodes' rounding, the larger of the two
+    near the domain boundary.
     """
     z = _require_finite(z)
     _require_tol(tol)
@@ -120,31 +116,10 @@ def eval_direct(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
         return SeriesEvalReport(value=0j, terms_used=0, tail_bound=0.0)
     if t < 0.0:
         z, t = -z, -t  # F(z, -t) = F(-z, t), as J_n(-x) = (-1)^n J_n(x)
-    # the line c as s = -c - ln|z|: e^{i tau} runs over |u| = |z| e^s, and
-    # all is scaled by |z|, so neither a tiny z nor a huge t overflows
-    zu, z2, log_tz = z / az, az * az, math.log(t) + math.log(az)
-
-    def log_sup(s: float) -> float:  # ln sup|w| on the line s; convex in s
-        if abs(s) > 700.0:
-            return math.inf  # exp overflows; no strip this wide has sup|w| < 1
-        sig, isig = math.exp(s), math.exp(-s)
-        return log_tz + s + 0.5 * math.hypot(zu.imag * (isig + z2 * sig),
-                                              zu.real * (isig - z2 * sig))
-
-    # the minimum has |z| sinh c = q, q^4 - D q^2 - (Im z)^2 = 0, D = 1 - |z|^2
-    d = (1.0 - az) * (1.0 + az)
-    r = math.hypot(d, 2.0 * z.imag)
-    q = math.sqrt(0.5 * (d + r) if d >= 0.0 else 2.0 * z.imag**2 / (r - d))
-    s = -math.log(q + math.hypot(az, q))
-
-    def log_sup_strip(a: float) -> float:
-        return max(log_sup(s - a), log_sup(s + a))
-
-    # widest strip by bisection; sup|w| >= t e^{-c} puts c - ln t outside it
-    lo, hi = 0.0, -s - log_tz
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if log_sup_strip(mid) < 0.0 else (lo, mid)
+    log_tz = math.log(t) + math.log(az)
+    s, log_sup_strip = _saddle_line(z, log_tz)
+    # widest strip with sup|w| < 1; sup|w| >= t e^{-c} puts c - ln t outside it
+    lo = _widest(lambda a: log_sup_strip(a) < 0.0, -s - log_tz)
     a, ln_sup = 0.5 * lo, log_sup_strip(0.5 * lo)
     m = math.exp(ln_sup) / -math.expm1(ln_sup) if ln_sup < 0.0 else math.inf
     need = math.log1p(2.0 * m / tol) / a if a > 0.0 else math.inf
@@ -154,7 +129,8 @@ def eval_direct(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
         )
     n = max(_MIN_NODES, math.ceil(need)) | 1
     sig = math.exp(s)
-    value, rounding = _trapezoid_nodes(n, t * az * sig, 0.5 * zu / sig, 0.5 * z * az * sig)
+    value, rounding = _trapezoid_nodes(n, t * az * sig, 0.5 * (z / az) / sig,
+                                       0.5 * z * az * sig)
     return SeriesEvalReport(value=value, terms_used=n,
                             tail_bound=2.0 * m / math.expm1(a * n) + rounding)
 
@@ -182,22 +158,19 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t}")
     az = abs(z)
-    if az == 0.0:
-        return SeriesEvalReport(value=0j, terms_used=1, tail_bound=0.0)
-    if t == 0.0:
-        radius = math.inf  # every A_n(0) vanishes
-    else:
-        radius = solve_R_true(abs(t)).radius
-        if not az < radius:
-            raise DomainError(
-                f"|z| = {az:g} is not inside the convergence radius "
-                f"R({abs(t):g}) = {radius:g}"
-            )
-        if math.log(tol) < _MAX_OUTER_TERMS * math.log(az / radius):
-            raise DomainError(
-                f"|z|/R({abs(t):g}) = {az / radius:.6g} is too close to 1: "
-                f"tol {tol:g} needs more than {_MAX_OUTER_TERMS} terms"
-            )
+    if az == 0.0 or t == 0.0:  # every A_n(0) vanishes
+        return SeriesEvalReport(value=0j, terms_used=0, tail_bound=0.0)
+    radius = solve_R_true(abs(t)).radius
+    if not az < radius:
+        raise DomainError(
+            f"|z| = {az:g} is not inside the convergence radius "
+            f"R({abs(t):g}) = {radius:g}"
+        )
+    if math.log(tol) < _MAX_OUTER_TERMS * math.log(az / radius):
+        raise DomainError(
+            f"|z|/R({abs(t):g}) = {az / radius:.6g} is too close to 1: "
+            f"tol {tol:g} needs more than {_MAX_OUTER_TERMS} terms"
+        )
     log_az, u = math.log(az), z / az  # magnitudes are carried in logs
     terms = ((n, sign * math.exp(log_a + n * log_az) * u**n if sign else 0j, log_a)
              for n, (log_a, sign) in enumerate(_a_logabs_stream(t), 1))

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kapteyn import ConvergenceError, DomainError, bessel_jn_scaled, sqrt1mz2
+
+# the mpmath grid's z, all with |z| <= 4, against orders 1..1000
+_GRID_Z = (0.3, 0.9, 1.0, -1.1, 2.5, 4.0, 0.5 + 0.5j, 1.0 - 0.3j, 2.0 + 1.0j, 1.5j, 3.9j)
 
 # frozen oracle: direct factorial-form summation of J_3(3 * float(0.2)),
 # 50 terms in exact rational arithmetic (recomputed below by _oracle_jn)
@@ -103,9 +107,39 @@ class TestBesselJnScaled:
                 bessel_jn_scaled(3, 0.5, tol=tol)
 
     def test_overflowing_order_raises_convergence_error(self):
-        # n ln(n|z|/2) - ln n! grows without bound at |z| = 4
+        # |J_200(800i)| = I_200(800) is about 6e334, past the float range
         with pytest.raises(ConvergenceError):
-            bessel_jn_scaled(4000, 4.0)
+            bessel_jn_scaled(200, 4j)
+
+    def test_node_cap_refuses_before_any_node(self, monkeypatch):
+        # J_5000(20000) needs about 75,000 nodes, past the cap of 65536;
+        # every node needs cmath, so the refusal must come without it
+        from kapteyn import bessel
+
+        monkeypatch.setattr(bessel, "cmath", None)
+        with pytest.raises(ConvergenceError):
+            bessel_jn_scaled(5000, 4.0)
+
+    def test_against_mpmath_grid(self):
+        # J_100(100) and J_10(40) are among points where a power series of
+        # J_n(nz) cancels; a refusal is right only where |J_n(nz)| overflows
+        mpmath = pytest.importorskip("mpmath")
+        for n in (1, 2, 3, 5, 10, 20, 50, 100, 200, 1000):
+            for z in _GRID_Z:
+                with mpmath.workdps(30):
+                    ref = mpmath.besselj(n, n * mpmath.mpc(z))
+                try:
+                    rep = bessel_jn_scaled(n, z)
+                except ConvergenceError:
+                    assert abs(ref) > sys.float_info.max, (n, z)
+                    continue
+                err = abs(rep.value - complex(ref))
+                assert err <= rep.tail_bound + 1e-12 * abs(complex(ref)), (n, z)
+
+    @pytest.mark.parametrize("z", [0.3, 0.999, 1.0, -1.1, 2.5, -3.3, 4.0])
+    def test_real_argument_gives_real_value(self, z):
+        for n in range(1, 501, 7):
+            assert bessel_jn_scaled(n, z).value.imag == 0, n
 
     @pytest.mark.parametrize("n,z", [(1, 0.4), (2, 1.1), (5, 0.9), (10, 0.5),
                                      (20, 0.35), (3, 0.2 + 0.6j), (7, 0.8 - 0.4j)])

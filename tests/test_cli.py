@@ -82,6 +82,7 @@ class TestEval:
         row = dict(zip(header, rows[0]))
         assert float(row["direct_re"]) == 0.0
         assert float(row["power_re"]) == 0.0
+        assert row["direct_terms"] == row["power_terms"] == "0"
 
     def test_outside_domain_exit_code(self, capsys):
         code, _, err = run_cli(["eval", "2", "0", "1"], capsys)

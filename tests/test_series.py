@@ -11,6 +11,7 @@ from kapteyn import (
     CoeffSequence,
     ConvergenceError,
     DomainError,
+    SeriesEvalReport,
     a_eval_exact,
     a_eval_logabs,
     coeff_closed_form,
@@ -128,6 +129,16 @@ class TestEvalPower:
 
     def test_zero_t(self):
         assert eval_power(0.05, 0.0).value == 0
+
+    @pytest.mark.parametrize("z,t", [(0.0, 0.5), (0.05, 0.0), (0.0, 0.0)])
+    def test_zero_point_returns_before_any_coefficient(self, z, t, monkeypatch):
+        # as eval_direct does: no term is summed, so none is counted
+        def no_stream(*args):
+            raise AssertionError("a coefficient was streamed")
+
+        monkeypatch.setattr("kapteyn.series._a_logabs_stream", no_stream)
+        assert eval_power(z, t) == SeriesEvalReport(value=0j, terms_used=0, tail_bound=0.0)
+        assert eval_direct(z, t) == eval_power(z, t)
 
     def test_outside_radius_raises(self):
         with pytest.raises(DomainError):
