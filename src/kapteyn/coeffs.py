@@ -16,8 +16,9 @@ A single A_n(t) is evaluated exactly by one integer kernel: at t = p/q the
 alternating form times n! 2^n q^n is an integer, summed by Horner's rule in
 p^2; a float t is taken as the dyadic rational it is.  The stream across n
 that eval_power and figure 2 read instead carries the terms as fixed-width
-binary floats and certifies each sum (_row_logabs).  Floats leave only as
-(ln|A_n(t)|, sign), since A_500(t) can lie far outside float range.
+binary floats, drops those too small to move a later sum, certifies each
+sum (_row_logabs) and restarts once, at a predicted width.  Floats leave
+only as (ln|A_n(t)|, sign), since A_500(t) can lie far outside float range.
 Nothing is cached across calls; the closed form and the recurrence stay as
 oracles.
 """
@@ -165,7 +166,9 @@ def _term_rows(t: Fraction, width: int):
     # (n, mantissas, exponents) for n = 1, 2, ...: T(n, k) = |num(n, k)|
     # x^(m-k) / (n! 2^n) ~ mantissa 2^exponent, x = t^2, m = n // 2, for each
     # num(n, k) != 0.  Row n is T(n, 0) = n^n x^m / (n! 2^n) ahead of row
-    # n - 2 times j^2 / (4 k1 (n - k1)), j = n - 2 k1; each step truncates once
+    # n - 2 times j^2 / (4 k1 (n - k1)), j = n - 2 k1; each step truncates once.
+    # That factor grows with j, so trailing terms under 2^-(width + 64) of the
+    # top stay so on their lineages: they are dropped
     xm, xs = _scaled(t.numerator**2, t.denominator**2, width)
     pm, pe = 1 << (width - 1), 1 - width  # x^m, exactly 1 at m = 0
     rows, fact = [([], []), ([], [])], 1
@@ -181,56 +184,66 @@ def _term_rows(t: Fraction, width: int):
             s = width + d.bit_length() - b.bit_length()
             ms.append((b << s if s >= 0 else b >> -s) // d)
             es.append(e - s - 2)
+        while es[-1] < max(es) - width - 66:  # mantissas have width or width + 1 bits
+            del ms[-1], es[-1]
         rows[n % 2] = ms, es
         yield n, ms, es
 
 
 def _row_logabs(n: int, ms, es, t: Fraction, width: int):
     """(ln|A_n(t)|, sign) from row n of _term_rows, A_n(t) = t^(n mod 2)
-    sum (-1)^k T(n, k), or None if the rounding bound cannot certify it.
+    sum (-1)^k T(n, k), or if it cannot be certified the bits lost, an int.
 
     Aligned to the unit 2^top, the N terms sum exactly to S units: E from
     even k less O from odd.  T(n, k) has 2(m - k) + 1 + k <= n + 1
     truncations of relative size u = 2^(1 - width) on its lineage (x's in
     each of the m - k factors of x^(m-k), the m - k products, the head
     T(n - 2k, 0), k steps), so if (n + 1) u <= 1/2 it is low by at most
-    2 (n + 1) u of itself, and aligning drops under a unit: S is off by at
-    most B = (n + 1)(E + O + N) 2^(2 - width) + N + 1 units.  The required
+    2 (n + 1) u of itself, and aligning drops under a unit; the at most n/2
+    dropped lineages, each under 2^-(width + 64) of a kept term below
+    2^(width + 1) units, add under n 2^-63 < 1: S is off by at most
+    B = (n + 1)(E + O + N) 2^(2 - width) + N + 2 units.  The required
     |S| >= 2^64 B implies (n + 1) u <= 1/2, as |S| <= E + O, and bounds the
-    relative error of S by 2^-64, so its sign is right.
+    relative error of S by 2^-64, so its sign is right.  The bits lost are
+    bitlen(E + O) - bitlen(|S|).
     """
     top = max(es)
     even = sum(a >> top - e for a, e in zip(ms[::2], es[::2]))
     odd = sum(a >> top - e for a, e in zip(ms[1::2], es[1::2]))
     total, terms = even - odd, len(ms)
-    bound = ((n + 1) * (even + odd + terms) >> width - 2) + terms + 1
+    bound = ((n + 1) * (even + odd + terms) >> width - 2) + terms + 2
     if abs(total) < bound << 64:
-        return None
+        return (even + odd).bit_length() - abs(total).bit_length()
     p, q = (t.numerator, t.denominator) if n % 2 else (1, 1)
     return _logabs(total * p, q, top)
 
 
-def _a_logabs_stream(t, n_lo: int = 1):
+def _a_logabs_stream(t, n_lo: int = 1, n_hi: int = 0):
     """(ln|A_n(t)|, sign) for n = n_lo, n_lo + 1, ..., each log within a
     few ulps of max(1, |ln|A_n(t)||), each sign exact.  An n that
     _row_logabs cannot certify is taken from the exact kernel, and unless
-    it is 0 the rows restart from n = 1 twice as wide, yielding nothing
-    twice.  Rows below n_lo are built but not summed; t is checked here."""
+    it is 0 the rows restart from n = 1, yielding nothing twice: at twice
+    the width, or the first time at least the width its lost bits predict
+    for n_hi, the last n the caller will read.  Rows below n_lo are built
+    but not summed; t is checked here."""
     t = _exact(t)
 
-    def stream(n_next, width):
+    def stream(n_next, width, n_hi):
         while True:
             for n, ms, es in islice(_term_rows(t, width), n_next - 1, None):
                 n_next, got = n + 1, _row_logabs(n, ms, es, t, width)
-                if got is None:
-                    got = _logabs(*_a_kernel(n, _a_numerators(n), t))
+                if isinstance(got, int):
+                    lost, got = got, _logabs(*_a_kernel(n, _a_numerators(n), t))
                     if got[1]:
                         yield got
                         break
                 yield got
-            width *= 2
+            # lost bits grow like n, under 1 per n; the certificate needs 68 + log2 n
+            # more, and 28 are margin
+            need = min(lost * n_hi // n, n_hi) + 96 + n_hi.bit_length() if n_hi else 0
+            width, n_hi = max(2 * width, -(-need // 64) * 64), 0
 
-    return stream(n_lo, _WIDTH)
+    return stream(n_lo, _WIDTH, n_hi)
 
 
 def a_poly(n: int) -> APoly:

@@ -146,7 +146,8 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     consecutive terms below tol * max(1, |partial sum|).
 
     Each term comes from (ln|A_n(t)|, sign) of coeffs._a_logabs_stream,
-    so coefficients far beyond float range still give finite terms; each
+    told to expect ln(tol)/ln(|z|/R) terms and the quiet and tail ones, so
+    coefficients far beyond float range still give finite terms; each
     log errs by a few ulps of max(1, |ln|A_n(t)||) and each sign is exact.
     tail_bound is the larger of the first two omitted terms (A_n(t) has the
     parity of n, and at small t the odd and even terms differ by a factor
@@ -171,9 +172,10 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
             f"|z|/R({abs(t):g}) = {az / radius:.6g} is too close to 1: "
             f"tol {tol:g} needs more than {_MAX_OUTER_TERMS} terms"
         )
+    n_hi = math.ceil(math.log(tol) / math.log(az / radius)) + _QUIET_TERMS + 2
     log_az, u = math.log(az), z / az  # magnitudes are carried in logs
     terms = ((n, sign * math.exp(log_a + n * log_az) * u**n if sign else 0j, log_a)
-             for n, (log_a, sign) in enumerate(_a_logabs_stream(t), 1))
+             for n, (log_a, sign) in enumerate(_a_logabs_stream(t, n_hi=n_hi), 1))
     total, abs_sum, ulps, quiet, n = 0j, 0.0, 0.0, 0, 0
     try:
         for n, term, log_a in terms:

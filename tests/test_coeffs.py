@@ -233,15 +233,23 @@ class TestLogAbsStream:
     def test_terms_match_the_exact_numerators(self, t):
         # T(n, k) = |num(n, k)| x^(m-k) / (n! 2^n), x = t^2, is low by at
         # most n + 1 truncations of 2^(1 - width) each, for every nonzero num
-        t, width = Fraction(t), 64
+        # the row keeps; each term it drops is under 2^-(width + 64) of its top
+        t, width, dropped = Fraction(t), 64, 0
         for n, ms, es in islice(_term_rows(t, width), 120):
             nums = [num for num in _a_numerators(n) if num]
-            assert len(ms) == len(es) == len(nums), n
-            for k, (a, e, num) in enumerate(zip(ms, es, nums)):
-                exact = abs(num) * t ** (2 * (n // 2 - k)) / (math.factorial(n) * 2**n)
+            exact = [abs(num) * t ** (2 * (n // 2 - k)) / (math.factorial(n) * 2**n)
+                     for k, num in enumerate(nums)]
+            assert len(ms) == len(es) <= len(nums), n
+            for k, (a, e) in enumerate(zip(ms, es)):
                 got = a * Fraction(2) ** e
                 assert 2 ** (width - 1) <= a < 2 ** (width + 1)
-                assert 0 <= (exact - got) / exact <= (n + 1) * Fraction(2) ** (1 - width), (n, k)
+                rel = (exact[k] - got) / exact[k]
+                assert 0 <= rel <= (n + 1) * Fraction(2) ** (1 - width), (n, k)
+            top = exact[es.index(max(es))]
+            for v in exact[len(ms):]:
+                assert v < top / 2 ** (width + 64), n
+            dropped += len(nums) - len(ms)
+        assert dropped > 0
 
     @pytest.mark.parametrize("t", [0.1, 0.3, 0.7, -0.4, Fraction(3, 7)])
     def test_accepted_sums_are_within_the_certificate(self, t, monkeypatch):
@@ -258,7 +266,7 @@ class TestLogAbsStream:
         accepted = refused = 0
         for width in (80, 96, 128):
             for n, ms, es in islice(_term_rows(t, width), 150):
-                if coeffs._row_logabs(n, ms, es, t, width) is None:
+                if isinstance(coeffs._row_logabs(n, ms, es, t, width), int):  # refused
                     refused += 1
                     continue
                 accepted += 1
@@ -319,5 +327,43 @@ class TestLogAbsStream:
         assert widths[:4] == [8, 16, 32, 64]
         assert widths == [8 * 2**i for i in range(len(widths))]
         assert len(exact) >= len(widths) - 1 and exact == sorted(set(exact))
+        for n, got in enumerate(values, 1):
+            _check_logabs(got, a_eval_exact(n, t))
+
+    def test_predicted_width_restarts_once(self, monkeypatch):
+        # read to the n_hi it was given, the stream refuses once at 256 bits
+        # and restarts at a width that certifies every row up to n_hi
+        widths, built = [], []
+        rows = coeffs._term_rows
+
+        def recorded_rows(t, width):
+            widths.append(width)
+            for row in rows(t, width):
+                built.append(row[0])
+                yield row
+
+        monkeypatch.setattr(coeffs, "_term_rows", recorded_rows)
+        values = list(islice(_a_logabs_stream(0.9, n_hi=1000), 1000))
+        assert len(widths) == 2 and widths[0] == coeffs._WIDTH
+        assert len(built) <= 1.4 * len(values)
+        for n in range(50, 1001, 50):
+            _check_logabs(values[n - 1], a_eval_exact(n, 0.9))
+
+    @pytest.mark.parametrize("t", [0.3, -0.4, Fraction(3, 7), 20])
+    def test_each_restart_at_least_doubles(self, t, monkeypatch):
+        # from 8 bits, with a predicted restart width, each width after a
+        # refusal is at least twice the one before, and the values hold
+        widths = []
+        rows = coeffs._term_rows
+
+        def recorded_rows(t, width):
+            widths.append(width)
+            return rows(t, width)
+
+        monkeypatch.setattr(coeffs, "_WIDTH", 8)
+        monkeypatch.setattr(coeffs, "_term_rows", recorded_rows)
+        values = list(islice(_a_logabs_stream(t, n_hi=150), 150))
+        assert len(widths) >= 2
+        assert all(b >= 2 * a for a, b in zip(widths, widths[1:]))
         for n, got in enumerate(values, 1):
             _check_logabs(got, a_eval_exact(n, t))
