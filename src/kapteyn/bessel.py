@@ -5,7 +5,8 @@ J_n(nz), and the Kapteyn sum F(z,t) = sum t^n J_n(nz) in series.eval_direct,
 are taken by the trapezoid rule on the line Im tau = c of least sup|e^{i(tau
 - z sin tau)}| = omega(z).  The integrands are periodic and analytic, so N
 nodes on a strip |Im tau - c| < a where they are at most M err by at most
-2M/(e^{aN} - 1) (Trefethen & Weideman, SIAM Review 56(3), 2014).
+2M/(e^{aN} - 1) (Trefethen & Weideman, SIAM Review 56(3), 2014).  _widest
+finds a by false position, where the edges' log-sup crosses a level.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .errors import ConvergenceError, DomainError
 _MAX_ABS_Z = 4.0
 _MAX_NODES = 1 << 16  # trapezoid nodes; about 0.1 s of work
 _MIN_NODES = 32
-_BISECTIONS = 64
 
 
 @dataclass(frozen=True)
@@ -83,15 +83,29 @@ def _saddle_line(z: complex, log_tz: float):
     return s, lambda a: max(log_sup(s - a), log_sup(s + a))
 
 
-def _widest(ok, hi: float) -> float:
-    """The largest a >= 0 with ok(a), ok monotone and true at 0: hi doubles
-    while ok(hi), then [0, hi] is bisected."""
-    while ok(hi):
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+def _widest(value, hi: float, ok) -> float:
+    """The largest float a >= 0 with ok(value(a)) for value continuous and
+    increasing, or 0.0 if ok fails at 0.  hi doubles while ok holds there,
+    then false position with the Illinois step (Dowell & Jarratt, BIT 11,
+    1971) shrinks [lo, hi] to adjacent floats, taking the midpoint when the
+    secant point is not strictly inside or two steps did not halve [lo, hi]."""
+    lo, v_lo = 0.0, value(0.0)
+    if not ok(v_lo):
+        return 0.0
+    while ok(v_hi := value(hi)):
+        lo, v_lo, hi = hi, v_hi, 2.0 * hi
+    last, before, bisect = None, hi - lo, False
+    while math.nextafter(lo, hi) < hi:
+        width = hi - lo
+        a = lo + width * (v_lo / (v_lo - v_hi))
+        secant = not bisect and lo < a < hi
+        if not secant:
+            a = 0.5 * (lo + hi)
+        good = ok(v := value(a))
+        halve = 0.5 if secant and good == last else 1.0  # Illinois: an end kept twice
+        lo, v_lo, hi, v_hi = (a, v, hi, halve * v_hi) if good else (lo, halve * v_lo, a, v)
+        last = good if secant else last
+        bisect, before = hi - lo > 0.5 * before, width
     return lo
 
 
@@ -101,13 +115,13 @@ def bessel_jn_scaled(n: int, z: complex, tol: float = 1e-12) -> SeriesEvalReport
     n ln omega(z): the value is e^top times a mean of terms of modulus <= 1,
     and loses at most about sqrt(n) to cancellation.
 
-    The strip's half-width a is the widest on which the log-sup grows by at
-    most G/2, G = ln(2/min(tol, 1)) + max(0, top), and N the least odd count
-    >= 33 with tail_bound = 2e^{top + growth}/(e^{aN} - 1) <= tol min(1, e^top);
-    terms_used is N.  ConvergenceError comes before any node if e^top
-    overflows or N > 65536.  |z| > 4 stays a DomainError: on the real line
-    past |z| = 1, N grows like n|z| (60,001 nodes for J_4000(16000)), and at
-    |z| = 4 the cap refuses from n = 4370.
+    The strip's half-width a is the widest float (by _widest) on which the
+    log-sup grows by at most G/2, G = ln(2/min(tol, 1)) + max(0, top), and N
+    the least odd count >= 33 with tail_bound = 2e^{top + growth}/(e^{aN} - 1)
+    <= tol min(1, e^top); terms_used is N.  ConvergenceError comes before any
+    node if e^top overflows or N > 65536.  |z| > 4 stays a DomainError: on the
+    real line past |z| = 1, N grows like n|z| (60,001 nodes for
+    J_4000(16000)), and at |z| = 4 the cap refuses from n = 4370.
     """
     if n < 1:
         raise DomainError(f"order n must be >= 1, got {n}")
@@ -125,7 +139,7 @@ def bessel_jn_scaled(n: int, z: complex, tol: float = 1e-12) -> SeriesEvalReport
     except OverflowError:
         raise ConvergenceError(f"|J_{n}({n}*{z!r})| overflows double precision") from None
     g = math.log(2.0) - math.log(min(tol, 1.0)) + max(0.0, top)
-    a = _widest(lambda a: n * log_sup_strip(a) - top <= 0.5 * g, 1.0)
+    a = _widest(lambda a: n * log_sup_strip(a) - top - 0.5 * g, 1.0, lambda v: v <= 0.0)
     x = g + n * log_sup_strip(a) - top  # the bound holds once e^{aN} - 1 >= e^x
     need = (x + math.log1p(math.exp(-x))) / a if a > 0.0 else math.inf
     if not need <= _MAX_NODES:

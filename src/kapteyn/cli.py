@@ -135,9 +135,7 @@ def _cmd_radius(args) -> tuple[list[str], list[list]]:
 def _cmd_figure(args) -> tuple[list[str], list[list]]:
     fid = args.id
     if fid == 2:
-        n_lo, n_hi = _FIG2_N_RANGE
-        if args.range is not None:
-            n_lo, n_hi = int(args.range[0]), int(args.range[1])
+        n_lo, n_hi = _FIG2_N_RANGE if args.range is None else map(int, args.range)
         if args.samples is not None:
             n_hi = args.samples
         if not 1 <= n_lo <= n_hi:

@@ -38,18 +38,7 @@ _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # HI 
 
 def _dfact(m: int) -> int:
     # double factorial m!! with 0!! = (-1)!! = 1
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
-
-
-def _cos_half_pi(m: int) -> int:
-    # cos(m*pi/2) for integer m, evaluated combinatorially
-    if m % 2:
-        return 0
-    return -1 if (m // 2) % 2 else 1
+    return math.prod(range(m, 1, -2))
 
 
 def coeff_closed_form(n: int, k: int) -> Fraction:
@@ -58,9 +47,9 @@ def coeff_closed_form(n: int, k: int) -> Fraction:
         raise DomainError(f"n must be >= 1, got {n}")
     if not 0 <= k <= n:
         raise DomainError(f"k must satisfy 0 <= k <= {n}, got {k}")
-    sign = _cos_half_pi(n - k)
-    if sign == 0 or k == 0:
+    if (n - k) % 2 or k == 0:  # cos((n-k) pi/2) = 0, or k^n = 0
         return Fraction(0)
+    sign = -1 if (n - k) // 2 % 2 else 1
     return Fraction(sign * k**n, _dfact(n - k) * _dfact(n + k))
 
 

@@ -132,15 +132,11 @@ def _bisect_radius(t: float, lhs, cap: float | None, branch: str) -> RadiusResul
     """
     if not 0.0 < t < math.inf:
         raise DomainError(f"t must be positive and finite, got {t}")
-    lo = 0.0
-    if cap is None:
-        hi = 1.0
-        while lhs(hi) * t < 1.0:
-            hi *= 2.0
-            if hi > 1e300:
-                raise KapteynError("bracket expansion ran away")
-    else:
-        hi = cap
+    lo, hi = 0.0, 1.0 if cap is None else cap
+    while cap is None and lhs(hi) * t < 1.0:
+        hi *= 2.0
+        if hi > 1e300:
+            raise KapteynError("bracket expansion ran away")
     iterations = 0
     while hi - lo > _REL_WIDTH * max(lo, 1e-300):
         mid = 0.5 * (lo + hi)

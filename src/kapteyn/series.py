@@ -82,11 +82,13 @@ def _trapezoid_nodes(n: int, scale: float, big: complex, small: complex
     of w move v by kappa eps |w|/|1-w|^2; the division adds 4 ulps of v."""
     kappa = 24.0 * (1.0 + abs(big) + abs(small))
     half = [cmath.rect(1.0, 2.0 * math.pi * k / n) for k in range(1, n // 2 + 1)]
-    vs, rounding = [], 0.0
-    for e in [1.0 + 0j, *half, *(e.conjugate() for e in half)]:
-        w = scale * e * cmath.exp(big * e.conjugate() - small * e)
-        vs.append(w / (1.0 - w))
-        rounding += kappa * abs(w) / abs(1.0 - w) ** 2 + 4.0 * abs(vs[-1])
+    ws = [scale * e * cmath.exp(big * e.conjugate() - small * e)
+          for e in [1.0 + 0j, *half, *(e.conjugate() for e in half)]]
+    ds = [1.0 - w for w in ws]
+    vs = [w / d for w, d in zip(ws, ds)]
+    rounding = 0.0  # in node order: sum() of floats rounds differently from 3.12
+    for w, d, v in zip(ws, ds, vs):
+        rounding += kappa * abs(w) / abs(d) ** 2 + 4.0 * abs(v)
     value = complex(math.fsum(v.real for v in vs), math.fsum(v.imag for v in vs)) / n
     return value, _EPS * (rounding / n + 2.0 * abs(value))
 
@@ -95,15 +97,15 @@ def eval_direct(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     """F(z,t) = (1/2pi) int w/(1-w) dtau, w = t exp(i(tau - z sin tau)), by
     the trapezoid rule on bessel._saddle_line, where sup|w| is least.
 
-    The integrand is the sum of t^n J_n(nz) under Bessel's integral.  A
-    line with sup|w| < 1 exists exactly on the Kapteyn domain omega(z)|t| <
-    1 (DomainError outside it).  a is half the widest strip |Im tau - c| < a
-    where |w| <= s < 1, and N the least odd count >= 33 with the bound
-    2M/(e^{aN} - 1) <= tol, M = s/(1-s) (the error itself falls like
-    e^{-2aN}).  Past 65536 nodes ConvergenceError comes before any node (at
-    z = 0.5: 1 - omega|t| below about 6e-7).  terms_used is N; tail_bound
-    is the theorem bound plus the nodes' rounding, the larger of the two
-    near the domain boundary.
+    The integrand is the sum of t^n J_n(nz) under Bessel's integral.  A line
+    with sup|w| < 1 exists exactly on the Kapteyn domain omega(z)|t| < 1
+    (DomainError outside it).  a is half the widest strip |Im tau - c| < a
+    where |w| <= s < 1, found by bessel._widest, and N the least odd count >=
+    33 with the bound 2M/(e^{aN} - 1) <= tol, M = s/(1-s) (the error itself
+    falls like e^{-2aN}).  Past 65536 nodes ConvergenceError comes before any
+    node (at z = 0.5: 1 - omega|t| below about 6e-7).  terms_used is N;
+    tail_bound is the theorem bound plus the nodes' rounding, the larger of the
+    two near the domain boundary.
     """
     z = _require_finite(z)
     _require_tol(tol)
@@ -119,7 +121,7 @@ def eval_direct(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     log_tz = math.log(t) + math.log(az)
     s, log_sup_strip = _saddle_line(z, log_tz)
     # widest strip with sup|w| < 1; sup|w| >= t e^{-c} puts c - ln t outside it
-    lo = _widest(lambda a: log_sup_strip(a) < 0.0, -s - log_tz)
+    lo = _widest(log_sup_strip, -s - log_tz, lambda v: v < 0.0)
     a, ln_sup = 0.5 * lo, log_sup_strip(0.5 * lo)
     m = math.exp(ln_sup) / -math.expm1(ln_sup) if ln_sup < 0.0 else math.inf
     need = math.log1p(2.0 * m / tol) / a if a > 0.0 else math.inf
@@ -167,13 +169,14 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
             f"|z| = {az:g} is not inside the convergence radius "
             f"R({abs(t):g}) = {radius:g}"
         )
-    if math.log(tol) < _MAX_OUTER_TERMS * math.log(az / radius):
+    log_az, u = math.log(az), z / az  # magnitudes are carried in logs
+    log_ratio = log_az - math.log(radius)  # az / radius may underflow
+    if math.log(tol) < _MAX_OUTER_TERMS * log_ratio:
         raise DomainError(
             f"|z|/R({abs(t):g}) = {az / radius:.6g} is too close to 1: "
             f"tol {tol:g} needs more than {_MAX_OUTER_TERMS} terms"
         )
-    n_hi = math.ceil(math.log(tol) / math.log(az / radius)) + _QUIET_TERMS + 2
-    log_az, u = math.log(az), z / az  # magnitudes are carried in logs
+    n_hi = math.ceil(math.log(tol) / log_ratio) + _QUIET_TERMS + 2
     terms = ((n, sign * math.exp(log_a + n * log_az) * u**n if sign else 0j, log_a)
              for n, (log_a, sign) in enumerate(_a_logabs_stream(t, n_hi=n_hi), 1))
     total, abs_sum, ulps, quiet, n = 0j, 0.0, 0.0, 0, 0

@@ -148,3 +148,71 @@ class TestBesselJnScaled:
         ours = bessel_jn_scaled(n, z, 1e-15).value
         ref = complex(jv(n, n * complex(z)))
         assert ours == pytest.approx(ref, rel=1e-10, abs=1e-13)
+
+
+def _bisect64(ok, hi):
+    # the strip search before false position: double hi, then 64 bisections
+    while ok(hi):
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
+
+
+class _Searched(Exception):
+    pass
+
+
+def _strip_searches(monkeypatch):
+    """The (value, hi, ok) that eval_direct and bessel_jn_scaled hand to
+    _widest over a grid of in-domain (z, t) and of n in 1..1000, |z| <= 4;
+    each call is stopped at its search."""
+    from kapteyn import bessel, eval_direct, kapteyn_converges, series
+
+    found = []
+
+    def record(value, hi, ok):
+        found.append((value, hi, ok))
+        raise _Searched
+
+    monkeypatch.setattr(bessel, "_widest", record)
+    monkeypatch.setattr(series, "_widest", record)
+    zs = [complex(x, y) for x in (-3.7, -2.0, -1.1, -0.5, 0.0, 0.2, 0.9, 1.0, 1.6, 2.5, 3.9)
+          for y in (0.0, 0.05, -0.4, 1.0, 2.0, -3.0) if 0.0 < abs(complex(x, y)) <= 4.0]
+    for z in zs:
+        for t in (-1.5, -0.6, 0.01, 0.3, 0.8, 0.97, 0.999, 2.0):
+            if kapteyn_converges(z, t):
+                with pytest.raises(_Searched):
+                    eval_direct(z, t)
+        for n in (1, 2, 3, 7, 20, 100, 400, 1000):
+            try:
+                bessel_jn_scaled(n, z)
+            except (_Searched, ConvergenceError):  # e^top overflows before any search
+                pass
+    return found
+
+
+class TestWidest:
+    def test_matches_the_bisection_in_fewer_evaluations(self, monkeypatch):
+        from kapteyn.bessel import _widest
+
+        searches = _strip_searches(monkeypatch)
+        assert len(searches) > 500
+        counts = []
+        for value, hi, ok in searches:
+            calls = []
+            a = _widest(lambda a: calls.append(a) or value(a), hi, ok)
+            counts.append(len(calls))
+            assert ok(value(a)) and not ok(value(math.nextafter(a, math.inf)))
+            assert a == pytest.approx(_bisect64(lambda a: ok(value(a)), hi), rel=1e-14, abs=0.0)
+        assert sorted(counts)[len(counts) // 2] <= 20
+        assert max(counts) <= 64
+
+    def test_failing_at_zero_returns_zero_after_one_evaluation(self):
+        from kapteyn.bessel import _widest
+
+        calls = []
+        assert _widest(lambda a: calls.append(a) or 1.0 + a, 1.0, lambda v: v < 0.0) == 0.0
+        assert calls == [0.0]

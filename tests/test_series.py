@@ -187,6 +187,12 @@ class TestEvalPower:
         d = eval_direct(2.2e-7, 1e6)
         assert abs(p.value - d.value) <= p.tail_bound + d.tail_bound
 
+    def test_underflowing_ratio_to_the_radius(self):
+        # |z|/R(1e-300) underflows to 0; its log is taken as a difference
+        rep = eval_power(5e-324, 1e-300)
+        assert isinstance(rep, SeriesEvalReport)
+        assert rep.value == 0
+
     def test_too_close_to_the_radius_is_refused_at_once(self, monkeypatch):
         # at |z|/R = 0.995 the terms fall too slowly to reach tol = 1e-10
         # within the term cap, so the call fails before any coefficient
