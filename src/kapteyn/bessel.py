@@ -88,20 +88,25 @@ def _widest(value, hi: float, ok) -> float:
     increasing, or 0.0 if ok fails at 0.  hi doubles while ok holds there,
     then false position with the Illinois step (Dowell & Jarratt, BIT 11,
     1971) shrinks [lo, hi] to adjacent floats, taking the midpoint when the
-    secant point is not strictly inside or two steps did not halve [lo, hi]."""
+    secant point is not strictly inside or two steps did not halve [lo, hi].
+    A secant point exactly on the level (value 0) is followed by the float
+    beside it, since every later secant point would be that end."""
     lo, v_lo = 0.0, value(0.0)
     if not ok(v_lo):
         return 0.0
     while ok(v_hi := value(hi)):
         lo, v_lo, hi = hi, v_hi, 2.0 * hi
-    last, before, bisect = None, hi - lo, False
+    last, before, bisect, beside = None, hi - lo, False, False
     while math.nextafter(lo, hi) < hi:
         width = hi - lo
         a = lo + width * (v_lo / (v_lo - v_hi))
-        secant = not bisect and lo < a < hi
+        if beside:  # the last secant point is on the level: the float beside it
+            a = math.nextafter(lo, hi) if good else math.nextafter(hi, lo)
+        secant = (beside or not bisect) and lo < a < hi
         if not secant:
             a = 0.5 * (lo + hi)
         good = ok(v := value(a))
+        beside = secant and v == 0.0 and not beside
         halve = 0.5 if secant and good == last else 1.0  # Illinois: an end kept twice
         lo, v_lo, hi, v_hi = (a, v, hi, halve * v_hi) if good else (lo, halve * v_lo, a, v)
         last = good if secant else last

@@ -19,13 +19,15 @@ that eval_power and figure 2 read instead carries the terms as fixed-width
 binary floats, drops those too small to move a later sum, certifies each
 sum (_row_logabs) and restarts once, at a predicted width.  Floats leave
 only as (ln|A_n(t)|, sign), since A_500(t) can lie far outside float range.
-Nothing is cached across calls; the closed form and the recurrence stay as
-oracles.
+Its values at the first width, and the rows after them, are kept for the last
+eight t and resumed by later calls; the closed form and the recurrence stay
+as oracles.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
@@ -33,6 +35,8 @@ from itertools import count, islice
 from .errors import DomainError
 
 _WIDTH = 256  # the stream's starting mantissa width, in bits
+_STORE: dict = {}  # (t, width) -> (values of rows 1..k, k, row k - 1, row k), newest last
+_STORE_T, _STORE_LOCK = 8, threading.Lock()  # t held; one writer at a time
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # HI has 32 bits
 
 
@@ -151,21 +155,24 @@ def _scaled(num: int, den: int, width: int) -> tuple[int, int]:
     return (num << s if s >= 0 else num >> -s) // den, s
 
 
-def _term_rows(t: Fraction, width: int):
-    # (n, mantissas, exponents) for n = 1, 2, ...: T(n, k) = |num(n, k)|
+def _term_rows(t: Fraction, width: int, n0: int = 0, older=((), ()), newer=((), ())):
+    # (n, mantissas, exponents) for n = n0 + 1, n0 + 2, ...: T(n, k) = |num(n, k)|
     # x^(m-k) / (n! 2^n) ~ mantissa 2^exponent, x = t^2, m = n // 2, for each
     # num(n, k) != 0.  Row n is T(n, 0) = n^n x^m / (n! 2^n) ahead of row
     # n - 2 times j^2 / (4 k1 (n - k1)), j = n - 2 k1; each step truncates once.
     # That factor grows with j, so trailing terms under 2^-(width + 64) of the
-    # top stay so on their lineages: they are dropped
+    # top stay so on their lineages: they are dropped.  Resumed after row n0
+    # from rows n0 - 1 and n0 (older, newer), x^m is stepped up to n0 again
     xm, xs = _scaled(t.numerator**2, t.denominator**2, width)
     pm, pe = 1 << (width - 1), 1 - width  # x^m, exactly 1 at m = 0
-    rows, fact = [([], []), ([], [])], 1
+    rows, fact = [older, newer] if n0 % 2 else [newer, older], math.factorial(n0)
     for n in count(1):
-        fact *= n
         if n % 2 == 0:
             pm, s = _scaled(pm * xm, 1, width)
             pe -= xs + s
+        if n <= n0:
+            continue
+        fact *= n
         head, s = _scaled(n**n * pm, fact, width)
         ms, es = [head], [pe - s - n]
         for a, e, j, k1 in zip(*rows[n % 2], range(n - 2, 0, -2), count(1)):
@@ -214,25 +221,48 @@ def _a_logabs_stream(t, n_lo: int = 1, n_hi: int = 0):
     it is 0 the rows restart from n = 1, yielding nothing twice: at twice
     the width, or the first time at least the width its lost bits predict
     for n_hi, the last n the caller will read.  Rows below n_lo are built
-    but not summed; t is checked here."""
+    but not summed; t is checked here.
+
+    The values summed at the first width in order from n = 1 are kept in
+    _STORE, one row at a time with the two rows after it, for the last
+    _STORE_T values of t; a later call replays them and resumes the rows
+    there, and a call stopped anywhere leaves a valid entry."""
     t = _exact(t)
 
     def stream(n_next, width, n_hi):
+        key = t, width
+        done, *start = _STORE.get(key, ((),))  # values of rows 1..k; k, rows k - 1 and k
+        yield from done[n_next - 1:]
+        n_next = max(n_next, len(done) + 1)
         while True:
-            for n, ms, es in islice(_term_rows(t, width), n_next - 1, None):
+            for n, ms, es in islice(_term_rows(t, width, *start), n_next - 1 - len(done), None):
                 n_next, got = n + 1, _row_logabs(n, ms, es, t, width)
                 if isinstance(got, int):
                     lost, got = got, _logabs(*_a_kernel(n, _a_numerators(n), t))
                     if got[1]:
                         yield got
                         break
+                if key and n == len(done) + 1:
+                    done, start = done + (got,), [n, start[2] if start else ((), ()), (ms, es)]
+                    _keep(key, done, start)
                 yield got
             # lost bits grow like n, under 1 per n; the certificate needs 68 + log2 n
             # more, and 28 are margin
             need = min(lost * n_hi // n, n_hi) + 96 + n_hi.bit_length() if n_hi else 0
             width, n_hi = max(2 * width, -(-need // 64) * 64), 0
+            key, done, start = None, (), ()
 
     return stream(n_lo, _WIDTH, n_hi)
+
+
+def _keep(key, done, start) -> None:
+    # the entry for key, if longer than the one held, as the newest
+    with _STORE_LOCK:
+        if len(_STORE.get(key, ((),))[0]) < len(done):
+            _STORE.pop(key, None)
+            _STORE[key] = done, *start
+            if len(_STORE) > _STORE_T:
+                del _STORE[next(iter(_STORE))]
 
 
 def a_poly(n: int) -> APoly:

@@ -151,6 +151,8 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     told to expect ln(tol)/ln(|z|/R) terms and the quiet and tail ones, so
     coefficients far beyond float range still give finite terms; each
     log errs by a few ulps of max(1, |ln|A_n(t)||) and each sign is exact.
+    The stream resumes the rows earlier calls at this t certified at its
+    first width, so a sweep over z builds those once; results are unchanged.
     tail_bound is the larger of the first two omitted terms (A_n(t) has the
     parity of n, and at small t the odd and even terms differ by a factor
     t) times 2/(1 - |z|/R), plus the rounding: N ulps of sum |term| for N

@@ -2,6 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from kapteyn import coeffs
+
+
+@pytest.fixture(autouse=True)
+def cold_store():
+    """Each test starts with coeffs' store of certified rows empty, so a test
+    that counts one call's row work sees all of it, whatever ran before."""
+    coeffs._STORE.clear()
+    yield
+    coeffs._STORE.clear()
+
 
 @pytest.fixture
 def kapteyn_mpmath():

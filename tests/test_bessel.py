@@ -216,3 +216,15 @@ class TestWidest:
         calls = []
         assert _widest(lambda a: calls.append(a) or 1.0 + a, 1.0, lambda v: v < 0.0) == 0.0
         assert calls == [0.0]
+
+    @pytest.mark.parametrize("ok, want", [(lambda v: v < 0.0, math.nextafter(0.3, 0.0)),
+                                          (lambda v: v <= 0.0, 0.3)])
+    def test_secant_point_on_the_level_is_resolved_beside_it(self, ok, want):
+        # the first secant point, 0.3, is exactly on the level, so every later
+        # secant point is an end: the float beside it settles the search, where
+        # midpoints alone took 55 and 56 evaluations
+        from kapteyn.bessel import _widest
+
+        calls = []
+        assert _widest(lambda a: calls.append(a) or a - 0.3, 1.0, ok) == want
+        assert len(calls) <= 8

@@ -367,3 +367,105 @@ class TestLogAbsStream:
         assert all(b >= 2 * a for a, b in zip(widths, widths[1:]))
         for n, got in enumerate(values, 1):
             _check_logabs(got, a_eval_exact(n, t))
+
+
+class TestStore:
+    """coeffs._STORE: values certified at the first width, and the rows after
+    them, kept per t so that later calls at that t resume the rows."""
+
+    @staticmethod
+    def _cold(f, *args):
+        coeffs._STORE.clear()
+        return f(*args)
+
+    def test_interleaved_calls_equal_cold_calls(self):
+        # rings swept outward over several t, taking turns, the last ring at
+        # t = 0.9 past the first refused row (n = 276); and reads from n_lo > 1
+        from kapteyn import eval_power, solve_R_true
+
+        def report(z, t):
+            rep = eval_power(z, t)
+            return rep.value, rep.terms_used, rep.tail_bound
+
+        def rows(t, n_lo, count):
+            return list(islice(_a_logabs_stream(t, n_lo), count))
+
+        calls = [(rows, 0.3, 60, 20)]
+        for ratio in (0.3, 0.6, 0.8, 0.95):
+            for t in (0.1, 0.3, 0.9, -0.4):
+                r = solve_R_true(abs(t)).radius
+                calls.append((report, ratio * r * complex(0.6, 0.8), t))
+            calls.append((rows, 0.3, 1 + int(100 * ratio), 40))
+        warm = [f(*args) for f, *args in calls]
+        assert len(coeffs._STORE) == 4
+        assert warm == [self._cold(f, *args) for f, *args in calls]
+
+    def test_second_call_sums_only_new_rows(self, monkeypatch):
+        summed = []
+        row_logabs = coeffs._row_logabs
+
+        def recorded(n, *args):
+            summed.append(n)
+            return row_logabs(n, *args)
+
+        monkeypatch.setattr(coeffs, "_row_logabs", recorded)
+        first = list(islice(_a_logabs_stream(0.3), 30))
+        assert summed == list(range(1, 31))
+        del summed[:]
+        second = list(islice(_a_logabs_stream(0.3), 50))
+        assert summed == list(range(31, 51)) and second[:30] == first
+        del summed[:]
+        assert list(islice(_a_logabs_stream(0.3, 20), 31)) == second[19:]
+        assert summed == []
+        # rows below n_lo are built but not summed, so nothing past them is kept
+        list(islice(_a_logabs_stream(0.3, 80), 10))
+        assert summed == list(range(80, 90))
+        assert len(coeffs._STORE[Fraction(0.3), coeffs._WIDTH][0]) == 50
+
+    def test_call_stopped_mid_row_leaves_the_store_valid(self, monkeypatch):
+        # as a deadline's signal would: an exception raised while row 45 is summed
+        row_logabs, raised = coeffs._row_logabs, []
+
+        def failing(n, *args):
+            if n == 45 and not raised:
+                raised.append(n)
+                raise RuntimeError("stopped")
+            return row_logabs(n, *args)
+
+        list(islice(_a_logabs_stream(0.7), 30))
+        monkeypatch.setattr(coeffs, "_row_logabs", failing)
+        with pytest.raises(RuntimeError):
+            list(islice(_a_logabs_stream(0.7), 60))
+        assert raised and len(coeffs._STORE[Fraction(0.7), coeffs._WIDTH][0]) == 44
+        warm = list(islice(_a_logabs_stream(0.7), 60))
+        assert warm == self._cold(lambda: list(islice(_a_logabs_stream(0.7), 60)))
+
+    def test_threads_at_one_t_agree(self):
+        # more threads than cores, switching often, mid-row; past the first
+        # refused row (n = 276) each restarts on its own
+        import sys
+        import threading
+
+        interval, got = sys.getswitchinterval(), {}
+
+        def read(i):
+            got[i] = list(islice(_a_logabs_stream(0.9, n_hi=400), 400))
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        cold = self._cold(lambda: list(islice(_a_logabs_stream(0.9, n_hi=400), 400)))
+        assert [got[i] for i in range(4)] == [cold] * 4
+
+    def test_keeps_at_most_eight_t(self):
+        ts = [0.05 * i for i in range(1, 11)]
+        for t in ts:
+            list(islice(_a_logabs_stream(t), 5))
+        assert list(coeffs._STORE) == [(Fraction(t), coeffs._WIDTH) for t in ts[-8:]]
