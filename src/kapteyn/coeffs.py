@@ -19,7 +19,7 @@ that eval_power and figure 2 read instead carries the terms as fixed-width
 binary floats, drops those too small to move a later sum, certifies each
 sum (_row_logabs) and restarts once, at a predicted width.  Floats leave
 only as (ln|A_n(t)|, sign), since A_500(t) can lie far outside float range.
-Its values at the first width, and the rows after them, are kept for the last
+Its values at the first width, with the last two rows, are kept for the last
 eight t and resumed by later calls; the closed form and the recurrence stay
 as oracles.
 """
@@ -224,7 +224,7 @@ def _a_logabs_stream(t, n_lo: int = 1, n_hi: int = 0):
     but not summed; t is checked here.
 
     The values summed at the first width in order from n = 1 are kept in
-    _STORE, one row at a time with the two rows after it, for the last
+    _STORE, one row at a time with the last two rows, for the last
     _STORE_T values of t; a later call replays them and resumes the rows
     there, and a call stopped anywhere leaves a valid entry."""
     t = _exact(t)
