@@ -90,7 +90,8 @@ def _widest(value, hi: float, ok) -> float:
     1971) shrinks [lo, hi] to adjacent floats, taking the midpoint when the
     secant point is not strictly inside or two steps did not halve [lo, hi].
     A secant point exactly on the level (value 0) is followed by the float
-    beside it, since every later secant point would be that end."""
+    beside it, since every later secant point would be that end.  Used by
+    bessel_jn_scaled (strip half-width) and domain._solve_radius (radii)."""
     lo, v_lo = 0.0, value(0.0)
     if not ok(v_lo):
         return 0.0

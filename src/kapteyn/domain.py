@@ -27,11 +27,11 @@ gives 3.0006 where the nearest singularity sits at 1.482257 +- 2.451978i
 (modulus 2.865184); at t = 0.9 it gives 1.0759 against 1.1286.
 
 Each model left-hand side is continuous and strictly increasing in the
-radius, so plain bisection with bracket doubling is unconditionally
-convergent.  The bisection refines to a relative interval width of 1e-15:
-an absolute width target cannot hold the residual below 1e-12 once t is
-large and the radius is ~1/t, because d(residual)/d(radius) grows like
-1/radius.
+radius, so the root is the widest float x >= 0 with lhs(x)*t < 1 or the
+float after it, whichever leaves the smaller residual.  bessel._widest finds
+it by false position in a median of 13 evaluations, to a residual near eps
+up to the largest t.  Below about t = 9e-309 the root's lhs, 1/t,
+overflows and DomainError is raised, as for any residual above 1e-12.
 """
 
 from __future__ import annotations
@@ -41,16 +41,16 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .bessel import _require_finite, sqrt1mz2
+from .bessel import _require_finite, _widest, sqrt1mz2
 from .coeffs import a_eval_logabs
-from .errors import ConvergenceError, DomainError, KapteynError, ZeroCoefficientError
+from .errors import ConvergenceError, DomainError, ZeroCoefficientError
 
 _SQRT2 = math.sqrt(2.0)
 # prefactor of the small-t implicit equation; equals exp(-sqrt(2))*(1+sqrt(2))
 _SMALL_T_PREFACTOR = math.exp(-_SQRT2) * (1.0 + _SQRT2)
 # constant in the small-t asymptote of the model's 1/R: sqrt(2) + ln(sqrt(2)-1)
 _PSI_SMALL_CONST = _SQRT2 + math.log(_SQRT2 - 1.0)
-_REL_WIDTH = 1e-15
+_MAX_RESIDUAL = 1e-12  # a model-equation root is refused above this residual
 _EPS = sys.float_info.epsilon
 _PINCH_NEWTON_CAP = 64  # 2-34 iterations over log-spaced t in [5e-324, 1 - 2**-53]
 
@@ -59,8 +59,9 @@ _PINCH_NEWTON_CAP = 64  # 2-34 iterations over log-spaced t in [5e-324, 1 - 2**-
 class RadiusResult:
     """Solved radius with the residual of its defining equation.
 
-    The residual is |LHS - 1| for the bisection branches and the relative
-    residual |tau - tan(tau) - i ln t| / |ln t| for the "pinch" branch.
+    The residual is |LHS - 1| for the implicit model equations, whose
+    iterations count evaluations of LHS, and the relative residual
+    |tau - tan(tau) - i ln t| / |ln t| for the "pinch" branch (Newton steps).
     """
 
     t: float
@@ -100,8 +101,8 @@ def kapteyn_converges(z: complex, t: float) -> bool:
 
 def _lhs_kapteyn(x: float) -> float:
     s = math.sqrt(1.0 + x * x)
-    try:
-        return x * math.exp(s) / (1.0 + s)
+    try:  # divide first: x e^s overflows near the root once t < ~6e-306
+        return x / (1.0 + s) * math.exp(s)
     except OverflowError:
         return math.inf  # bracket-expansion probes far beyond any root
 
@@ -123,42 +124,37 @@ _SMALL_T = (_lhs_power_small, None, "small_t")
 _LARGE_T = (_lhs_power_large, 1.0, "large_t")
 
 
-def _bisect_radius(t: float, lhs, cap: float | None, branch: str) -> RadiusResult:
+def _solve_radius(t: float, lhs, cap: float | None, branch: str) -> RadiusResult:
     """Root of lhs(x)*t = 1 for strictly increasing lhs, x > 0.
 
-    Brackets from 0 (so a subnormal root at huge t is still found), doubles
-    the upper bracket until the sign changes (unless cap pins it), then
-    bisects to relative width 1e-15.
+    bessel._widest searches from 0 (so a subnormal root at huge t is still
+    found) and hi = cap or 1.0 for the widest float with lhs(x)*t < 1; of
+    it, the float after it and the cap, the least residual wins.
     """
     if not 0.0 < t < math.inf:
         raise DomainError(f"t must be positive and finite, got {t}")
-    lo, hi = 0.0, 1.0 if cap is None else cap
-    while cap is None and lhs(hi) * t < 1.0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise KapteynError("bracket expansion ran away")
     iterations = 0
-    while hi - lo > _REL_WIDTH * max(lo, 1e-300):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if lhs(mid) * t < 1.0:
-            lo = mid
-        else:
-            hi = mid
+
+    def excess(x: float) -> float:
+        nonlocal iterations
         iterations += 1
-    # the final bracket is a few ulps wide; hand back whichever candidate
-    # leaves the smallest residual.  The cap is listed first so that a root
-    # sitting exactly on it (R(1) = 1) is recovered exactly on a tie.
-    candidates = ([] if cap is None else [cap]) + [0.5 * (lo + hi), lo, hi]
+        return lhs(x) * t - 1.0
+
+    lo = _widest(excess, cap or 1.0, lambda v: v < 0.0)
+    # the cap is listed first so that a root sitting exactly on it
+    # (R(1) = 1) is recovered exactly on a tie
+    candidates = ([] if cap is None else [cap]) + [lo, math.nextafter(lo, math.inf)]
     root = min(candidates, key=lambda x: abs(lhs(x) * t - 1.0))
-    return RadiusResult(t=t, radius=root, branch=branch,
-                        residual=abs(lhs(root) * t - 1.0), iterations=iterations)
+    residual = abs(lhs(root) * t - 1.0)
+    if not residual <= _MAX_RESIDUAL:
+        raise DomainError(f"the {branch} equation has no double-precision root at t={t!r}")
+    return RadiusResult(t=t, radius=root, branch=branch, residual=residual,
+                        iterations=iterations)
 
 
 def solve_r(t: float) -> RadiusResult:
     """Kapteyn-domain radius r(t): unique positive root of its implicit equation."""
-    return _bisect_radius(t, *_KAPTEYN_DOMAIN)
+    return _solve_radius(t, *_KAPTEYN_DOMAIN)
 
 
 def solve_R(t: float) -> RadiusResult:
@@ -168,7 +164,7 @@ def solve_R(t: float) -> RadiusResult:
     convergence of sum A_n(t) z^n; for 0 < t < 1 it is the small-t model,
     which misses that radius by up to 6% (see solve_R_true).
     """
-    return _bisect_radius(t, *(_LARGE_T if t >= 1.0 else _SMALL_T))
+    return _solve_radius(t, *(_LARGE_T if t >= 1.0 else _SMALL_T))
 
 
 def solve_R_true(t: float) -> RadiusResult:

@@ -1,5 +1,7 @@
 import cmath
 import math
+import statistics
+import sys
 
 import pytest
 
@@ -16,7 +18,7 @@ from kapteyn import (
     solve_R_true,
     solve_r,
 )
-from kapteyn.domain import _lhs_power_small, _LARGE_T, _SMALL_T, _bisect_radius
+from kapteyn.domain import _lhs_power_small, _LARGE_T, _SMALL_T, _solve_radius
 
 # frozen oracle: 200-iteration bisection on r e^{sqrt(1+r^2)}/(1+sqrt(1+r^2)) = 1
 LAPLACE_LIMIT = 0.6627434193491815
@@ -85,11 +87,34 @@ class TestSolveR:
         assert res.radius == pytest.approx(2.0 / (math.e * 1e308), rel=1e-6)
         assert res.residual < 1e-6
 
+    @pytest.mark.parametrize("t", [1e300, 1e305, 1e308, 1.7e308])
+    @pytest.mark.parametrize("solve", [solve_r, solve_R])
+    def test_huge_t_to_rounding(self, solve, t):
+        # the root ~ 2/(e t) is subnormal from t = 1e308 on; the search ends
+        # at adjacent floats, so no absolute width floor costs accuracy there
+        res = solve(t)
+        assert res.residual <= 4 * sys.float_info.epsilon
+        assert res.iterations <= 64
+
+    @pytest.mark.parametrize("solve", [solve_r, solve_R])
+    def test_tiny_t_solves_or_refuses(self, solve):
+        # below t ~ 6.3e-306, x e^s overflowed before the division by 1 + s
+        # and a radius of 703.2 came back with residual ~1; below t ~ 9e-309
+        # the root's lhs = 1/t exceeds the largest float
+        for i in range(101):
+            t = 10.0 ** (-310 + 0.1 * i)
+            try:
+                res = solve(t)
+            except DomainError:
+                assert t < 1e-307
+                continue
+            assert res.residual <= 1e-12, t
+
 
 class TestSolveCapitalR:
     def test_unity_from_both_branches(self):
-        assert _bisect_radius(1.0, *_SMALL_T).radius == pytest.approx(1.0, abs=1e-10)
-        assert _bisect_radius(1.0, *_LARGE_T).radius == pytest.approx(1.0, abs=1e-10)
+        assert _solve_radius(1.0, *_SMALL_T).radius == pytest.approx(1.0, abs=1e-10)
+        assert _solve_radius(1.0, *_LARGE_T).radius == pytest.approx(1.0, abs=1e-10)
         assert solve_R(1.0).branch == "large_t"
 
     def test_branch_selection(self):
@@ -217,6 +242,33 @@ class TestRadiusRelations:
         inner = p * p + (1.0 if t < 1 else -1.0)
         rhs = p * p / (t * math.sqrt(inner))
         assert dpsi == pytest.approx(rhs, rel=1e-4)
+
+
+class TestRadiusOracle:
+    @staticmethod
+    def _residual(mpmath, t, x, equation):
+        # |LHS(x) t - 1| of the implicit equation in mpmath at 40 digits
+        with mpmath.workdps(40):
+            x, t = mpmath.mpf(x), mpmath.mpf(t)
+            s = mpmath.sqrt((1 - x) * (1 + x) if equation == "large_t" else 1 + x * x)
+            lhs = x * mpmath.exp(s) / (1 + s)
+            if equation == "small_t":
+                lhs *= mpmath.exp(-mpmath.sqrt(2)) * (1 + mpmath.sqrt(2))
+            return float(abs(lhs * t - 1))
+
+    def test_radii_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        ts = [10.0 ** (-6 + 12 * i / 299) for i in range(300)]
+        ts += [1.0 + 1e-3 * (2 * i / 39 - 1) for i in range(40)] + [1.0]
+        iterations = []
+        for t in ts:
+            r, R = solve_r(t), solve_R(t)
+            assert self._residual(mpmath, t, r.radius, r.branch) <= 16 * sys.float_info.epsilon, t
+            assert self._residual(mpmath, t, R.radius, R.branch) <= 16 * sys.float_info.epsilon, t
+            assert r.radius < R.radius, t
+            iterations += [r.iterations, R.iterations]
+        # evaluations of the equation, where a 1e-15 bisection took 51
+        assert statistics.median(iterations) <= 20
 
 
 class TestPsiAsymptotes:

@@ -25,6 +25,13 @@ difference of their logs, and the stream behind eval_power and figure 2
 to be summed in certified fixed precision: only last digits moved, each
 changed coefficient cell no farther from mpmath than before, and
 eval_power's tail_bound moved with its re-derived per-term rounding.
+figure4, figure4_range and the five radius cases were re-recorded when
+solve_r and solve_R came to find their roots by false position
+(bessel._widest) instead of bisection: the iterations column now counts
+evaluations of the equation, residual cells moved within a few eps, five
+radius cells moved in their last digit, and R at t = 1 + 9e-16, where the
+large-t equation is flat, by 1e-12 (see CHANGES.md for each cell's
+distance from the root).
 """
 
 from pathlib import Path
