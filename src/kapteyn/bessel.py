@@ -6,7 +6,8 @@ are taken by the trapezoid rule on the line Im tau = c of least sup|e^{i(tau
 - z sin tau)}| = omega(z).  The integrands are periodic and analytic, so N
 nodes on a strip |Im tau - c| < a where they are at most M err by at most
 2M/(e^{aN} - 1) (Trefethen & Weideman, SIAM Review 56(3), 2014).  _widest
-finds a by false position, where the edges' log-sup crosses a level.
+finds where the edges' log-sup crosses a level by false position: a for
+bessel_jn_scaled, and to 1% the strip eval_direct takes fractions of.
 """
 
 from __future__ import annotations
@@ -83,22 +84,26 @@ def _saddle_line(z: complex, log_tz: float):
     return s, lambda a: max(log_sup(s - a), log_sup(s + a))
 
 
-def _widest(value, hi: float, ok) -> float:
+def _widest(value, hi: float, ok, rel: float = 0.0) -> float:
     """The largest float a >= 0 with ok(value(a)) for value continuous and
     increasing, or 0.0 if ok fails at 0.  hi doubles while ok holds there,
     then false position with the Illinois step (Dowell & Jarratt, BIT 11,
     1971) shrinks [lo, hi] to adjacent floats, taking the midpoint when the
     secant point is not strictly inside or two steps did not halve [lo, hi].
     A secant point exactly on the level (value 0) is followed by the float
-    beside it, since every later secant point would be that end.  Used by
-    bessel_jn_scaled (strip half-width) and domain._solve_radius (radii)."""
+    beside it, since every later secant point would be that end.  With
+    rel > 0 it stops once hi <= (1 + rel) lo, so lo, where ok holds, is
+    within rel of that float (the loop runs while stop(lo, hi) < hi):
+    series.eval_direct's strip half-width, to 1%.  bessel_jn_scaled (strip
+    half-width) and domain._solve_radius (radii) take rel = 0."""
+    stop = (lambda lo, hi: (1.0 + rel) * lo or math.nextafter(lo, hi)) if rel else math.nextafter
     lo, v_lo = 0.0, value(0.0)
     if not ok(v_lo):
         return 0.0
     while ok(v_hi := value(hi)):
         lo, v_lo, hi = hi, v_hi, 2.0 * hi
     last, before, bisect, beside = None, hi - lo, False, False
-    while math.nextafter(lo, hi) < hi:
+    while stop(lo, hi) < hi:
         width = hi - lo
         a = lo + width * (v_lo / (v_lo - v_hi))
         if beside:  # the last secant point is on the level: the float beside it

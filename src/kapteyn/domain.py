@@ -71,6 +71,13 @@ class RadiusResult:
     iterations: int
 
 
+@dataclass(frozen=True)
+class PinchResult(RadiusResult):
+    """A "pinch" RadiusResult: the nearest singularities are radius e^{+-i angle}."""
+
+    angle: float
+
+
 def omega(z: complex) -> float:
     """The Kapteyn modulus |z exp(sqrt(1-z^2)) / (1 + sqrt(1-z^2))|.
 
@@ -174,12 +181,12 @@ def solve_R_true(t: float) -> RadiusResult:
     tau - tan(tau) = i ln t by complex Newton from
     tau0 = acos(1/(pi/2 + i ln(1/t))) and returns |1/cos(tau)|, the modulus
     of the conjugate pair of nearest singularities.  That root has
-    0 < Re tau < pi/2 and Im tau > 0; a root elsewhere belongs to another
-    singularity and is refused.  Newton stops once the equation's value is
-    at its rounding level.  Near t = 1, tau - tan(tau) ~ -tau^3/3 cancels,
-    so the reported residual grows like eps/|tau|^2 (about 4e-10 at
-    t = 1 - 1e-9) while the radius, which depends on tau^2, stays accurate
-    to a few ulps.
+    0 < Re tau < pi/2 and Im tau > 0, so the PinchResult's angle, the
+    argument of 1/cos(tau), is in (0, pi/2); a root elsewhere belongs to
+    another singularity and is refused.  Newton stops once the equation's value is at its rounding
+    level.  Near t = 1, tau - tan(tau) ~ -tau^3/3 cancels, so the reported
+    residual grows like eps/|tau|^2 (about 4e-10 at t = 1 - 1e-9) while the
+    radius, which depends on tau^2, stays accurate to a few ulps.
     """
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
@@ -200,9 +207,9 @@ def solve_R_true(t: float) -> RadiusResult:
         raise ConvergenceError(f"pinch Newton for t={t!r} did not settle")
     if not (0.0 < tau.real < 0.5 * math.pi and tau.imag > 0.0):
         raise ConvergenceError(f"pinch Newton for t={t!r} left the principal root")
-    residual = abs(tau - cmath.tan(tau) - c) / abs(c)
-    return RadiusResult(t=t, radius=abs(1.0 / cmath.cos(tau)), branch="pinch",
-                        residual=residual, iterations=iterations)
+    residual, z0 = abs(tau - cmath.tan(tau) - c) / abs(c), 1.0 / cmath.cos(tau)
+    return PinchResult(t=t, radius=abs(z0), branch="pinch", residual=residual,
+                       iterations=iterations, angle=cmath.phase(z0))
 
 
 def psi_small_t(t: float) -> float:

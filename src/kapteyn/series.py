@@ -30,11 +30,12 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bessel import (_MAX_NODES, _MIN_NODES, SeriesEvalReport, _require_finite,
-                     _require_tol, _saddle_line, _widest)
+from .bessel import (_MAX_NODES, SeriesEvalReport, _require_finite, _require_tol,
+                     _saddle_line, _widest)
 from .coeffs import _a_logabs_stream, a_poly
 from .domain import kapteyn_converges, omega, solve_R_true
 from .errors import ConvergenceError, DomainError
@@ -77,19 +78,20 @@ class ThetaPoly:
 def _trapezoid_nodes(n: int, scale: float, big: complex, small: complex
                      ) -> tuple[complex, float]:
     """Mean of v = w/(1-w), w = scale * e * exp(big/e - small*e), over the
-    n-th roots of unity e (n odd, the pairs taken as exact conjugates, so a
-    real z and t give a real mean), and a bound on its rounding: kappa ulps
-    of w move v by kappa eps |w|/|1-w|^2; the division adds 4 ulps of v."""
-    kappa = 24.0 * (1.0 + abs(big) + abs(small))
-    half = [cmath.rect(1.0, 2.0 * math.pi * k / n) for k in range(1, n // 2 + 1)]
-    ws = [scale * e * cmath.exp(big * e.conjugate() - small * e)
-          for e in [1.0 + 0j, *half, *(e.conjugate() for e in half)]]
-    ds = [1.0 - w for w in ws]
-    vs = [w / d for w, d in zip(ws, ds)]
-    rounding = 0.0  # in node order: sum() of floats rounds differently from 3.12
-    for w, d, v in zip(ws, ds, vs):
-        rounding += kappa * abs(w) / abs(d) ** 2 + 4.0 * abs(v)
-    value = complex(math.fsum(v.real for v in vs), math.fsum(v.imag for v in vs)) / n
+    n-th roots of unity e (n odd, e^{-2pi ik/n} taken as the exact conjugate
+    of e^{2pi ik/n}, so a real z and t give a real mean), and a bound on its
+    rounding: kappa ulps of w move v by kappa eps |w|/|1-w|^2 = kappa eps
+    |v|/|1-w|; the division adds 4 ulps of v."""
+    kappa, step = 24.0 * (1.0 + abs(big) + abs(small)), 2.0 * math.pi / n
+    re, im, rounding = [], [], 0.0
+    for k in range(-(n // 2), n // 2 + 1):
+        e = cmath.rect(1.0, step * k)
+        d = 1.0 - (w := scale * e * cmath.exp(big * e.conjugate() - small * e))
+        v = w / d
+        re.append(v.real)
+        im.append(v.imag)
+        rounding += abs(v) * (kappa / abs(d) + 4.0)
+    value = complex(math.fsum(re), math.fsum(im)) / n
     return value, _EPS * (rounding / n + 2.0 * abs(value))
 
 
@@ -99,13 +101,13 @@ def eval_direct(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
 
     The integrand is the sum of t^n J_n(nz) under Bessel's integral.  A line
     with sup|w| < 1 exists exactly on the Kapteyn domain omega(z)|t| < 1
-    (DomainError outside it).  a is half the widest strip |Im tau - c| < a
-    where |w| <= s < 1, found by bessel._widest, and N the least odd count >=
-    33 with the bound 2M/(e^{aN} - 1) <= tol, M = s/(1-s) (the error itself
-    falls like e^{-2aN}).  Past 65536 nodes ConvergenceError comes before any
-    node (at z = 0.5: 1 - omega|t| below about 6e-7).  terms_used is N;
-    tail_bound is the theorem bound plus the nodes' rounding, the larger of the
-    two near the domain boundary.
+    (DomainError outside it).  N nodes on a strip |Im tau - c| < a where |w|
+    <= s < 1 err by at most 2M/(e^{aN} - 1), M = s/(1-s), for any N and a.
+    bessel._widest finds the widest such strip to 1%, and a is the one of
+    0.85, 0.93 and 0.97 of it with the least odd N for a bound <= tol (tol
+    is absolute).  Past 65536 nodes ConvergenceError comes before any node
+    (at z = 0.5: 1 - omega|t| below about 2e-7).  terms_used is N; tail_bound
+    is the theorem bound plus the nodes' rounding, the larger near the edge.
     """
     z = _require_finite(z)
     _require_tol(tol)
@@ -120,16 +122,20 @@ def eval_direct(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
         z, t = -z, -t  # F(z, -t) = F(-z, t), as J_n(-x) = (-1)^n J_n(x)
     log_tz = math.log(t) + math.log(az)
     s, log_sup_strip = _saddle_line(z, log_tz)
+
+    def nodes(a: float):  # the bound's node count at half-width a, a, and M
+        ln_sup = log_sup_strip(a)
+        m = math.exp(ln_sup) / -math.expm1(ln_sup) if ln_sup < 0.0 else math.inf
+        return (math.log1p(2.0 * m / tol) / a if a > 0.0 else math.inf), a, m
+
     # widest strip with sup|w| < 1; sup|w| >= t e^{-c} puts c - ln t outside it
-    lo = _widest(log_sup_strip, -s - log_tz, lambda v: v < 0.0)
-    a, ln_sup = 0.5 * lo, log_sup_strip(0.5 * lo)
-    m = math.exp(ln_sup) / -math.expm1(ln_sup) if ln_sup < 0.0 else math.inf
-    need = math.log1p(2.0 * m / tol) / a if a > 0.0 else math.inf
+    lo = _widest(log_sup_strip, -s - log_tz, lambda v: v < 0.0, 0.01)
+    need, a, m = min(nodes(f * lo) for f in (0.85, 0.93, 0.97))
     if not need <= _MAX_NODES:
         raise ConvergenceError(
             f"F({z!r},{t!r}) needs more than {_MAX_NODES} trapezoid nodes for tol {tol:g}"
         )
-    n = max(_MIN_NODES, math.ceil(need)) | 1
+    n = math.ceil(need) | 1
     sig = math.exp(s)
     value, rounding = _trapezoid_nodes(n, t * az * sig, 0.5 * (z / az) / sig,
                                        0.5 * z * az * sig)
@@ -144,19 +150,25 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     The terms fall like (|z|/R)^n, so reaching tol takes about
     ln(tol)/ln(|z|/R) of them; a point where that exceeds the 2000-term cap
     is refused with DomainError before any coefficient is computed (at
-    tol = 1e-10, every |z|/R above 0.98855).  Summation stops after five
-    consecutive terms below tol * max(1, |partial sum|).
+    tol = 1e-10, every |z|/R above 0.98855).
+
+    For |t| < 1 the nearest singularities are R e^{+-i theta}, so |A_n| R^n
+    swings like n^{-1/2} |cos(n theta + phi)|, and terms near each sign
+    change dip a decade or more below the rest.  The envelope E is the
+    largest |A_n| R^n of the last ceil(pi/theta) + 2 terms, one swing and
+    two (the last 2 for |t| >= 1, where the singularity is real).
+    Summation stops after five consecutive terms n with E (|z|/R)^{n+1}
+    below tol * max(1, |partial sum|), and tail_bound is 2 E (|z|/R)^{N+1}
+    / (1 - |z|/R) for N terms, plus the rounding: N ulps of sum |term|, and
+    each term's.  That tail is an estimate from the envelope over one
+    swing, not a proof: a proven one needs max|F| on a circle near R.
 
     Each term comes from (ln|A_n(t)|, sign) of coeffs._a_logabs_stream,
-    told to expect ln(tol)/ln(|z|/R) terms and the quiet and tail ones, so
-    coefficients far beyond float range still give finite terms; each
+    told to expect ln(tol)/ln(|z|/R) terms, the quiet ones and two more,
+    so coefficients far beyond float range still give finite terms; each
     log errs by a few ulps of max(1, |ln|A_n(t)||) and each sign is exact.
     The stream resumes the rows earlier calls at this t certified at its
     first width, so a sweep over z builds those once; results are unchanged.
-    tail_bound is the larger of the first two omitted terms (A_n(t) has the
-    parity of n, and at small t the odd and even terms differ by a factor
-    t) times 2/(1 - |z|/R), plus the rounding: N ulps of sum |term| for N
-    terms, and each term's.
     """
     z = _require_finite(z)
     _require_tol(tol)
@@ -165,23 +177,26 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     az = abs(z)
     if az == 0.0 or t == 0.0:  # every A_n(0) vanishes
         return SeriesEvalReport(value=0j, terms_used=0, tail_bound=0.0)
-    radius = solve_R_true(abs(t)).radius
+    pinch = solve_R_true(abs(t))
+    radius = pinch.radius
     if not az < radius:
         raise DomainError(
             f"|z| = {az:g} is not inside the convergence radius "
             f"R({abs(t):g}) = {radius:g}"
         )
-    log_az, u = math.log(az), z / az  # magnitudes are carried in logs
-    log_ratio = log_az - math.log(radius)  # az / radius may underflow
+    log_az, log_radius, u = math.log(az), math.log(radius), z / az  # magnitudes in logs
+    log_ratio = log_az - log_radius  # az / radius may underflow
     if math.log(tol) < _MAX_OUTER_TERMS * log_ratio:
         raise DomainError(
             f"|z|/R({abs(t):g}) = {az / radius:.6g} is too close to 1: "
             f"tol {tol:g} needs more than {_MAX_OUTER_TERMS} terms"
         )
     n_hi = math.ceil(math.log(tol) / log_ratio) + _QUIET_TERMS + 2
+    window = math.ceil(math.pi / pinch.angle) + 2 if pinch.branch == "pinch" else 2
     terms = ((n, sign * math.exp(log_a + n * log_az) * u**n if sign else 0j, log_a)
              for n, (log_a, sign) in enumerate(_a_logabs_stream(t, n_hi=n_hi), 1))
     total, abs_sum, ulps, quiet, n = 0j, 0.0, 0.0, 0, 0
+    envelope = deque()  # (n, ln(|A_n| R^n)) falling; the window's largest first
     try:
         for n, term, log_a in terms:
             total += term
@@ -190,16 +205,23 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
                 # then n ln|z|, exp and u^n
                 ulps += abs(term) * (4.0 * max(1.0, abs(log_a))
                                      + 4.0 * n * (abs(log_az) + 1.0) + 8.0)
-            quiet = quiet + 1 if abs(term) < tol * max(1.0, abs(total)) else 0
+                level = log_a + n * log_radius
+                while envelope and envelope[-1][1] <= level:
+                    envelope.pop()
+                envelope.append((n, level))
+            if envelope and envelope[0][0] <= n - window:
+                envelope.popleft()
+            tail = math.exp(envelope[0][1] + (n + 1) * log_ratio) if envelope else 0.0
+            quiet = quiet + 1 if tail < tol * max(1.0, abs(total)) else 0
             if quiet == _QUIET_TERMS:
                 break
             if n == _MAX_OUTER_TERMS:
                 raise ConvergenceError(
                     f"series for F({z!r},{t!r}) did not settle within {_MAX_OUTER_TERMS} terms"
                 )
-        tail = 2.0 * max(abs(next(terms)[1]), abs(next(terms)[1])) / (1.0 - az / radius)
     except OverflowError as exc:
         raise ConvergenceError(f"series for F({z!r},{t!r}) overflowed at term {n}") from exc
+    tail *= 2.0 / (1.0 - az / radius)
     return SeriesEvalReport(value=total, terms_used=n,
                             tail_bound=tail + _EPS * (n * abs_sum + ulps))
 

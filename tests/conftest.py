@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from kapteyn import coeffs
+from kapteyn.bessel import _saddle_line
 
 
 @pytest.fixture(autouse=True)
@@ -33,5 +35,36 @@ def kapteyn_mpmath():
                 total += term
                 quiet = quiet + 1 if abs(term) < 1e-22 * max(1, abs(total)) else 0
             return complex(total)
+
+    return value
+
+
+@pytest.fixture
+def bessel_integral_mpmath():
+    """F(z,t) as (1/2pi) int_0^{2pi} w/(1-w) dtau, w = t e^{i(tau - z sin
+    tau)}, on the line Im tau = c of bessel._saddle_line, by mpmath's
+    tanh-sinh quadrature at 30 digits over 16 equal pieces.  Where the
+    Kapteyn sum converges too slowly for kapteyn_mpmath (1 - omega|t| below
+    about 0.05 takes thousands of Bessel terms), this is the oracle: any line
+    with sup|w| < 1 gives F, and only the line is shared with eval_direct."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def value(z, t) -> complex:
+        z, t = complex(z), float(t)
+        if t < 0.0:
+            z, t = -z, -t  # F(z, -t) = F(-z, t)
+        s, log_sup_strip = _saddle_line(z, math.log(t) + math.log(abs(z)))
+        assert log_sup_strip(0.0) < 0.0  # sup|w| < 1 on the line
+        with mpmath.workdps(30):
+            zz, tt = mpmath.mpc(z), mpmath.mpf(t)
+            c = -mpmath.mpf(s) - mpmath.log(abs(zz))
+
+            def f(x):
+                w = tt * mpmath.exp(1j * (mpmath.mpc(x, c) - zz * mpmath.sin(mpmath.mpc(x, c))))
+                return w / (1 - w)
+
+            total, err = mpmath.quad(f, mpmath.linspace(0, 2 * mpmath.pi, 17), error=True)
+            assert err < 1e-15
+            return complex(total / (2 * mpmath.pi))
 
     return value

@@ -166,15 +166,15 @@ class _Searched(Exception):
 
 
 def _strip_searches(monkeypatch):
-    """The (value, hi, ok) that eval_direct and bessel_jn_scaled hand to
+    """The (value, hi, ok, rel) that eval_direct and bessel_jn_scaled hand to
     _widest over a grid of in-domain (z, t) and of n in 1..1000, |z| <= 4;
     each call is stopped at its search."""
     from kapteyn import bessel, eval_direct, kapteyn_converges, series
 
     found = []
 
-    def record(value, hi, ok):
-        found.append((value, hi, ok))
+    def record(value, hi, ok, rel=0.0):
+        found.append((value, hi, ok, rel))
         raise _Searched
 
     monkeypatch.setattr(bessel, "_widest", record)
@@ -196,18 +196,35 @@ def _strip_searches(monkeypatch):
 
 class TestWidest:
     def test_matches_the_bisection_in_fewer_evaluations(self, monkeypatch):
+        # bessel_jn_scaled's searches, to adjacent floats
         from kapteyn.bessel import _widest
 
-        searches = _strip_searches(monkeypatch)
-        assert len(searches) > 500
+        searches = [s for s in _strip_searches(monkeypatch) if s[3] == 0.0]
+        assert len(searches) > 400
         counts = []
-        for value, hi, ok in searches:
+        for value, hi, ok, rel in searches:
             calls = []
-            a = _widest(lambda a: calls.append(a) or value(a), hi, ok)
+            a = _widest(lambda a: calls.append(a) or value(a), hi, ok, rel)
             counts.append(len(calls))
             assert ok(value(a)) and not ok(value(math.nextafter(a, math.inf)))
             assert a == pytest.approx(_bisect64(lambda a: ok(value(a)), hi), rel=1e-14, abs=0.0)
         assert sorted(counts)[len(counts) // 2] <= 20
+        assert max(counts) <= 64
+
+    def test_coarse_search_is_feasible_and_within_one_percent(self, monkeypatch):
+        # eval_direct's searches stop once the widest strip is known to 1%
+        from kapteyn.bessel import _widest
+
+        searches = [s for s in _strip_searches(monkeypatch) if s[3] > 0.0]
+        assert len(searches) > 100 and {s[3] for s in searches} == {0.01}
+        counts = []
+        for value, hi, ok, rel in searches:
+            calls = []
+            a = _widest(lambda a: calls.append(a) or value(a), hi, ok, rel)
+            counts.append(len(calls))
+            exact = _bisect64(lambda a: ok(value(a)), hi)
+            assert ok(value(a)) and exact / 1.01 <= a <= exact
+        assert sorted(counts)[len(counts) // 2] <= 10
         assert max(counts) <= 64
 
     def test_failing_at_zero_returns_zero_after_one_evaluation(self):

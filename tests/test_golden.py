@@ -31,7 +31,13 @@ solve_r and solve_R came to find their roots by false position
 evaluations of the equation, residual cells moved within a few eps, five
 radius cells moved in their last digit, and R at t = 1 + 9e-16, where the
 large-t equation is flat, by 1e-12 (see CHANGES.md for each cell's
-distance from the root).
+distance from the root).  eval_direct, eval_direct_json and eval_both
+were re-recorded when eval_direct came to take its strip at the best of
+three fractions of the widest one, with no floor of 33 nodes (F(0.3, 1):
+43 -> 25 nodes, now 3.1e-13 from 3/14 with a bound of 4.3e-11), and
+eval_power and eval_both when eval_power's stop and tail came to read the
+envelope of |A_n(t)| R^n over one swing of its sign (380 terms, one more;
+see CHANGES.md for each cell's distance from mpmath).
 """
 
 from pathlib import Path

@@ -97,8 +97,60 @@ class TestEvalDirect:
 
     def test_matches_mpmath_digits_near_the_boundary(self):
         # omega(0.9) * 0.95 = 0.92; mpmath's Kapteyn sum gives these digits
-        rep = eval_direct(0.9, 0.95)
-        assert rep.value == pytest.approx(2.3532728508319987, rel=1e-14)
+        rep = eval_direct(0.9, 0.95, 1e-14)
+        assert rep.value == pytest.approx(2.3532728508319987, rel=1e-14, abs=0.0)
+
+    def test_closed_form_where_the_half_strip_needed_too_many_nodes(self):
+        # 1 - omega(z) = 9.4e-10 at this z: half the widest strip asked for
+        # more than 65536 nodes, the best fraction of it for about 47,000
+        z = 0.999999
+        rep = eval_direct(z, 1.0)
+        assert 30000 < rep.terms_used < 65536
+        assert abs(rep.value - z / (2 * (1 - z))) <= rep.tail_bound
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+    def test_node_count_is_near_the_least_the_bound_allows(self, tol):
+        # N against the least odd count with 2M/(e^{aN} - 1) <= tol over 2000
+        # half-widths a in (0, lo), lo the widest strip with sup|w| < 1; under
+        # about 40 nodes 5% is less than one odd step, so one step is allowed
+        from kapteyn.bessel import _saddle_line
+
+        checked = 0
+        for z in (complex(x, y) for x in (-3.7, -1.1, 0.2, 0.9, 1.6, 3.9)
+                  for y in (0.0, 0.05, -0.4, 2.0)):
+            for t in (-0.6, 0.01, 0.3, 0.97, 0.999, 2.0):
+                if abs(z) > 4.0 or not kapteyn_converges(z, t):
+                    continue
+                w, u = (-z, -t) if t < 0.0 else (z, t)
+                _, log_sup_strip = _saddle_line(w, math.log(u) + math.log(abs(w)))
+                lo, hi = 0.0, 1.0
+                while log_sup_strip(hi) < 0.0:
+                    hi *= 2.0
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if log_sup_strip(mid) < 0.0 else (lo, mid)
+                least = math.inf
+                for a in (lo * k / 2000 for k in range(1, 2000)):
+                    ln_sup = log_sup_strip(a)
+                    m = math.exp(ln_sup) / -math.expm1(ln_sup)
+                    least = min(least, math.ceil(math.log1p(2.0 * m / tol) / a) | 1)
+                if least > 65536:
+                    continue
+                checked += 1
+                n = eval_direct(z, t, tol).terms_used
+                assert n <= max(1.05 * least, least + 2), (z, t, n, least)
+        assert checked > 60
+
+    @pytest.mark.parametrize("z,gap,sign", [
+        (0.5 + 0.5j, 1e-5, 1), (0.8j, 1e-5, -1), (-0.6, 1e-5, 1), (-2.2 + 0.4j, 1e-5, 1),
+        (0.3 + 0.2j, 1e-4, -1), (3.0 - 1.0j, 1e-4, 1), (1.2 + 0.1j, 1e-3, 1),
+        (0.2 - 0.1j, 1e-3, -1), (1.5, 1e-2, 1), (-1.4 + 2.0j, 1e-2, -1), (2.5 + 0.3j, 1e-1, 1)])
+    def test_near_the_boundary_within_tail_bound_of_mpmath(self, z, gap, sign,
+                                                           bessel_integral_mpmath):
+        # 1 - omega(z)|t| = gap, some points at |Re z| > 1
+        t = sign * (1.0 - gap) / omega(z)
+        rep = eval_direct(z, t)
+        assert abs(rep.value - bessel_integral_mpmath(z, t)) <= rep.tail_bound
 
     def test_terms_used_counts_nodes(self, node_calls):
         rep = eval_direct(0.2 + 0.1j, 0.7)
@@ -204,9 +256,9 @@ class TestEvalPower:
             eval_power(0.995 * solve_R_true(0.5).radius, 0.5)
 
     def test_each_row_is_built_once(self, monkeypatch):
-        # N terms and the two-term tail sum rows 1..N+2 of one stream, each
-        # once; the exact kernel runs only at A_4(1/2) = 0, and the rows are
-        # built once
+        # N terms sum rows 1..N of one stream, each once, and no row past
+        # them is read; the exact kernel runs only at A_4(1/2) = 0, and the
+        # rows are built once
         from kapteyn import coeffs
 
         summed, exact, widths = [], [], []
@@ -229,7 +281,7 @@ class TestEvalPower:
         monkeypatch.setattr(coeffs, "_term_rows", recorded_rows)
         rep = eval_power(0.9, 0.5)
         assert rep.terms_used > 20
-        assert summed == list(range(1, rep.terms_used + 3))
+        assert summed == list(range(1, rep.terms_used + 1))
         assert exact == [4] and len(widths) == 1
 
     def test_exact_zero_coefficient(self, kapteyn_mpmath):
@@ -243,6 +295,33 @@ class TestEvalPower:
         d = eval_direct(z, t, 1e-10).value
         p = eval_power(z, t, 1e-10).value
         assert abs(d - p) <= 1e-8 * max(abs(d), abs(p))
+
+
+class TestPowerBoundBelowOne:
+    # for t just below 1, |A_n(t)| R^n dips a decade around each sign change,
+    # one every pi/theta terms; a stop or tail read inside a dip undershot
+    # the error by up to 18x on this grid.  eval_direct at tol 1e-15 judges.
+
+    @pytest.mark.parametrize("t", [0.9, 0.95, 0.98, 0.99, 0.995, 0.999])
+    def test_grid_within_both_bounds(self, t):
+        radius = solve_R_true(t).radius
+        checked = 0
+        for k in range(8):
+            for angle in (0.0, 0.02, 0.1):
+                z = (0.8 + 0.17 * k / 7) * radius * cmath.exp(1j * angle)
+                if not kapteyn_converges(z, t):
+                    continue
+                checked += 1
+                p, d = eval_power(z, t), eval_direct(z, t, 1e-15)
+                assert abs(p.value - d.value) <= p.tail_bound + d.tail_bound, (z, t)
+        assert checked >= 16
+
+    def test_loose_tolerance_near_the_radius(self):
+        # the sum stopped in a dip at 137 terms, 0.0456 off with a bound of
+        # 0.00447; at tol 1e-14 both evaluators give 11.56599297795
+        p = eval_power(0.994008, 0.99, tol=8.91e-5)
+        d = eval_direct(0.994008, 0.99, 1e-14)
+        assert abs(p.value - d.value) <= p.tail_bound + d.tail_bound
 
 
 class TestCrossEvaluatorGrid:
@@ -292,9 +371,12 @@ _BUDGET_GRID = [(r * cmath.exp(1j * ang), t)
                 for r in (0.1, 0.4) for ang in (0.0, 0.7, 1.5708, 2.5)
                 for t in (0.1, 0.7, 0.9, -0.4)]
 # tiny and huge t; |z|/R = 0.95 at (1.5, 0.5); near the Kapteyn boundary,
-# omega|t| = 0.989 (with |z|/R = 0.95), 0.995 and 0.92
+# omega|t| = 0.989 (with |z|/R = 0.95), 0.995, 0.92 and 0.9; tiny F, where
+# eval_direct's tol is absolute (a bound near 2e-12 at (1e-3, 1e-3))
 _BUDGET_EXTRA = [(0.5, 1e-19), (2.2e-7, 1e6), (1.5, 0.5),
-                 (0.95, 1.0), (0.66j, 1.0), (0.9, 0.95), (0.9, -0.95)]
+                 (0.95, 1.0), (0.66j, 1.0), (0.9, 0.95), (0.9, -0.95),
+                 (0.5 + 0.5j, 0.9294419121847727),
+                 (1e-3, 1e-3), (1e-3j, 0.5), (0.01 - 0.02j, -1e-4)]
 
 
 class TestErrorBudget:
