@@ -1,13 +1,13 @@
 """Bessel's integral J_n(nz) = (1/2pi) int e^{in(tau - z sin tau)} dtau for
-complex z, and the saddle line, checks and report type the evaluators share.
+complex z, and the saddle line, plan, checks and report type the evaluators share.
 
 J_n(nz), and the Kapteyn sum F(z,t) = sum t^n J_n(nz) in series.eval_direct,
 are taken by the trapezoid rule on the line Im tau = c of least sup|e^{i(tau
 - z sin tau)}| = omega(z).  The integrands are periodic and analytic, so N
 nodes on a strip |Im tau - c| < a where they are at most M err by at most
-2M/(e^{aN} - 1) (Trefethen & Weideman, SIAM Review 56(3), 2014).  _widest
-finds where the edges' log-sup crosses a level by false position: a for
-bessel_jn_scaled, and to 1% the strip eval_direct takes fractions of.
+2M/(e^{aN} - 1) (Trefethen & Weideman, SIAM Review 56(3), 2014).  _plan
+takes a and N from that bound for both, by the false-position search of
+_widest, which also finds domain's radii.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import ConvergenceError, DomainError
 
 _MAX_ABS_Z = 4.0
 _MAX_NODES = 1 << 16  # trapezoid nodes; about 0.1 s of work
-_MIN_NODES = 32
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,8 @@ def _widest(value, hi: float, ok, rel: float = 0.0) -> float:
     beside it, since every later secant point would be that end.  With
     rel > 0 it stops once hi <= (1 + rel) lo, so lo, where ok holds, is
     within rel of that float (the loop runs while stop(lo, hi) < hi):
-    series.eval_direct's strip half-width, to 1%.  bessel_jn_scaled (strip
-    half-width) and domain._solve_radius (radii) take rel = 0."""
+    _plan's strip half-width, to 1%.  domain._solve_radius (radii) takes
+    rel = 0."""
     stop = (lambda lo, hi: (1.0 + rel) * lo or math.nextafter(lo, hi)) if rel else math.nextafter
     lo, v_lo = 0.0, value(0.0)
     if not ok(v_lo):
@@ -120,19 +120,40 @@ def _widest(value, hi: float, ok, rel: float = 0.0) -> float:
     return lo
 
 
+def _plan(line, level: float, ln_m, ln_tol: float, hi: float, what):
+    """(a, N, bound) of the trapezoid rule on a _saddle_line strip, where
+    line(a), increasing, is the log-sup on |Im tau - c| < a and ln_m(line(a))
+    is ln M.  _widest finds the widest strip with line(a) < level to 1% from
+    hi, and a is the one of 0.85, 0.93 and 0.97 of it with the least odd N
+    whose bound = 2M/(e^{aN} - 1) <= e^{ln_tol}, taken in logs so that no M
+    overflows.  ConvergenceError, naming what(), comes before any node if N
+    would pass 65536."""
+    lo = _widest(line, hi, lambda v: v < level, 0.01)
+    need, a, x = math.inf, 0.0, 0.0
+    for f in (0.85, 0.93, 0.97) if lo > 0.0 else ():
+        x_f = _LN2 + ln_m(line(f * lo)) - ln_tol  # ln(2M/tol); N >= ln(1 + e^x_f)/a
+        need_f = (x_f + math.log1p(math.exp(-x_f)) if x_f > 0.0
+                  else math.log1p(math.exp(x_f))) / (f * lo)
+        if need_f < need:
+            need, a, x = need_f, f * lo, x_f
+    count = math.ceil(min(need, _MAX_NODES)) | 1
+    if count > _MAX_NODES:
+        raise ConvergenceError(f"{what()} needs more than {_MAX_NODES} trapezoid nodes")
+    return a, count, math.exp(x + ln_tol - a * count) / -math.expm1(-a * count)
+
+
 def bessel_jn_scaled(n: int, z: complex, tol: float = 1e-12) -> SeriesEvalReport:
     """J_n(nz), n >= 1, as (1/2pi) int e^{in(tau - z sin tau)} dtau by the
     trapezoid rule on _saddle_line, where the integrand's log-sup is top =
     n ln omega(z): the value is e^top times a mean of terms of modulus <= 1,
     and loses at most about sqrt(n) to cancellation.
 
-    The strip's half-width a is the widest float (by _widest) on which the
-    log-sup grows by at most G/2, G = ln(2/min(tol, 1)) + max(0, top), and N
-    the least odd count >= 33 with tail_bound = 2e^{top + growth}/(e^{aN} - 1)
-    <= tol min(1, e^top); terms_used is N.  ConvergenceError comes before any
-    node if e^top overflows or N > 65536.  |z| > 4 stays a DomainError: on the
-    real line past |z| = 1, N grows like n|z| (60,001 nodes for
-    J_4000(16000)), and at |z| = 4 the cap refuses from n = 4370.
+    _plan takes N for tail_bound = e^top 2M/(e^{aN} - 1) <= tol min(1, e^top)
+    on strips where ln M = n log-sup - top grows by at most G = ln(2/min(tol,
+    1)) + max(0, top); terms_used is N.  ConvergenceError comes before any
+    node if e^top overflows or N > 65536.  |z| > 4 stays a DomainError: on
+    the real line past |z| = 1, N grows like n|z| (40,689 nodes for
+    J_4000(16000)), and at |z| = 4 the cap refuses from n = 6451.
     """
     if n < 1:
         raise DomainError(f"order n must be >= 1, got {n}")
@@ -149,13 +170,9 @@ def bessel_jn_scaled(n: int, z: complex, tol: float = 1e-12) -> SeriesEvalReport
         scale = math.exp(top)
     except OverflowError:
         raise ConvergenceError(f"|J_{n}({n}*{z!r})| overflows double precision") from None
-    g = math.log(2.0) - math.log(min(tol, 1.0)) + max(0.0, top)
-    a = _widest(lambda a: n * log_sup_strip(a) - top - 0.5 * g, 1.0, lambda v: v <= 0.0)
-    x = g + n * log_sup_strip(a) - top  # the bound holds once e^{aN} - 1 >= e^x
-    need = (x + math.log1p(math.exp(-x))) / a if a > 0.0 else math.inf
-    if not need <= _MAX_NODES:
-        raise ConvergenceError(f"J_{n}({n}*{z!r}) at tol {tol:g} needs over {_MAX_NODES} nodes")
-    count = max(_MIN_NODES, math.ceil(need)) | 1
+    ln_tol = math.log(min(tol, 1.0)) - max(0.0, top)  # ln(tol min(1, e^top)/e^top) = ln 2 - G
+    _, count, bound = _plan(log_sup_strip, (top + _LN2 - ln_tol) / n, lambda v: n * v - top,
+                            ln_tol, 1.0, lambda: f"J_{n}({n}*{z!r}) at tol {tol:g}")
     sig = math.exp(s)
     big, small, base = 0.5 * z / az / sig, 0.5 * z * az * sig, n * (math.log(az) + s) - top
     # e^{in theta_k} from nk mod N; nodes k, N - k exact conjugates, so real z gives real J
@@ -166,5 +183,4 @@ def bessel_jn_scaled(n: int, z: complex, tol: float = 1e-12) -> SeriesEvalReport
         terms.append(cmath.exp(complex(base, phase) + n * (big * e.conjugate() - small * e)))
         terms.append(cmath.exp(complex(base, -phase) + n * (big * e - small * e.conjugate())))
     mean = complex(math.fsum(v.real for v in terms), math.fsum(v.imag for v in terms)) / count
-    tail = 2.0 * math.exp(x - g + top - a * count) / -math.expm1(-a * count)
-    return SeriesEvalReport(value=scale * mean, terms_used=count, tail_bound=tail)
+    return SeriesEvalReport(value=scale * mean, terms_used=count, tail_bound=scale * bound)

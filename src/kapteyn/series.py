@@ -34,8 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bessel import (_MAX_NODES, SeriesEvalReport, _require_finite, _require_tol,
-                     _saddle_line, _widest)
+from .bessel import SeriesEvalReport, _plan, _require_finite, _require_tol, _saddle_line
 from .coeffs import _a_logabs_stream, a_poly
 from .domain import kapteyn_converges, omega, solve_R_true
 from .errors import ConvergenceError, DomainError
@@ -102,12 +101,11 @@ def eval_direct(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     The integrand is the sum of t^n J_n(nz) under Bessel's integral.  A line
     with sup|w| < 1 exists exactly on the Kapteyn domain omega(z)|t| < 1
     (DomainError outside it).  N nodes on a strip |Im tau - c| < a where |w|
-    <= s < 1 err by at most 2M/(e^{aN} - 1), M = s/(1-s), for any N and a.
-    bessel._widest finds the widest such strip to 1%, and a is the one of
-    0.85, 0.93 and 0.97 of it with the least odd N for a bound <= tol (tol
-    is absolute).  Past 65536 nodes ConvergenceError comes before any node
-    (at z = 0.5: 1 - omega|t| below about 2e-7).  terms_used is N; tail_bound
-    is the theorem bound plus the nodes' rounding, the larger near the edge.
+    <= s < 1 err by at most 2M/(e^{aN} - 1), M = s/(1-s), for any N and a;
+    bessel._plan takes a and N from the strip where |w| < 1, for a bound <=
+    tol (absolute), and refuses past 65536 nodes (at z = 0.5: 1 - omega|t|
+    below about 2e-7).  terms_used is N; tail_bound is the theorem bound
+    plus the nodes' rounding, the larger near the edge.
     """
     z = _require_finite(z)
     _require_tol(tol)
@@ -122,25 +120,13 @@ def eval_direct(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
         z, t = -z, -t  # F(z, -t) = F(-z, t), as J_n(-x) = (-1)^n J_n(x)
     log_tz = math.log(t) + math.log(az)
     s, log_sup_strip = _saddle_line(z, log_tz)
-
-    def nodes(a: float):  # the bound's node count at half-width a, a, and M
-        ln_sup = log_sup_strip(a)
-        m = math.exp(ln_sup) / -math.expm1(ln_sup) if ln_sup < 0.0 else math.inf
-        return (math.log1p(2.0 * m / tol) / a if a > 0.0 else math.inf), a, m
-
-    # widest strip with sup|w| < 1; sup|w| >= t e^{-c} puts c - ln t outside it
-    lo = _widest(log_sup_strip, -s - log_tz, lambda v: v < 0.0, 0.01)
-    need, a, m = min(nodes(f * lo) for f in (0.85, 0.93, 0.97))
-    if not need <= _MAX_NODES:
-        raise ConvergenceError(
-            f"F({z!r},{t!r}) needs more than {_MAX_NODES} trapezoid nodes for tol {tol:g}"
-        )
-    n = math.ceil(need) | 1
+    # sup|w| >= t e^{-c} puts c - ln t outside the strip where sup|w| < 1
+    _, n, bound = _plan(log_sup_strip, 0.0, lambda v: v - math.log(-math.expm1(v)),
+                        math.log(tol), -s - log_tz, lambda: f"F({z!r},{t!r}) at tol {tol:g}")
     sig = math.exp(s)
     value, rounding = _trapezoid_nodes(n, t * az * sig, 0.5 * (z / az) / sig,
                                        0.5 * z * az * sig)
-    return SeriesEvalReport(value=value, terms_used=n,
-                            tail_bound=2.0 * m / math.expm1(a * n) + rounding)
+    return SeriesEvalReport(value=value, terms_used=n, tail_bound=bound + rounding)
 
 
 def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:

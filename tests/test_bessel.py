@@ -10,6 +10,7 @@ from kapteyn import ConvergenceError, DomainError, bessel_jn_scaled, sqrt1mz2
 
 # the mpmath grid's z, all with |z| <= 4, against orders 1..1000
 _GRID_Z = (0.3, 0.9, 1.0, -1.1, 2.5, 4.0, 0.5 + 0.5j, 1.0 - 0.3j, 2.0 + 1.0j, 1.5j, 3.9j)
+_GRID_N = (1, 2, 3, 5, 10, 20, 50, 100, 200, 1000)
 
 # frozen oracle: direct factorial-form summation of J_3(3 * float(0.2)),
 # 50 terms in exact rational arithmetic (recomputed below by _oracle_jn)
@@ -112,29 +113,56 @@ class TestBesselJnScaled:
             bessel_jn_scaled(200, 4j)
 
     def test_node_cap_refuses_before_any_node(self, monkeypatch):
-        # J_5000(20000) needs about 75,000 nodes, past the cap of 65536;
-        # every node needs cmath, so the refusal must come without it
+        # J_7000(28000) needs about 71,000 nodes, past the cap of 65536 (at
+        # z = 4 the cap refuses from n = 6451); every node needs cmath, so
+        # the refusal must come without it
         from kapteyn import bessel
 
         monkeypatch.setattr(bessel, "cmath", None)
         with pytest.raises(ConvergenceError):
-            bessel_jn_scaled(5000, 4.0)
+            bessel_jn_scaled(7000, 4.0)
 
-    def test_against_mpmath_grid(self):
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-15])
+    def test_against_mpmath_grid(self, tol):
         # J_100(100) and J_10(40) are among points where a power series of
         # J_n(nz) cancels; a refusal is right only where |J_n(nz)| overflows
         mpmath = pytest.importorskip("mpmath")
-        for n in (1, 2, 3, 5, 10, 20, 50, 100, 200, 1000):
+        for n in _GRID_N:
             for z in _GRID_Z:
                 with mpmath.workdps(30):
                     ref = mpmath.besselj(n, n * mpmath.mpc(z))
                 try:
-                    rep = bessel_jn_scaled(n, z)
+                    rep = bessel_jn_scaled(n, z, tol)
                 except ConvergenceError:
                     assert abs(ref) > sys.float_info.max, (n, z)
                     continue
                 err = abs(rep.value - complex(ref))
                 assert err <= rep.tail_bound + 1e-12 * abs(complex(ref)), (n, z)
+
+    def test_grid_nodes_at_most_the_half_strip_rule(self):
+        # against the rule _plan replaced (a where the log-sup has grown by
+        # G/2, N at least 33; 60,346 nodes in all): never more than one odd
+        # step above it, which (50, 0.9) takes, 73 nodes against 71, as its
+        # best a lies near 0.7 of the strip _plan searches
+        from kapteyn.bessel import _saddle_line, _widest
+
+        total = 0
+        for n in _GRID_N:
+            for z in _GRID_Z:
+                try:
+                    used = bessel_jn_scaled(n, z).terms_used
+                except ConvergenceError:  # |J_n(nz)| overflows
+                    continue
+                _, log_sup_strip = _saddle_line(complex(z), math.log(abs(z)))
+                top = n * log_sup_strip(0.0)
+                g = math.log(2.0 / 1e-12) + max(0.0, top)
+                a = _widest(lambda a: n * log_sup_strip(a) - top - 0.5 * g, 1.0,
+                            lambda v: v <= 0.0)
+                x = g + n * log_sup_strip(a) - top
+                half_strip = max(33, math.ceil((x + math.log1p(math.exp(-x))) / a) | 1)
+                assert used <= half_strip + 2, (n, z, used, half_strip)
+                total += used
+        assert total <= 45000
 
     @pytest.mark.parametrize("z", [0.3, 0.999, 1.0, -1.1, 2.5, -3.3, 4.0])
     def test_real_argument_gives_real_value(self, z):
@@ -165,42 +193,53 @@ class _Searched(Exception):
     pass
 
 
-def _strip_searches(monkeypatch):
-    """The (value, hi, ok, rel) that eval_direct and bessel_jn_scaled hand to
-    _widest over a grid of in-domain (z, t) and of n in 1..1000, |z| <= 4;
-    each call is stopped at its search."""
-    from kapteyn import bessel, eval_direct, kapteyn_converges, series
-
+def _searches(monkeypatch, owner, calls):
+    """The (value, hi, ok, rel) that each call hands to owner._widest, each
+    call stopped at its search (or before it where e^top overflows)."""
     found = []
 
     def record(value, hi, ok, rel=0.0):
         found.append((value, hi, ok, rel))
         raise _Searched
 
-    monkeypatch.setattr(bessel, "_widest", record)
-    monkeypatch.setattr(series, "_widest", record)
+    monkeypatch.setattr(owner, "_widest", record)
+    for call in calls:
+        try:
+            call()
+        except (_Searched, ConvergenceError):
+            pass
+    return found
+
+
+def _plan_searches(monkeypatch):
+    """_plan's searches for eval_direct over a grid of in-domain (z, t), and
+    for bessel_jn_scaled over that grid's z and n in 1..1000, |z| <= 4."""
+    from kapteyn import bessel, eval_direct, kapteyn_converges
+
     zs = [complex(x, y) for x in (-3.7, -2.0, -1.1, -0.5, 0.0, 0.2, 0.9, 1.0, 1.6, 2.5, 3.9)
           for y in (0.0, 0.05, -0.4, 1.0, 2.0, -3.0) if 0.0 < abs(complex(x, y)) <= 4.0]
-    for z in zs:
-        for t in (-1.5, -0.6, 0.01, 0.3, 0.8, 0.97, 0.999, 2.0):
-            if kapteyn_converges(z, t):
-                with pytest.raises(_Searched):
-                    eval_direct(z, t)
-        for n in (1, 2, 3, 7, 20, 100, 400, 1000):
-            try:
-                bessel_jn_scaled(n, z)
-            except (_Searched, ConvergenceError):  # e^top overflows before any search
-                pass
-    return found
+    direct = _searches(monkeypatch, bessel, [
+        lambda z=z, t=t: eval_direct(z, t)
+        for z in zs for t in (-1.5, -0.6, 0.01, 0.3, 0.8, 0.97, 0.999, 2.0)
+        if kapteyn_converges(z, t)])
+    jn = _searches(monkeypatch, bessel, [lambda n=n, z=z: bessel_jn_scaled(n, z)
+                                         for z in zs for n in (1, 2, 3, 7, 20, 100, 400, 1000)])
+    return direct, jn
 
 
 class TestWidest:
     def test_matches_the_bisection_in_fewer_evaluations(self, monkeypatch):
-        # bessel_jn_scaled's searches, to adjacent floats
+        # domain's radius searches, to adjacent floats, at 250 log-spaced t
+        # from 1e-6 to 1e4, where 64 bisections resolve every root to 1e-15;
+        # not at t = 1, where lhs*t - 1 is flat to rounding near R = 1 and a
+        # bisection may stop at another of its sign changes
+        from kapteyn import domain, solve_R, solve_r
         from kapteyn.bessel import _widest
 
-        searches = [s for s in _strip_searches(monkeypatch) if s[3] == 0.0]
-        assert len(searches) > 400
+        searches = _searches(monkeypatch, domain, [lambda t=10.0 ** (k / 25 + 0.02), solve=solve:
+                                                   solve(t) for k in range(-150, 100)
+                                                   for solve in (solve_r, solve_R)])
+        assert len(searches) > 400 and {s[3] for s in searches} == {0.0}
         counts = []
         for value, hi, ok, rel in searches:
             calls = []
@@ -212,13 +251,15 @@ class TestWidest:
         assert max(counts) <= 64
 
     def test_coarse_search_is_feasible_and_within_one_percent(self, monkeypatch):
-        # eval_direct's searches stop once the widest strip is known to 1%
+        # _plan's searches, for both integrands, stop once the widest strip
+        # is known to 1%
         from kapteyn.bessel import _widest
 
-        searches = [s for s in _strip_searches(monkeypatch) if s[3] > 0.0]
-        assert len(searches) > 100 and {s[3] for s in searches} == {0.01}
+        direct, jn = _plan_searches(monkeypatch)
+        assert len(direct) > 100 and len(jn) > 100
+        assert {s[3] for s in direct + jn} == {0.01}
         counts = []
-        for value, hi, ok, rel in searches:
+        for value, hi, ok, rel in direct + jn:
             calls = []
             a = _widest(lambda a: calls.append(a) or value(a), hi, ok, rel)
             counts.append(len(calls))
@@ -245,3 +286,25 @@ class TestWidest:
         calls = []
         assert _widest(lambda a: calls.append(a) or a - 0.3, 1.0, ok) == want
         assert len(calls) <= 8
+
+
+class TestPlan:
+    # a line that steps from -1 to 1 just past a = 1 = hi puts the widest
+    # strip below level 0 at exactly 1, and a constant M makes 0.97 of it
+    # the best fraction, with need = ln(2M/tol) / 0.97
+    @staticmethod
+    def _plan_for(need):
+        from kapteyn.bessel import _LN2, _plan
+
+        return _plan(lambda a: -1.0 if a <= 1.0 else 1.0, 0.0,
+                     lambda v: 0.97 * need - _LN2, 0.0, 1.0, lambda: "the step line")
+
+    @pytest.mark.parametrize("need", [65535.25, 65535.75])
+    def test_odd_count_past_the_cap_is_refused(self, need):
+        # ceil(need) | 1 is 65537, though need itself is within 65536
+        with pytest.raises(ConvergenceError, match="the step line"):
+            self._plan_for(need)
+
+    def test_odd_count_at_the_cap_is_kept(self):
+        a, count, bound = self._plan_for(65534.5)
+        assert (a, count) == (0.97, 65535) and bound <= 1.0

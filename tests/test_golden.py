@@ -37,7 +37,12 @@ three fractions of the widest one, with no floor of 33 nodes (F(0.3, 1):
 43 -> 25 nodes, now 3.1e-13 from 3/14 with a bound of 4.3e-11), and
 eval_power and eval_both when eval_power's stop and tail came to read the
 envelope of |A_n(t)| R^n over one swing of its sign (380 terms, one more;
-see CHANGES.md for each cell's distance from mpmath).
+see CHANGES.md for each cell's distance from mpmath).  eval_direct and
+eval_direct_json were re-recorded when eval_direct's bound came to be
+taken in logs by bessel._plan: tail_bound 4.30158580827171e-11 ->
+4.3015858082717e-11, its last digit; the value and node count are as
+before.  eval_direct_near (README's 59-node example) was recorded before
+that change and pins the plan near the domain's edge.
 """
 
 from pathlib import Path
@@ -70,6 +75,7 @@ CASES = {
     "radius_-2_R": ["radius", "-2", "--which", "R"],
     "radius_0.5_r": ["radius", "0.5", "--which", "r"],
     "eval_direct": ["eval", "0.3", "0", "1", "--method", "direct"],
+    "eval_direct_near": ["eval", "0.9", "0", "0.95", "--method", "direct"],
     "eval_power": ["eval", "1.5", "0", "0.5", "--method", "power"],
     "eval_both": ["eval", "0.2", "0.1", "0.7"],
     "eval_direct_json": ["--json", "eval", "0.3", "0", "1", "--method", "direct"],

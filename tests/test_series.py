@@ -83,17 +83,21 @@ class TestEvalDirect:
         rep = eval_direct(z, t)
         assert abs(rep.value - kapteyn_mpmath(z, t)) <= rep.tail_bound
 
-    def test_node_cap_refuses_before_any_node(self, monkeypatch):
+    @pytest.mark.parametrize("z,t", [(0.5, (1.0 - 1e-12) / omega(0.5)),
+                                     (-0.03651930326447239 - 0.404071481690095j,
+                                      1.742834965665414)])
+    def test_node_cap_refuses_before_any_node(self, monkeypatch, z, t):
         # 1 - omega(z)|t| = 1e-12: the strip where |w| < 1 is about 1e-6
-        # wide, so the error theorem asks for far more than 65536 nodes
+        # wide, so the error theorem asks for far more than 65536 nodes; at
+        # the second point omega|t| < 1, but the saddle line's own sup|w|
+        # rounds to 1 or more, so there is no strip at all
         def no_nodes(*args):
             raise AssertionError("a trapezoid node was evaluated")
 
         monkeypatch.setattr("kapteyn.series._trapezoid_nodes", no_nodes)
-        t = (1.0 - 1e-12) / omega(0.5)
-        assert kapteyn_converges(0.5, t)
+        assert kapteyn_converges(z, t)
         with pytest.raises(ConvergenceError):
-            eval_direct(0.5, t)
+            eval_direct(z, t)
 
     def test_matches_mpmath_digits_near_the_boundary(self):
         # omega(0.9) * 0.95 = 0.92; mpmath's Kapteyn sum gives these digits
