@@ -7,7 +7,7 @@ are taken by the trapezoid rule on the line Im tau = c of least sup|e^{i(tau
 nodes on a strip |Im tau - c| < a where they are at most M err by at most
 2M/(e^{aN} - 1) (Trefethen & Weideman, SIAM Review 56(3), 2014).  _plan
 takes a and N from that bound for both, by the false-position search of
-_widest, which also finds domain's radii.
+_widest.
 """
 
 from __future__ import annotations
@@ -84,35 +84,26 @@ def _saddle_line(z: complex, log_tz: float):
     return s, lambda a: max(log_sup(s - a), log_sup(s + a))
 
 
-def _widest(value, hi: float, ok, rel: float = 0.0) -> float:
-    """The largest float a >= 0 with ok(value(a)) for value continuous and
-    increasing, or 0.0 if ok fails at 0.  hi doubles while ok holds there,
-    then false position with the Illinois step (Dowell & Jarratt, BIT 11,
-    1971) shrinks [lo, hi] to adjacent floats, taking the midpoint when the
-    secant point is not strictly inside or two steps did not halve [lo, hi].
-    A secant point exactly on the level (value 0) is followed by the float
-    beside it, since every later secant point would be that end.  With
-    rel > 0 it stops once hi <= (1 + rel) lo, so lo, where ok holds, is
-    within rel of that float (the loop runs while stop(lo, hi) < hi):
-    _plan's strip half-width, to 1%.  domain._solve_radius (radii) takes
-    rel = 0."""
-    stop = (lambda lo, hi: (1.0 + rel) * lo or math.nextafter(lo, hi)) if rel else math.nextafter
+def _widest(value, hi: float, ok) -> float:
+    """A float a >= 0 with ok(value(a)) within 1% of the largest, for value
+    continuous and increasing, or 0.0 if ok fails at 0.  hi doubles while ok
+    holds there, then false position with the Illinois step (Dowell &
+    Jarratt, BIT 11, 1971) shrinks [lo, hi] until hi <= 1.01 lo, taking the
+    midpoint when the secant point is not strictly inside or two steps did
+    not halve [lo, hi].  _plan's strip half-width is its one use."""
     lo, v_lo = 0.0, value(0.0)
     if not ok(v_lo):
         return 0.0
     while ok(v_hi := value(hi)):
         lo, v_lo, hi = hi, v_hi, 2.0 * hi
-    last, before, bisect, beside = None, hi - lo, False, False
-    while stop(lo, hi) < hi:
+    last, before, bisect = None, hi - lo, False
+    while (1.01 * lo or math.nextafter(lo, hi)) < hi:
         width = hi - lo
         a = lo + width * (v_lo / (v_lo - v_hi))
-        if beside:  # the last secant point is on the level: the float beside it
-            a = math.nextafter(lo, hi) if good else math.nextafter(hi, lo)
-        secant = (beside or not bisect) and lo < a < hi
+        secant = not bisect and lo < a < hi
         if not secant:
             a = 0.5 * (lo + hi)
         good = ok(v := value(a))
-        beside = secant and v == 0.0 and not beside
         halve = 0.5 if secant and good == last else 1.0  # Illinois: an end kept twice
         lo, v_lo, hi, v_hi = (a, v, hi, halve * v_hi) if good else (lo, halve * v_lo, a, v)
         last = good if secant else last
@@ -128,7 +119,7 @@ def _plan(line, level: float, ln_m, ln_tol: float, hi: float, what):
     whose bound = 2M/(e^{aN} - 1) <= e^{ln_tol}, taken in logs so that no M
     overflows.  ConvergenceError, naming what(), comes before any node if N
     would pass 65536."""
-    lo = _widest(line, hi, lambda v: v < level, 0.01)
+    lo = _widest(line, hi, lambda v: v < level)
     need, a, x = math.inf, 0.0, 0.0
     for f in (0.85, 0.93, 0.97) if lo > 0.0 else ():
         x_f = _LN2 + ln_m(line(f * lo)) - ln_tol  # ln(2M/tol); N >= ln(1 + e^x_f)/a

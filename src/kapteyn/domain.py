@@ -26,12 +26,13 @@ t = 0.348 and is off by up to 6% elsewhere in (0, 1).  At t = 0.1 it
 gives 3.0006 where the nearest singularity sits at 1.482257 +- 2.451978i
 (modulus 2.865184); at t = 0.9 it gives 1.0759 against 1.1286.
 
-Each model left-hand side is continuous and strictly increasing in the
-radius, so the root is the widest float x >= 0 with lhs(x)*t < 1 or the
-float after it, whichever leaves the smaller residual.  bessel._widest finds
-it by false position in a median of 13 evaluations, to a residual near eps
-up to the largest t.  Below about t = 9e-309 the root's lhs, 1/t,
-overflows and DomainError is raised, as for any residual above 1e-12.
+Each root is found by Newton's method on an equation whose derivative is
+exact, in a median of 4 steps.  r(t) and the small-t R(t) solve the log of
+their equation in u = ln x, where it is convex with derivative
+sqrt(1 + x^2); the large-t R(t) solves y - tanh y = ln t, R = 1/cosh y,
+where the model equation is flat in R near R = 1 and this one is not.
+Below about t = 9e-309 the root's lhs, 1/t, overflows and DomainError is
+raised, as for any residual above 1e-12.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .bessel import _require_finite, _widest, sqrt1mz2
+from .bessel import _require_finite, sqrt1mz2
 from .coeffs import a_eval_logabs
 from .errors import ConvergenceError, DomainError, ZeroCoefficientError
 
@@ -52,16 +53,22 @@ _SMALL_T_PREFACTOR = math.exp(-_SQRT2) * (1.0 + _SQRT2)
 _PSI_SMALL_CONST = _SQRT2 + math.log(_SQRT2 - 1.0)
 _MAX_RESIDUAL = 1e-12  # a model-equation root is refused above this residual
 _EPS = sys.float_info.epsilon
-_PINCH_NEWTON_CAP = 64  # 2-34 iterations over log-spaced t in [5e-324, 1 - 2**-53]
+# 2-34 complex pinch steps over log-spaced t in [5e-324, 1 - 2**-53], and
+# at most 8 radius steps over log-spaced t in [1e-307, 1.7e308]
+_NEWTON_CAP = 64
+# y - tanh y = sum of c_k y^(2k+1), k = 1..9, to rounding below y = 0.2,
+# where subtracting tanh y would cancel
+_Y_MINUS_TANH_Y = (1 / 3, -2 / 15, 17 / 315, -62 / 2835, 1382 / 155925, -21844 / 6081075,
+                   929569 / 638512875, -6404582 / 10854718875, 443861162 / 1856156927625)
 
 
 @dataclass(frozen=True)
 class RadiusResult:
     """Solved radius with the residual of its defining equation.
 
-    The residual is |LHS - 1| for the implicit model equations, whose
-    iterations count evaluations of LHS, and the relative residual
-    |tau - tan(tau) - i ln t| / |ln t| for the "pinch" branch (Newton steps).
+    The residual is |LHS - 1| for the implicit model equations and the
+    relative residual |tau - tan(tau) - i ln t| / |ln t| for the "pinch"
+    branch; iterations counts Newton steps.
     """
 
     t: float
@@ -111,7 +118,7 @@ def _lhs_kapteyn(x: float) -> float:
     try:  # divide first: x e^s overflows near the root once t < ~6e-306
         return x / (1.0 + s) * math.exp(s)
     except OverflowError:
-        return math.inf  # bracket-expansion probes far beyond any root
+        return math.inf  # the root's lhs, 1/t, overflows once t < ~9e-309
 
 
 def _lhs_power_small(x: float) -> float:
@@ -124,38 +131,81 @@ def _lhs_power_large(x: float) -> float:
     return x * math.exp(s) / (1.0 + s)
 
 
-# (lhs, cap, branch) of each implicit radius equation; a cap pins the upper
-# bracket: sqrt(1 - R^2) confines the large-t search to (0, 1]
-_KAPTEYN_DOMAIN = (_lhs_kapteyn, None, "kapteyn_domain")
-_SMALL_T = (_lhs_power_small, None, "small_t")
-_LARGE_T = (_lhs_power_large, 1.0, "large_t")
+def _newton(step, x: float, t: float) -> tuple[float, int]:
+    """Newton's method from x, where step(x) gives the next iterate and the
+    size of the step: it stops before the first step that does not halve the
+    last, because from there on the steps are rounding noise, and returns the
+    iterate with the steps evaluated."""
+    last = math.inf
+    for steps in range(1, _NEWTON_CAP + 1):
+        after, size = step(x)
+        if not 0.0 < size <= 0.5 * last:
+            return x, steps
+        x, last = after, size
+    raise ConvergenceError(f"radius Newton for t={t!r} did not settle")
 
 
-def _solve_radius(t: float, lhs, cap: float | None, branch: str) -> RadiusResult:
-    """Root of lhs(x)*t = 1 for strictly increasing lhs, x > 0.
+def _log_root(t: float, pref: float) -> tuple[list[float], int]:
+    """Root of pref x e^s / (1 + s) t = 1, s = sqrt(1 + x^2), and its two
+    neighbouring floats.  In u = ln x the log of the equation,
+    ln(pref x t) + s - ln(1 + s) = 0, is convex with derivative s, so
+    Newton converges from either side; each step multiplies x by e^-step,
+    which keeps a subnormal root's precision.  It starts from the
+    asymptotes: (2/e) / (t pref) for a small root, w + 1/(2w) for a large
+    one, w = -ln(t pref)."""
+    w = -math.log(t * pref)
 
-    bessel._widest searches from 0 (so a subnormal root at huge t is still
-    found) and hi = cap or 1.0 for the widest float with lhs(x)*t < 1; of
-    it, the float after it and the cap, the least residual wins.
-    """
+    def step(x):
+        s = math.sqrt(1.0 + x * x)
+        d = (math.log(x * t * pref) + s - math.log(1.0 + s)) / s
+        return x + x * math.expm1(-d), abs(d)
+
+    x, steps = _newton(step, 2.0 * math.exp(w - 1.0) if w < 1.0 else w + 0.5 / w, t)
+    return [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)], steps
+
+
+def _y_minus_tanh_y(y: float) -> float:
+    return y - math.tanh(y) if y >= 0.2 else sum(
+        c * y ** (2 * k + 3) for k, c in enumerate(_Y_MINUS_TANH_Y))
+
+
+def _pinch_root(t: float) -> tuple[list[float], int]:
+    """Root R = 1/cosh y of the large-t equation, t >= 1, by Newton on
+    y - tanh y = ln t, whose derivative is tanh^2 y, from a lower bound of y.
+    1/cosh y = e^-y (1 + tanh y), and e^-y = e^-tanh(y) / t at the root:
+    taken from y, e^-y would carry the rounding of ln t, about y eps, and
+    cosh y overflows past y = 710.  The model equation's residual is flat
+    in R near R = 1, so the root is its only candidate."""
+    ln_t = math.log(t)
+
+    def step(y):
+        tanh2 = math.tanh(y) ** 2
+        f = _y_minus_tanh_y(y) - ln_t
+        return (y - f / tanh2, abs(f) / tanh2) if f else (y, 0.0)
+
+    y, steps = _newton(step, max(math.cbrt(3.0 * ln_t), ln_t + math.tanh(ln_t)), t)
+    tanh_y = math.tanh(y)
+    return [math.exp(-tanh_y) * (1.0 + tanh_y) / t], steps
+
+
+# (lhs, root, branch) of each implicit radius equation: root(t) gives the
+# candidate roots and the Newton steps taken
+_KAPTEYN_DOMAIN = (_lhs_kapteyn, lambda t: _log_root(t, 1.0), "kapteyn_domain")
+_SMALL_T = (_lhs_power_small, lambda t: _log_root(t, _SMALL_T_PREFACTOR), "small_t")
+_LARGE_T = (_lhs_power_large, _pinch_root, "large_t")
+
+
+def _solve_radius(t: float, lhs, root, branch: str) -> RadiusResult:
+    """Root of lhs(x)*t = 1 for strictly increasing lhs, x > 0: of root(t)'s
+    candidates, the one with the least residual; the first on a tie."""
     if not 0.0 < t < math.inf:
         raise DomainError(f"t must be positive and finite, got {t}")
-    iterations = 0
-
-    def excess(x: float) -> float:
-        nonlocal iterations
-        iterations += 1
-        return lhs(x) * t - 1.0
-
-    lo = _widest(excess, cap or 1.0, lambda v: v < 0.0)
-    # the cap is listed first so that a root sitting exactly on it
-    # (R(1) = 1) is recovered exactly on a tie
-    candidates = ([] if cap is None else [cap]) + [lo, math.nextafter(lo, math.inf)]
-    root = min(candidates, key=lambda x: abs(lhs(x) * t - 1.0))
-    residual = abs(lhs(root) * t - 1.0)
+    candidates, iterations = root(t)
+    x = min(candidates, key=lambda x: abs(lhs(x) * t - 1.0))
+    residual = abs(lhs(x) * t - 1.0)
     if not residual <= _MAX_RESIDUAL:
         raise DomainError(f"the {branch} equation has no double-precision root at t={t!r}")
-    return RadiusResult(t=t, radius=root, branch=branch, residual=residual,
+    return RadiusResult(t=t, radius=x, branch=branch, residual=residual,
                         iterations=iterations)
 
 
@@ -194,7 +244,7 @@ def solve_R_true(t: float) -> RadiusResult:
         return solve_R(t)
     c = 1j * math.log(t)
     tau = cmath.acos(1.0 / (0.5 * math.pi - c))
-    for iterations in range(1, _PINCH_NEWTON_CAP + 1):
+    for iterations in range(1, _NEWTON_CAP + 1):
         tan_tau = cmath.tan(tau)
         f = tau - tan_tau - c
         tau += f / (tan_tau * tan_tau)  # d/dtau (tau - tan tau) = -tan^2 tau

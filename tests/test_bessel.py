@@ -144,7 +144,7 @@ class TestBesselJnScaled:
         # G/2, N at least 33; 60,346 nodes in all): never more than one odd
         # step above it, which (50, 0.9) takes, 73 nodes against 71, as its
         # best a lies near 0.7 of the strip _plan searches
-        from kapteyn.bessel import _saddle_line, _widest
+        from kapteyn.bessel import _saddle_line
 
         total = 0
         for n in _GRID_N:
@@ -156,8 +156,7 @@ class TestBesselJnScaled:
                 _, log_sup_strip = _saddle_line(complex(z), math.log(abs(z)))
                 top = n * log_sup_strip(0.0)
                 g = math.log(2.0 / 1e-12) + max(0.0, top)
-                a = _widest(lambda a: n * log_sup_strip(a) - top - 0.5 * g, 1.0,
-                            lambda v: v <= 0.0)
+                a = _bisect64(lambda a: n * log_sup_strip(a) - top - 0.5 * g <= 0.0, 1.0)
                 x = g + n * log_sup_strip(a) - top
                 half_strip = max(33, math.ceil((x + math.log1p(math.exp(-x))) / a) | 1)
                 assert used <= half_strip + 2, (n, z, used, half_strip)
@@ -194,12 +193,12 @@ class _Searched(Exception):
 
 
 def _searches(monkeypatch, owner, calls):
-    """The (value, hi, ok, rel) that each call hands to owner._widest, each
-    call stopped at its search (or before it where e^top overflows)."""
+    """The (value, hi, ok) that each call hands to owner._widest, each call
+    stopped at its search (or before it where e^top overflows)."""
     found = []
 
-    def record(value, hi, ok, rel=0.0):
-        found.append((value, hi, ok, rel))
+    def record(value, hi, ok):
+        found.append((value, hi, ok))
         raise _Searched
 
     monkeypatch.setattr(owner, "_widest", record)
@@ -228,28 +227,6 @@ def _plan_searches(monkeypatch):
 
 
 class TestWidest:
-    def test_matches_the_bisection_in_fewer_evaluations(self, monkeypatch):
-        # domain's radius searches, to adjacent floats, at 250 log-spaced t
-        # from 1e-6 to 1e4, where 64 bisections resolve every root to 1e-15;
-        # not at t = 1, where lhs*t - 1 is flat to rounding near R = 1 and a
-        # bisection may stop at another of its sign changes
-        from kapteyn import domain, solve_R, solve_r
-        from kapteyn.bessel import _widest
-
-        searches = _searches(monkeypatch, domain, [lambda t=10.0 ** (k / 25 + 0.02), solve=solve:
-                                                   solve(t) for k in range(-150, 100)
-                                                   for solve in (solve_r, solve_R)])
-        assert len(searches) > 400 and {s[3] for s in searches} == {0.0}
-        counts = []
-        for value, hi, ok, rel in searches:
-            calls = []
-            a = _widest(lambda a: calls.append(a) or value(a), hi, ok, rel)
-            counts.append(len(calls))
-            assert ok(value(a)) and not ok(value(math.nextafter(a, math.inf)))
-            assert a == pytest.approx(_bisect64(lambda a: ok(value(a)), hi), rel=1e-14, abs=0.0)
-        assert sorted(counts)[len(counts) // 2] <= 20
-        assert max(counts) <= 64
-
     def test_coarse_search_is_feasible_and_within_one_percent(self, monkeypatch):
         # _plan's searches, for both integrands, stop once the widest strip
         # is known to 1%
@@ -257,11 +234,10 @@ class TestWidest:
 
         direct, jn = _plan_searches(monkeypatch)
         assert len(direct) > 100 and len(jn) > 100
-        assert {s[3] for s in direct + jn} == {0.01}
         counts = []
-        for value, hi, ok, rel in direct + jn:
+        for value, hi, ok in direct + jn:
             calls = []
-            a = _widest(lambda a: calls.append(a) or value(a), hi, ok, rel)
+            a = _widest(lambda a: calls.append(a) or value(a), hi, ok)
             counts.append(len(calls))
             exact = _bisect64(lambda a: ok(value(a)), hi)
             assert ok(value(a)) and exact / 1.01 <= a <= exact
@@ -275,17 +251,16 @@ class TestWidest:
         assert _widest(lambda a: calls.append(a) or 1.0 + a, 1.0, lambda v: v < 0.0) == 0.0
         assert calls == [0.0]
 
-    @pytest.mark.parametrize("ok, want", [(lambda v: v < 0.0, math.nextafter(0.3, 0.0)),
-                                          (lambda v: v <= 0.0, 0.3)])
-    def test_secant_point_on_the_level_is_resolved_beside_it(self, ok, want):
+    @pytest.mark.parametrize("ok", [lambda v: v < 0.0, lambda v: v <= 0.0])
+    def test_secant_point_on_the_level_ends_within_one_percent(self, ok):
         # the first secant point, 0.3, is exactly on the level, so every later
-        # secant point is an end: the float beside it settles the search, where
-        # midpoints alone took 55 and 56 evaluations
+        # secant point is an end of [lo, hi] and midpoints finish the search
         from kapteyn.bessel import _widest
 
         calls = []
-        assert _widest(lambda a: calls.append(a) or a - 0.3, 1.0, ok) == want
-        assert len(calls) <= 8
+        a = _widest(lambda a: calls.append(a) or a - 0.3, 1.0, ok)
+        assert ok(a - 0.3) and 0.3 / 1.01 <= a <= 0.3
+        assert len(calls) <= 12
 
 
 class TestPlan:

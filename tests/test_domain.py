@@ -256,19 +256,65 @@ class TestRadiusOracle:
                 lhs *= mpmath.exp(-mpmath.sqrt(2)) * (1 + mpmath.sqrt(2))
             return float(abs(lhs * t - 1))
 
+    @staticmethod
+    def _ulps(mpmath, t, x, equation):
+        # distance of x from the equation's root at 40 digits, in ulps of the
+        # root: y - tanh y = ln t, R = 1/cosh y, for large_t; else the log of
+        # the equation in u = ln x, from its asymptote for a small or large x
+        with mpmath.workdps(40):
+            ln_t = mpmath.log(mpmath.mpf(t))
+            if equation == "large_t":
+                y = mpmath.findroot(lambda y: y - mpmath.tanh(y) - ln_t,
+                                    max(mpmath.cbrt(3 * ln_t), ln_t + mpmath.tanh(ln_t)))
+                root = 1 / mpmath.cosh(y)
+            else:
+                if equation == "small_t":
+                    ln_t += mpmath.log(mpmath.exp(-mpmath.sqrt(2)) * (1 + mpmath.sqrt(2)))
+                s = lambda u: mpmath.sqrt(1 + mpmath.exp(2 * u))
+                u = mpmath.findroot(lambda u: u + s(u) - mpmath.log(1 + s(u)) + ln_t,
+                                    mpmath.log(2) - 1 - ln_t if ln_t > -1
+                                    else mpmath.log(-ln_t - 1 / (2 * ln_t)))
+                root = mpmath.exp(u)
+            return float(abs(x - root)) / math.ulp(float(root))
+
+    # log-spaced t and a cluster at the t = 1 seam
+    _TS = ([10.0 ** (-6 + 12 * i / 299) for i in range(300)]
+           + [1.0 + 1e-3 * (2 * i / 39 - 1) for i in range(40)] + [1.0])
+
     def test_radii_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
-        ts = [10.0 ** (-6 + 12 * i / 299) for i in range(300)]
-        ts += [1.0 + 1e-3 * (2 * i / 39 - 1) for i in range(40)] + [1.0]
         iterations = []
-        for t in ts:
+        for t in self._TS:
             r, R = solve_r(t), solve_R(t)
             assert self._residual(mpmath, t, r.radius, r.branch) <= 16 * sys.float_info.epsilon, t
             assert self._residual(mpmath, t, R.radius, R.branch) <= 16 * sys.float_info.epsilon, t
             assert r.radius < R.radius, t
             iterations += [r.iterations, R.iterations]
-        # evaluations of the equation, where a 1e-15 bisection took 51
-        assert statistics.median(iterations) <= 20
+        # Newton steps: a median of 4 and at most 8 here
+        assert statistics.median(iterations) <= 10
+        assert max(iterations) <= 20
+
+    def test_large_t_to_a_few_ulps(self):
+        # t log-spaced in (1, 1.7e308], with ln t also log-spaced down to
+        # 2**-52: near R = 1 the model equation's residual is flat to
+        # rounding, so a root placed by it can be far off (139,298 ulps at
+        # 1 + 2**-52 by false position on that residual)
+        mpmath = pytest.importorskip("mpmath")
+        top = math.log(1.7e308)
+        ts = [math.exp(top * i / 200) for i in range(1, 201)]
+        ts += [math.exp(2.0 ** (-52 + 61 * i / 199)) for i in range(200)]
+        ts += [1 + 2**-52, 1 + 2**-43, 1 + 2**-22, 1.7e308]
+        for t in ts:
+            res = solve_R(t)
+            assert res.branch == "large_t"
+            assert self._ulps(mpmath, t, res.radius, "large_t") <= 2.5, t
+
+    def test_kapteyn_and_small_t_to_a_few_ulps(self):
+        mpmath = pytest.importorskip("mpmath")
+        for t in self._TS:
+            assert self._ulps(mpmath, t, solve_r(t).radius, "kapteyn_domain") <= 3, t
+            if t < 1.0:
+                assert self._ulps(mpmath, t, solve_R(t).radius, "small_t") <= 3, t
 
 
 class TestPsiAsymptotes:

@@ -42,7 +42,12 @@ eval_direct_json were re-recorded when eval_direct's bound came to be
 taken in logs by bessel._plan: tail_bound 4.30158580827171e-11 ->
 4.3015858082717e-11, its last digit; the value and node count are as
 before.  eval_direct_near (README's 59-node example) was recorded before
-that change and pins the plan near the domain's edge.
+that change and pins the plan near the domain's edge.  The five radius
+cases and figure4_range were re-recorded when solve_r and solve_R came to
+take Newton steps: the iterations column now counts the steps, and one
+radius cell moved, R at t = 1.0000000000000009 in figure4_range,
+0.999999999898638 -> 0.999999999903901, from 47,406 to 0.58 ulps of the
+40-digit root of y - tanh y = ln t, R = 1/cosh y.
 """
 
 from pathlib import Path
