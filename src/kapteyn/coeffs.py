@@ -15,9 +15,9 @@ seeded with C_n^n = n^n/(2n)!!, or from the rearranged alternating form
 A single A_n(t) is evaluated exactly by one integer kernel: at t = p/q the
 alternating form times n! 2^n q^n is an integer, summed by Horner's rule in
 p^2; a float t is taken as the dyadic rational it is.  The stream across n
-that eval_power and figure 2 read instead carries the terms as fixed-width
-binary floats, drops those too small to move a later sum, certifies each
-sum (_row_logabs) and restarts once, at a predicted width.  Floats leave
+that eval_power and figure 2 read instead carries each row as integers over
+one power of two, stepped from the row two before by C-level maps, certifies
+each sum (_row_logabs) and restarts once, at a predicted width.  Floats leave
 only as (ln|A_n(t)|, sign), since A_500(t) can lie far outside float range.
 Its values at the first width, with the last two rows, are kept for the last
 eight t and resumed by later calls; the closed form and the recurrence stay
@@ -30,12 +30,13 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, islice, repeat
+from operator import floordiv, lshift, mul
 
 from .errors import DomainError
 
-_WIDTH = 256  # the stream's starting mantissa width, in bits
-_STORE: dict = {}  # (t, width) -> (values of rows 1..k, k, row k - 1, row k), newest last
+_WIDTH = 256  # the stream's starting width, in bits: that of each row's head
+_STORE: dict = {}  # (p, q, width) -> (values of rows 1..k on, k, row k - 1, row k), newest last
 _STORE_T, _STORE_LOCK = 8, threading.Lock()  # t held; one writer at a time
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # HI has 32 bits
 
@@ -155,63 +156,68 @@ def _scaled(num: int, den: int, width: int) -> tuple[int, int]:
     return (num << s if s >= 0 else num >> -s) // den, s
 
 
-def _term_rows(t: Fraction, width: int, n0: int = 0, older=((), ()), newer=((), ())):
-    # (n, mantissas, exponents) for n = n0 + 1, n0 + 2, ...: T(n, k) = |num(n, k)|
-    # x^(m-k) / (n! 2^n) ~ mantissa 2^exponent, x = t^2, m = n // 2, for each
-    # num(n, k) != 0.  Row n is T(n, 0) = n^n x^m / (n! 2^n) ahead of row
-    # n - 2 times j^2 / (4 k1 (n - k1)), j = n - 2 k1; each step truncates once.
-    # That factor grows with j, so trailing terms under 2^-(width + 64) of the
-    # top stay so on their lineages: they are dropped.  Resumed after row n0
-    # from rows n0 - 1 and n0 (older, newer), x^m is stepped up to n0 again
+def _term_rows(t: Fraction, width: int, n0: int = 0, older=((), 0), newer=((), 0)):
+    # (n, row, unit) for n = n0 + 1, ...: row[k] 2^unit ~ T(n, k) = |num(n, k)| x^(m-k)
+    # / (n! 2^n), x = t^2, m = n // 2, num(n, k) != 0.  The unit gives the head T(n, 0)
+    # = n^n x^m / (n! 2^n) width bits, from x^m / n! (x's m truncations, one per n)
+    # and n^n by squaring (under n), each kept to width bits, and one more: under
+    # 3n.  Then row n - 2 times j^2 / (4 k (n - k)), j = n - 2k, floored once; a zero
+    # stays zero, so trailing zeros are dropped.  At t = 0 each head past n = 1 is 0.
+    # Resumed after row n0 from rows n0 - 1 and n0, x^m / n! is stepped to n0 again
     xm, xs = _scaled(t.numerator**2, t.denominator**2, width)
-    pm, pe = 1 << (width - 1), 1 - width  # x^m, exactly 1 at m = 0
-    rows, fact = [older, newer] if n0 % 2 else [newer, older], math.factorial(n0)
+    pm, pe = 1 << (width - 1), 1 - width  # x^m / n!, exactly 1 at n = 0
+    rows, squares = [older, newer] if n0 % 2 else [newer, older], [0]
     for n in count(1):
-        if n % 2 == 0:
-            pm, s = _scaled(pm * xm, 1, width)
-            pe -= xs + s
+        squares.append(n * n)
+        pm, s = _scaled(pm * xm ** (1 - n % 2), n, width)
+        pe -= s + xs * (1 - n % 2)
         if n <= n0:
             continue
-        fact *= n
-        head, s = _scaled(n**n * pm, fact, width)
-        ms, es = [head], [pe - s - n]
-        for a, e, j, k1 in zip(*rows[n % 2], range(n - 2, 0, -2), count(1)):
-            b, d = a * (j * j), k1 * (n - k1)
-            s = width + d.bit_length() - b.bit_length()
-            ms.append((b << s if s >= 0 else b >> -s) // d)
-            es.append(e - s - 2)
-        while es[-1] < max(es) - width - 66:  # mantissas have width or width + 1 bits
-            del ms[-1], es[-1]
-        rows[n % 2] = ms, es
-        yield n, ms, es
+        nn, ne = n, 0
+        for bit in bin(n)[3:]:
+            nn, s = _scaled(nn * nn * (n if bit == "1" else 1), 1, width)
+            ne = 2 * ne - s
+        head = pm * nn
+        s = max(head.bit_length() - width, 0)
+        head, unit = head >> s, pe + ne + s - n
+        prev, shift = rows[n % 2][0], rows[n % 2][1] - 2 - unit
+        terms, divs = map(mul, prev, squares[n - 2::-2]), map(mul, range(1, n), range(n - 1, 0, -1))
+        if shift > 0:
+            terms = map(lshift, terms, repeat(shift))
+        elif shift < 0:
+            divs = map(lshift, divs, repeat(-shift))
+        row = [head, *map(floordiv, terms, divs)]
+        while row and not row[-1]:
+            del row[-1]
+        rows[n % 2] = row, unit
+        yield n, row, unit
 
 
-def _row_logabs(n: int, ms, es, t: Fraction, width: int):
+def _row_logabs(n: int, row, unit: int, t: Fraction, width: int):
     """(ln|A_n(t)|, sign) from row n of _term_rows, A_n(t) = t^(n mod 2)
     sum (-1)^k T(n, k), or if it cannot be certified the bits lost, an int.
 
-    Aligned to the unit 2^top, the N terms sum exactly to S units: E from
-    even k less O from odd.  T(n, k) has 2(m - k) + 1 + k <= n + 1
-    truncations of relative size u = 2^(1 - width) on its lineage (x's in
-    each of the m - k factors of x^(m-k), the m - k products, the head
-    T(n - 2k, 0), k steps), so if (n + 1) u <= 1/2 it is low by at most
-    2 (n + 1) u of itself, and aligning drops under a unit; the at most n/2
-    dropped lineages, each under 2^-(width + 64) of a kept term below
-    2^(width + 1) units, add under n 2^-63 < 1: S is off by at most
-    B = (n + 1)(E + O + N) 2^(2 - width) + N + 2 units.  The required
-    |S| >= 2^64 B implies (n + 1) u <= 1/2, as |S| <= E + O, and bounds the
-    relative error of S by 2^-64, so its sign is right.  The bits lost are
-    bitlen(E + O) - bitlen(|S|).
+    In units 2^unit the terms sum exactly to S, E from even k less O from
+    odd; every floor leaves a term low by under 1.  With u = 2^(1 - width),
+    the lineage of T(n, k) starts at the head of row j = n - 2k, low by under
+    3j u of itself, and takes k steps.  Its ratio to its row's head rises,
+    then falls (the step factor falls with k, the heads' ratio rises with n
+    to e^2 x / 4), so each floor is either taken at 2^(width - 1) units or
+    more, costing under T(n, k) 2^-unit u, or after the fall, costing under
+    2 / (1 - 3n u) units, a ratio of heads.  Over the K + 1 lineages, K =
+    (n - 1) // 2, the shortfall D is under 3n u (E + O + D) + K (K + 1) /
+    (1 - 3n u).  The certificate requires |S| >= 2^64 B, B = floor((3n + 1)
+    u (E + O)) + K (K + 1) + 3; as |S| <= E + O, then (3n + 1) u < 2^-64, so
+    D <= B and S's relative error is at most 2^-64: its sign is right.  The
+    bits lost are bitlen(E + O) - bitlen(|S|).
     """
-    top = max(es)
-    even = sum(a >> top - e for a, e in zip(ms[::2], es[::2]))
-    odd = sum(a >> top - e for a, e in zip(ms[1::2], es[1::2]))
-    total, terms = even - odd, len(ms)
-    bound = ((n + 1) * (even + odd + terms) >> width - 2) + terms + 2
+    even, odd = sum(row[::2]), sum(row[1::2])
+    total, lineages = even - odd, (n - 1) // 2 * ((n + 1) // 2)
+    bound = ((3 * n + 1) * (even + odd) >> width - 1) + lineages + 3
     if abs(total) < bound << 64:
         return (even + odd).bit_length() - abs(total).bit_length()
     p, q = (t.numerator, t.denominator) if n % 2 else (1, 1)
-    return _logabs(total * p, q, top)
+    return _logabs(total * p, q, unit)
 
 
 def _a_logabs_stream(t, n_lo: int = 1, n_hi: int = 0):
@@ -224,43 +230,45 @@ def _a_logabs_stream(t, n_lo: int = 1, n_hi: int = 0):
     but not summed; t is checked here.
 
     The values summed at the first width in order from n = 1 are kept in
-    _STORE, one row at a time with the last two rows, for the last
-    _STORE_T values of t; a later call replays them and resumes the rows
-    there, and a call stopped anywhere leaves a valid entry."""
+    _STORE, the first k of a list only its call appends to, with rows k - 1
+    and k, for the last _STORE_T values of t; a later call replays them and
+    resumes the rows there, and a call stopped anywhere leaves a valid entry."""
     t = _exact(t)
 
     def stream(n_next, width, n_hi):
-        key = t, width
-        done, *start = _STORE.get(key, ((),))  # values of rows 1..k; k, rows k - 1 and k
+        key = t.numerator, t.denominator, width  # hashed in C, unlike a Fraction
+        done, *start = _STORE.get(key, ((),))  # values of rows 1..k and on; k, rows k - 1 and k
+        done = list(done[:start[0] if start else 0])  # appended to by this call alone
         yield from done[n_next - 1:]
         n_next = max(n_next, len(done) + 1)
         while True:
-            for n, ms, es in islice(_term_rows(t, width, *start), n_next - 1 - len(done), None):
-                n_next, got = n + 1, _row_logabs(n, ms, es, t, width)
+            for n, row, unit in islice(_term_rows(t, width, *start), n_next - 1 - len(done), None):
+                n_next, got = n + 1, _row_logabs(n, row, unit, t, width)
                 if isinstance(got, int):
                     lost, got = got, _logabs(*_a_kernel(n, _a_numerators(n), t))
                     if got[1]:
                         yield got
                         break
                 if key and n == len(done) + 1:
-                    done, start = done + (got,), [n, start[2] if start else ((), ()), (ms, es)]
-                    _keep(key, done, start)
+                    done.append(got)
+                    start = [n, start[2] if start else ((), 0), (row, unit)]
+                    _keep(key, (done, *start))
                 yield got
             # lost bits grow like n, under 1 per n; the certificate needs 68 + log2 n
             # more, and 28 are margin
             need = min(lost * n_hi // n, n_hi) + 96 + n_hi.bit_length() if n_hi else 0
             width, n_hi = max(2 * width, -(-need // 64) * 64), 0
-            key, done, start = None, (), ()
+            key, done, start = None, [], ()
 
     return stream(n_lo, _WIDTH, n_hi)
 
 
-def _keep(key, done, start) -> None:
-    # the entry for key, if longer than the one held, as the newest
+def _keep(key, entry) -> None:
+    # entry, if longer than the one held for key, as the newest
     with _STORE_LOCK:
-        if len(_STORE.get(key, ((),))[0]) < len(done):
+        if _STORE.get(key, ((), 0))[1] < entry[1]:
             _STORE.pop(key, None)
-            _STORE[key] = done, *start
+            _STORE[key] = entry
             if len(_STORE) > _STORE_T:
                 del _STORE[next(iter(_STORE))]
 

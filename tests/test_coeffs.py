@@ -229,34 +229,50 @@ def _check_logabs(got: tuple[float, int], v: Fraction) -> None:
 
 
 class TestLogAbsStream:
-    @pytest.mark.parametrize("t", [0.1, 0.7, 20, -0.4, Fraction(3, 7)])
+    @pytest.mark.parametrize("t", [0.1, 0.7, 20, -0.4, Fraction(3, 7), 2.0**-40])
     def test_terms_match_the_exact_numerators(self, t):
-        # T(n, k) = |num(n, k)| x^(m-k) / (n! 2^n), x = t^2, is low by at
-        # most n + 1 truncations of 2^(1 - width) each, for every nonzero num
-        # the row keeps; each term it drops is under 2^-(width + 64) of its top
+        # V = T(n, k) / 2^unit, T(n, k) = |num(n, k)| x^(m-k) / (n! 2^n), x = t^2,
+        # exceeds its fixed-point term by at most its stated error (3j + k) u V
+        # + 2k / (1 - 3n u), u = 2^(1 - width), j = n - 2k, for every nonzero num;
+        # a dropped term counts as 0.  The head has width bits
         t, width, dropped = Fraction(t), 64, 0
-        for n, ms, es in islice(_term_rows(t, width), 120):
+        u = Fraction(2) ** (1 - width)
+        for n, row, unit in islice(_term_rows(t, width), 120):
             nums = [num for num in _a_numerators(n) if num]
-            exact = [abs(num) * t ** (2 * (n // 2 - k)) / (math.factorial(n) * 2**n)
-                     for k, num in enumerate(nums)]
-            assert len(ms) == len(es) <= len(nums), n
-            for k, (a, e) in enumerate(zip(ms, es)):
-                got = a * Fraction(2) ** e
-                assert 2 ** (width - 1) <= a < 2 ** (width + 1)
-                rel = (exact[k] - got) / exact[k]
-                assert 0 <= rel <= (n + 1) * Fraction(2) ** (1 - width), (n, k)
-            top = exact[es.index(max(es))]
-            for v in exact[len(ms):]:
-                assert v < top / 2 ** (width + 64), n
-            dropped += len(nums) - len(ms)
-        assert dropped > 0
+            scale = Fraction(2) ** -unit / (math.factorial(n) * 2**n)
+            assert len(row) <= len(nums) and 2 ** (width - 1) <= row[0] < 2**width
+            for k, num in enumerate(nums):
+                v = abs(num) * t ** (2 * (n // 2 - k)) * scale
+                got = row[k] if k < len(row) else 0
+                stated = (3 * (n - 2 * k) + k) * u * v + 2 * k / (1 - 3 * n * u)
+                assert 0 <= v - got <= stated, (n, k)
+            dropped += len(nums) - len(row)
+        assert dropped > 0 or t < 1
 
-    @pytest.mark.parametrize("t", [0.1, 0.3, 0.7, -0.4, Fraction(3, 7)])
+    @pytest.mark.parametrize("t", [0.1, 0.9, 20, Fraction(3, 7)])
+    def test_head_is_within_its_truncations(self, t):
+        # T(n, 0) = n^n x^m / (n! 2^n) from x^m / n! and n^n at width bits is low
+        # by under 3n u of itself: m + (n - 1) + n + 1 truncations at most
+        t, width = Fraction(t), 64
+        for n, row, unit in islice(_term_rows(t, width), 300):
+            exact = Fraction(n**n) * t ** (2 * (n // 2)) / (math.factorial(n) * 2**n)
+            rel = (exact - row[0] * Fraction(2) ** unit) / exact
+            assert 0 <= rel < 3 * n * Fraction(2) ** (1 - width), n
+
+    def test_zero_t_yields_exact_zeros(self):
+        # at t = 0 every head past n = 1 is 0, so a row has no unit of its
+        # own; every A_n(0) is 0
+        assert list(islice(_a_logabs_stream(0.0), 120)) == [(-math.inf, 0)] * 120
+
+    @pytest.mark.parametrize("t", [0.1, 0.3, 0.7, -0.4, Fraction(3, 7), 2.7])
     def test_accepted_sums_are_within_the_certificate(self, t, monkeypatch):
         # every sum _row_logabs accepts is within 2^-64 of A_n(t), relative,
-        # checked exactly; at these narrow widths many sums are refused, so
-        # acceptance is near its threshold, where a bound too small would show
+        # checked exactly, and is at least 2^64 times the sum over all K + 1
+        # lineages of the stated errors of test_terms_match_the_exact_numerators;
+        # at these narrow widths many sums are refused, so acceptance is near its
+        # threshold, where a bound too small would show
         t, seen = Fraction(t), []
+        p2, q2 = t.numerator**2, t.denominator**2
 
         def recorded(acc, den, e2=0):
             seen.append(Fraction(acc, den) * Fraction(2) ** e2)
@@ -264,12 +280,22 @@ class TestLogAbsStream:
 
         monkeypatch.setattr(coeffs, "_logabs", recorded)
         accepted = refused = 0
-        for width in (80, 96, 128):
-            for n, ms, es in islice(_term_rows(t, width), 150):
-                if isinstance(coeffs._row_logabs(n, ms, es, t, width), int):  # refused
+        for width in (72, 80, 96, 128):
+            u = Fraction(2) ** (1 - width)
+            for n, row, unit in islice(_term_rows(t, width), 150):
+                m, nums = n // 2, [num for num in _a_numerators(n) if num]
+                den = q2**m * math.factorial(n) * 2**n * Fraction(2) ** unit
+                rel = sum((3 * n - 5 * k) * abs(num) * p2 ** (m - k) * q2**k
+                          for k, num in enumerate(nums)) / den
+                stated = rel * u + sum(2 * k for k in range(len(nums))) / (1 - 3 * n * u)
+                total = sum(row[::2]) - sum(row[1::2])
+                assert abs(sum(num * p2 ** (m - k) * q2**k for k, num in enumerate(nums))
+                           / den - total) <= stated
+                if isinstance(coeffs._row_logabs(n, row, unit, t, width), int):  # refused
                     refused += 1
                     continue
                 accepted += 1
+                assert abs(total) >= 2**64 * stated, (width, n)
                 exact = a_eval_exact(n, t)
                 assert abs(seen[-1] - exact) <= abs(exact) / 2**64, (width, n)
         assert accepted > 100 and refused > 100
@@ -281,6 +307,7 @@ class TestLogAbsStream:
                      st.floats(min_value=5e-324, max_value=2.0**-1020),
                      st.floats(min_value=-(2.0**-1020), max_value=-5e-324)))
     @example(300, 0.0)
+    @example(300, 5e-324)
     @example(300, 1.0)
     @example(300, 20.0)
     @example(300, -0.4)
@@ -374,6 +401,14 @@ class TestStore:
     them, kept per t so that later calls at that t resume the rows."""
 
     @staticmethod
+    def _key(t):
+        return *Fraction(t).as_integer_ratio(), coeffs._WIDTH
+
+    @classmethod
+    def _kept(cls, t):  # the count of values the entry for t holds
+        return coeffs._STORE[cls._key(t)][1]
+
+    @staticmethod
     def _cold(f, *args):
         coeffs._STORE.clear()
         return f(*args)
@@ -420,7 +455,7 @@ class TestStore:
         # rows below n_lo are built but not summed, so nothing past them is kept
         list(islice(_a_logabs_stream(0.3, 80), 10))
         assert summed == list(range(80, 90))
-        assert len(coeffs._STORE[Fraction(0.3), coeffs._WIDTH][0]) == 50
+        assert self._kept(0.3) == 50
 
     def test_call_stopped_mid_row_leaves_the_store_valid(self, monkeypatch):
         # as a deadline's signal would: an exception raised while row 45 is summed
@@ -436,7 +471,7 @@ class TestStore:
         monkeypatch.setattr(coeffs, "_row_logabs", failing)
         with pytest.raises(RuntimeError):
             list(islice(_a_logabs_stream(0.7), 60))
-        assert raised and len(coeffs._STORE[Fraction(0.7), coeffs._WIDTH][0]) == 44
+        assert raised and self._kept(0.7) == 44
         warm = list(islice(_a_logabs_stream(0.7), 60))
         assert warm == self._cold(lambda: list(islice(_a_logabs_stream(0.7), 60)))
 
@@ -468,4 +503,4 @@ class TestStore:
         ts = [0.05 * i for i in range(1, 11)]
         for t in ts:
             list(islice(_a_logabs_stream(t), 5))
-        assert list(coeffs._STORE) == [(Fraction(t), coeffs._WIDTH) for t in ts[-8:]]
+        assert list(coeffs._STORE) == [self._key(t) for t in ts[-8:]]

@@ -47,7 +47,10 @@ cases and figure4_range were re-recorded when solve_r and solve_R came to
 take Newton steps: the iterations column now counts the steps, and one
 radius cell moved, R at t = 1.0000000000000009 in figure4_range,
 0.999999999898638 -> 0.999999999903901, from 47,406 to 0.58 ulps of the
-40-digit root of y - tanh y = ln t, R = 1/cosh y.
+40-digit root of y - tanh y = ln t, R = 1/cosh y.  figure2_900_1000 was
+recorded before the stream's rows became fixed-point integers over one
+unit per row; it restarts once, from 256 to 512 bits, with no term count
+given.
 """
 
 from pathlib import Path
@@ -69,6 +72,7 @@ CASES = {
     "figure4_range": ["figure", "4", "--range", "0.01", "100", "--samples", "9"],
     "figure4_json": ["--json", "figure", "4", "--samples", "5"],
     "figure2_range": ["figure", "2", "--range", "40", "80"],
+    "figure2_900_1000": ["figure", "2", "--range", "900", "1000"],
     "coeff60_exact": ["coeff", "60", "--exact"],
     "coeff200": ["coeff", "200"],
     "coeff7_3": ["coeff", "7", "3"],
