@@ -15,8 +15,10 @@ seeded with C_n^n = n^n/(2n)!!, or from the rearranged alternating form
 A single A_n(t) is evaluated exactly by one integer kernel: at t = p/q the
 alternating form times n! 2^n q^n is an integer, summed by Horner's rule in
 p^2; a float t is taken as the dyadic rational it is.  The stream across n
-that eval_power and figure 2 read instead carries each row as integers over
-one power of two, stepped from the row two before by C-level maps, certifies
+that eval_power and figure 2 read instead carries each row, where |t| >= 1/8,
+as integers over one power of two, stepped from the row two before by C-level
+maps, and below 1/8 as fixed-width binary floats, since there one unit per
+row would widen the integers by about log2(1/t^2) bits a step.  It certifies
 each sum (_row_logabs) and restarts once, at a predicted width.  Floats leave
 only as (ln|A_n(t)|, sign), since A_500(t) can lie far outside float range.
 Its values at the first width, with the last two rows, are kept for the last
@@ -157,6 +159,46 @@ def _scaled(num: int, den: int, width: int) -> tuple[int, int]:
 
 
 def _term_rows(t: Fraction, width: int, n0: int = 0, older=((), 0), newer=((), 0)):
+    # the stream's rows: fixed-point where |t| >= 1/8, per-term floats below, where a
+    # row's integers would widen by about log2(1/t^2) bits a step; over 1,500 rows the
+    # two cost about the same at t = 0.1
+    rows = _fixed_rows if 64 * t.numerator**2 >= t.denominator**2 else _float_rows
+    return rows(t, width, n0, older, newer)
+
+
+def _float_rows(t: Fraction, width: int, n0: int = 0, older=((), 0), newer=((), 0)):
+    # (n, mantissas, exponents) for n = n0 + 1, n0 + 2, ...: T(n, k) = |num(n, k)|
+    # x^(m-k) / (n! 2^n) ~ mantissa 2^exponent, x = t^2, m = n // 2, for each
+    # num(n, k) != 0.  Row n is T(n, 0) = n^n x^m / (n! 2^n) ahead of row
+    # n - 2 times j^2 / (4 k1 (n - k1)), j = n - 2 k1; each step truncates once.
+    # That factor grows with j, so trailing terms under 2^-(width + 64) of the
+    # top stay so on their lineages: they are dropped.  Resumed after row n0
+    # from rows n0 - 1 and n0 (older, newer), x^m is stepped up to n0 again
+    xm, xs = _scaled(t.numerator**2, t.denominator**2, width)
+    pm, pe = 1 << (width - 1), 1 - width  # x^m, exactly 1 at m = 0
+    rows, fact = [older, newer] if n0 % 2 else [newer, older], math.factorial(n0)
+    for n in count(1):
+        if n % 2 == 0:
+            pm, s = _scaled(pm * xm, 1, width)
+            pe -= xs + s
+        if n <= n0:
+            continue
+        fact *= n
+        head, s = _scaled(n**n * pm, fact, width)
+        ms, es = [head], [pe - s - n]
+        prev_ms, prev_es = rows[n % 2]  # row 0 is ((), 0)
+        for a, e, j, k1 in zip(prev_ms, prev_es or (), range(n - 2, 0, -2), count(1)):
+            b, d = a * (j * j), k1 * (n - k1)
+            s = width + d.bit_length() - b.bit_length()
+            ms.append((b << s if s >= 0 else b >> -s) // d)
+            es.append(e - s - 2)
+        while es[-1] < max(es) - width - 66:  # mantissas have width or width + 1 bits
+            del ms[-1], es[-1]
+        rows[n % 2] = ms, es
+        yield n, ms, es
+
+
+def _fixed_rows(t: Fraction, width: int, n0: int = 0, older=((), 0), newer=((), 0)):
     # (n, row, unit) for n = n0 + 1, ...: row[k] 2^unit ~ T(n, k) = |num(n, k)| x^(m-k)
     # / (n! 2^n), x = t^2, m = n // 2, num(n, k) != 0.  The unit gives the head T(n, 0)
     # = n^n x^m / (n! 2^n) width bits, from x^m / n! (x's m truncations, one per n)
@@ -193,9 +235,10 @@ def _term_rows(t: Fraction, width: int, n0: int = 0, older=((), 0), newer=((), 0
         yield n, row, unit
 
 
-def _row_logabs(n: int, row, unit: int, t: Fraction, width: int):
+def _row_logabs(n: int, row, unit, t: Fraction, width: int):
     """(ln|A_n(t)|, sign) from row n of _term_rows, A_n(t) = t^(n mod 2)
     sum (-1)^k T(n, k), or if it cannot be certified the bits lost, an int.
+    A row of _float_rows, with an exponent per term, goes to _float_logabs.
 
     In units 2^unit the terms sum exactly to S, E from even k less O from
     odd; every floor leaves a term low by under 1.  With u = 2^(1 - width),
@@ -211,6 +254,8 @@ def _row_logabs(n: int, row, unit: int, t: Fraction, width: int):
     D <= B and S's relative error is at most 2^-64: its sign is right.  The
     bits lost are bitlen(E + O) - bitlen(|S|).
     """
+    if not isinstance(unit, int):
+        return _float_logabs(n, row, unit, t, width)
     even, odd = sum(row[::2]), sum(row[1::2])
     total, lineages = even - odd, (n - 1) // 2 * ((n + 1) // 2)
     bound = ((3 * n + 1) * (even + odd) >> width - 1) + lineages + 3
@@ -218,6 +263,33 @@ def _row_logabs(n: int, row, unit: int, t: Fraction, width: int):
         return (even + odd).bit_length() - abs(total).bit_length()
     p, q = (t.numerator, t.denominator) if n % 2 else (1, 1)
     return _logabs(total * p, q, unit)
+
+
+def _float_logabs(n: int, ms, es, t: Fraction, width: int):
+    """_row_logabs for a row of _float_rows.
+
+    Aligned to the unit 2^top, the N terms sum exactly to S units: E from
+    even k less O from odd.  T(n, k) has 2(m - k) + 1 + k <= n + 1
+    truncations of relative size u = 2^(1 - width) on its lineage (x's in
+    each of the m - k factors of x^(m-k), the m - k products, the head
+    T(n - 2k, 0), k steps), so if (n + 1) u <= 1/2 it is low by at most
+    2 (n + 1) u of itself, and aligning drops under a unit; the at most n/2
+    dropped lineages, each under 2^-(width + 64) of a kept term below
+    2^(width + 1) units, add under n 2^-63 < 1: S is off by at most
+    B = (n + 1)(E + O + N) 2^(2 - width) + N + 2 units.  The required
+    |S| >= 2^64 B implies (n + 1) u <= 1/2, as |S| <= E + O, and bounds the
+    relative error of S by 2^-64, so its sign is right.  The bits lost are
+    bitlen(E + O) - bitlen(|S|).
+    """
+    top = max(es)
+    even = sum(a >> top - e for a, e in zip(ms[::2], es[::2]))
+    odd = sum(a >> top - e for a, e in zip(ms[1::2], es[1::2]))
+    total, terms = even - odd, len(ms)
+    bound = ((n + 1) * (even + odd + terms) >> width - 2) + terms + 2
+    if abs(total) < bound << 64:
+        return (even + odd).bit_length() - abs(total).bit_length()
+    p, q = (t.numerator, t.denominator) if n % 2 else (1, 1)
+    return _logabs(total * p, q, top)
 
 
 def _a_logabs_stream(t, n_lo: int = 1, n_hi: int = 0):

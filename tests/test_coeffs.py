@@ -15,7 +15,7 @@ from kapteyn import (
     coeff_table_recurrence,
 )
 from kapteyn import coeffs
-from kapteyn.coeffs import _a_logabs_stream, _a_numerators, _term_rows
+from kapteyn.coeffs import _a_logabs_stream, _a_numerators, _fixed_rows, _float_rows, _term_rows
 
 # the first five polynomials, written out coefficient-by-coefficient
 PRINTED = {
@@ -237,7 +237,7 @@ class TestLogAbsStream:
         # a dropped term counts as 0.  The head has width bits
         t, width, dropped = Fraction(t), 64, 0
         u = Fraction(2) ** (1 - width)
-        for n, row, unit in islice(_term_rows(t, width), 120):
+        for n, row, unit in islice(_fixed_rows(t, width), 120):
             nums = [num for num in _a_numerators(n) if num]
             scale = Fraction(2) ** -unit / (math.factorial(n) * 2**n)
             assert len(row) <= len(nums) and 2 ** (width - 1) <= row[0] < 2**width
@@ -249,12 +249,69 @@ class TestLogAbsStream:
             dropped += len(nums) - len(row)
         assert dropped > 0 or t < 1
 
+    @pytest.mark.parametrize("t, fixed", [(0.125, True), (-0.125, True), (0.3, True),
+                                          (20, True), (0.1249, False), (-0.1, False),
+                                          (1e-5, False), (5e-324, False), (0.0, False)])
+    def test_rows_are_fixed_point_from_one_eighth(self, t, fixed):
+        # one unit per row where |t| >= 1/8; below, an exponent per term, so no
+        # mantissa widens past width + 1 bits however small t is
+        rows = list(islice(_term_rows(Fraction(t), 64), 300))
+        assert all(isinstance(unit, int) == fixed for _, _, unit in rows)
+        if not fixed:
+            assert max(a.bit_length() for _, ms, _ in rows for a in ms) <= 65
+
+    @pytest.mark.parametrize("t", [0.1, 0.7, 20, -0.4, Fraction(3, 7)])
+    def test_float_terms_match_the_exact_numerators(self, t):
+        # T(n, k) = |num(n, k)| x^(m-k) / (n! 2^n), x = t^2, is low by at
+        # most n + 1 truncations of 2^(1 - width) each, for every nonzero num
+        # the row keeps; each term it drops is under 2^-(width + 64) of its top
+        t, width, dropped = Fraction(t), 64, 0
+        for n, ms, es in islice(_float_rows(t, width), 120):
+            nums = [num for num in _a_numerators(n) if num]
+            exact = [abs(num) * t ** (2 * (n // 2 - k)) / (math.factorial(n) * 2**n)
+                     for k, num in enumerate(nums)]
+            assert len(ms) == len(es) <= len(nums), n
+            for k, (a, e) in enumerate(zip(ms, es)):
+                got = a * Fraction(2) ** e
+                assert 2 ** (width - 1) <= a < 2 ** (width + 1)
+                rel = (exact[k] - got) / exact[k]
+                assert 0 <= rel <= (n + 1) * Fraction(2) ** (1 - width), (n, k)
+            top = exact[es.index(max(es))]
+            for v in exact[len(ms):]:
+                assert v < top / 2 ** (width + 64), n
+            dropped += len(nums) - len(ms)
+        assert dropped > 0
+
+    @pytest.mark.parametrize("t", [0.1, 0.3, 0.7, -0.4, Fraction(3, 7)])
+    def test_float_sums_are_within_the_certificate(self, t, monkeypatch):
+        # every sum _row_logabs accepts from _float_rows is within 2^-64 of
+        # A_n(t), relative, checked exactly; at these narrow widths many sums
+        # are refused, so acceptance is near its threshold, where a bound too
+        # small would show
+        t, seen = Fraction(t), []
+
+        def recorded(acc, den, e2=0):
+            seen.append(Fraction(acc, den) * Fraction(2) ** e2)
+            return 0.0, 1
+
+        monkeypatch.setattr(coeffs, "_logabs", recorded)
+        accepted = refused = 0
+        for width in (80, 96, 128):
+            for n, ms, es in islice(_float_rows(t, width), 150):
+                if isinstance(coeffs._row_logabs(n, ms, es, t, width), int):  # refused
+                    refused += 1
+                    continue
+                accepted += 1
+                exact = a_eval_exact(n, t)
+                assert abs(seen[-1] - exact) <= abs(exact) / 2**64, (width, n)
+        assert accepted > 100 and refused > 100
+
     @pytest.mark.parametrize("t", [0.1, 0.9, 20, Fraction(3, 7)])
     def test_head_is_within_its_truncations(self, t):
         # T(n, 0) = n^n x^m / (n! 2^n) from x^m / n! and n^n at width bits is low
         # by under 3n u of itself: m + (n - 1) + n + 1 truncations at most
         t, width = Fraction(t), 64
-        for n, row, unit in islice(_term_rows(t, width), 300):
+        for n, row, unit in islice(_fixed_rows(t, width), 300):
             exact = Fraction(n**n) * t ** (2 * (n // 2)) / (math.factorial(n) * 2**n)
             rel = (exact - row[0] * Fraction(2) ** unit) / exact
             assert 0 <= rel < 3 * n * Fraction(2) ** (1 - width), n
@@ -282,7 +339,7 @@ class TestLogAbsStream:
         accepted = refused = 0
         for width in (72, 80, 96, 128):
             u = Fraction(2) ** (1 - width)
-            for n, row, unit in islice(_term_rows(t, width), 150):
+            for n, row, unit in islice(_fixed_rows(t, width), 150):
                 m, nums = n // 2, [num for num in _a_numerators(n) if num]
                 den = q2**m * math.factorial(n) * 2**n * Fraction(2) ** unit
                 rel = sum((3 * n - 5 * k) * abs(num) * p2 ** (m - k) * q2**k
@@ -308,6 +365,7 @@ class TestLogAbsStream:
                      st.floats(min_value=-(2.0**-1020), max_value=-5e-324)))
     @example(300, 0.0)
     @example(300, 5e-324)
+    @example(300, 0.125)
     @example(300, 1.0)
     @example(300, 20.0)
     @example(300, -0.4)
@@ -434,6 +492,15 @@ class TestStore:
         warm = [f(*args) for f, *args in calls]
         assert len(coeffs._STORE) == 4
         assert warm == [self._cold(f, *args) for f, *args in calls]
+
+    @pytest.mark.parametrize("t", [0.05, 0.3])
+    def test_resumes_from_each_first_row(self, t):
+        # an entry that holds rows 0 and 1 (row 0 empty), or 1 and 2, resumes in
+        # either row format
+        for k in (1, 2):
+            self._cold(lambda: list(islice(_a_logabs_stream(t), k)))
+            warm = list(islice(_a_logabs_stream(t), 40))
+            assert warm == self._cold(lambda: list(islice(_a_logabs_stream(t), 40)))
 
     def test_second_call_sums_only_new_rows(self, monkeypatch):
         summed = []
