@@ -263,6 +263,25 @@ def solve_R_true(t: float) -> RadiusResult:
                        iterations=iterations, angle=cmath.phase(z0))
 
 
+def singular_part(pinch: RadiusResult) -> tuple[complex, complex]:
+    """(z0, K) of F(z, t) ~ K (1 - z/z0)^(-1/2) at the nearest singularity
+    z0 of a solve_R_true(t) result, from its root, with no second Newton.
+
+    As z leaves z0, the double pole of w/(1-w) at the pinch tau0 splits
+    into two, tau - tau0 ~ +-sqrt(2 (z - z0)/z0), and the residue of the
+    one the contour meets gives K = i / (sqrt 2 z0 sin tau0),
+    tau0 = acos(1/z0).  For a "pinch" result z0 = R e^{i angle} and the
+    conjugate z0 carries the conjugate K; for t > 1 z0 = R and
+    K = 1/(sqrt 2 sqrt(1 - R^2)), infinite at t = 1.  Darboux's method
+    gives A_n ~ K c_n z0^-n, plus its conjugate, c_n = binom(2n, n)/4^n.
+    """
+    if pinch.branch == "pinch":
+        z0 = cmath.rect(pinch.radius, pinch.angle)
+        return z0, 1j / (_SQRT2 * z0 * cmath.sin(cmath.acos(1.0 / z0)))
+    r = pinch.radius
+    return complex(r), complex(1.0 / (_SQRT2 * math.sqrt((1.0 - r) * (1.0 + r))) if r < 1.0 else math.inf)
+
+
 def psi_small_t(t: float) -> float:
     """Small-t asymptote of the model's 1/solve_R(t): 1/(-ln t + 0.533...).
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .bessel import SeriesEvalReport, _plan, _require_finite, _require_tol, _saddle_line
 from .coeffs import _a_logabs_stream, a_poly
-from .domain import kapteyn_converges, omega, solve_R_true
+from .domain import kapteyn_converges, omega, singular_part, solve_R_true
 from .errors import ConvergenceError, DomainError
 
 _MAX_OUTER_TERMS = 2000
@@ -130,31 +130,52 @@ def eval_direct(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
 
 
 def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
-    """F(z,t) by the power series sum A_n(t) z^n with certified coefficients.
+    """F(z,t) by the power series sum A_n(t) z^n with certified coefficients,
+    less its singular part g, which is added back in closed form.
 
     Requires |z| below the radius of convergence R = solve_R_true(|t|).
     The terms fall like (|z|/R)^n, so reaching tol takes about
-    ln(tol)/ln(|z|/R) of them; a point where that exceeds the 2000-term cap
-    is refused with DomainError before any coefficient is computed (at
+    n0 = ln(tol)/ln(|z|/R) of them; a point where that exceeds the 2000-term
+    cap is refused with DomainError before any coefficient is computed (at
     tol = 1e-10, every |z|/R above 0.98855).
 
-    For |t| < 1 the nearest singularities are R e^{+-i theta}, so |A_n| R^n
-    swings like n^{-1/2} |cos(n theta + phi)|, and terms near each sign
-    change dip a decade or more below the rest.  The envelope E is the
-    largest |A_n| R^n of the last ceil(pi/theta) + 2 terms, one swing and
-    two (the last 2 for |t| >= 1, where the singularity is real).
-    Summation stops after five consecutive terms n with E (|z|/R)^{n+1}
-    below tol * max(1, |partial sum|), and tail_bound is 2 E (|z|/R)^{N+1}
-    / (1 - |z|/R) for N terms, plus the rounding: N ulps of sum |term|, and
-    each term's.  That tail is an estimate from the envelope over one
-    swing, not a proof: a proven one needs max|F| on a circle near R.
+    Near its nearest singularities z0 (R e^{+-i theta} for |t| < 1, R for
+    |t| > 1; -z0 for t < 0, as F(z, -t) = F(-z, t)), F ~ g(z) = K (1 -
+    z/z0)^(-1/2), plus the conjugate for |t| < 1, with K from
+    domain.singular_part.  So |A_n| R^n falls only like n^{-1/2}, while
+    the residual A_n - g_n, g_n = K c_n z0^-n, c_n = binom(2n, n)/4^n,
+    falls like n^{-3/2}: summed in its place, it reaches tol in about
+    (ln(tol) - ln(3|K|) + 1.5 ln n0)/ln(|z|/R) terms, about 45% fewer near
+    the radius, and g(z) - g(0) = K w/(s(1 + s)), w = z/z0, s = sqrt(1 - w), is
+    added.  As |t| -> 1 the pair merges into the pole of F(z, 1) = z/(2(1 -
+    z)) and K grows like 1/|tau0|, so the residual falls like n^{-3/2} only
+    past n |tau0|^2 >> 1: g is subtracted only where n0 >= 20 |K|^2 for
+    the pair, n0 >= |K|^2 / 2 for t > 1 (never at |t| = 1, where K is
+    infinite), and otherwise the raw A_n are summed, as before.  Those
+    constants are where, for t from 0.99 to 1.01 and |z|/R from 0.5 to
+    0.985, subtracting stopped costing terms.
 
-    Each term comes from (ln|A_n(t)|, sign) of coeffs._a_logabs_stream,
-    told to expect ln(tol)/ln(|z|/R) terms, the quiet ones and two more,
-    so coefficients far beyond float range still give finite terms; each
-    log errs by a few ulps of max(1, |ln|A_n(t)||) and each sign is exact.
-    The stream resumes the rows earlier calls at this t certified at its
-    first width, so a sweep over z builds those once; results are unchanged.
+    For |t| < 1, |A_n - g_n| R^n swings like |cos(n theta + phi)|, and
+    terms near each sign change dip a decade or more below the rest.  The
+    envelope E is the largest |A_n - g_n| R^n of the last
+    ceil(pi/theta) + 2 terms, one swing and two (the last 2 for |t| >= 1,
+    where the singularity is real).  Summation stops after five
+    consecutive terms n with E (|z|/R)^{n+1} below tol * max(1, |F|), and
+    tail_bound is 2 E (|z|/R)^{N+1} / (1 - |z|/R) for N terms, plus the
+    rounding: N ulps of sum |term|; each A_n term's; about 10n ulps of each
+    subtracted |g_n| z^n (before the real part is taken), from stepping
+    c_n and the phase n theta; and (6 |w|/|1 - w| + 20) ulps of each
+    closed-form part, whose 1 - w cancels near z0.  That tail is an
+    estimate from the envelope over one swing, not a proof: a proven one
+    needs max|F - g| on a circle near R.
+
+    Each A_n comes from (ln|A_n(t)|, sign) of coeffs._a_logabs_stream at
+    |t|, told to expect the terms above, the quiet ones and two more, so
+    coefficients far beyond float range still give finite terms; each log
+    errs by a few ulps of max(1, |ln|A_n(t)||), each sign is exact, and an
+    exact zero leaves the term -g_n.  The stream resumes the rows earlier
+    calls at this |t| certified at its first width, so a sweep over z
+    builds those once; results are unchanged.
     """
     z = _require_finite(z)
     _require_tol(tol)
@@ -170,35 +191,54 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
             f"|z| = {az:g} is not inside the convergence radius "
             f"R({abs(t):g}) = {radius:g}"
         )
-    log_az, log_radius, u = math.log(az), math.log(radius), z / az  # magnitudes in logs
+    # magnitudes in logs; F(z, -t) = F(-z, t)
+    log_az, log_radius, u = math.log(az), math.log(radius), (z if t > 0.0 else -z) / az
     log_ratio = log_az - log_radius  # az / radius may underflow
     if math.log(tol) < _MAX_OUTER_TERMS * log_ratio:
         raise DomainError(
             f"|z|/R({abs(t):g}) = {az / radius:.6g} is too close to 1: "
             f"tol {tol:g} needs more than {_MAX_OUTER_TERMS} terms"
         )
-    n_hi = math.ceil(math.log(tol) / log_ratio) + _QUIET_TERMS + 2
+    n_hi = max(math.ceil(math.log(tol) / log_ratio), 1)
+    z0, k = singular_part(pinch)
+    poles = ((k, z0), (k.conjugate(), z0.conjugate())) if pinch.branch == "pinch" else ((k, z0),)
+    if n_hi >= (20.0 if len(poles) == 2 else 0.5) * abs(k) ** 2:
+        n_hi = max(math.ceil((math.log(tol / (3.0 * abs(k))) + 1.5 * math.log(n_hi)) / log_ratio), 1)
+    else:
+        k, poles = 0j, ()
     window = math.ceil(math.pi / pinch.angle) + 2 if pinch.branch == "pinch" else 2
-    terms = ((n, sign * math.exp(log_a + n * log_az) * u**n if sign else 0j, log_a)
-             for n, (log_a, sign) in enumerate(_a_logabs_stream(t, n_hi=n_hi), 1))
-    total, abs_sum, ulps, quiet, n = 0j, 0.0, 0.0, 0, 0
-    envelope = deque()  # (n, ln(|A_n| R^n)) falling; the window's largest first
+    closed, closed_err = 0j, 0.0
+    for amp, pole in poles:
+        w = az * u / pole
+        s = cmath.sqrt(1.0 - w)
+        closed += (g := amp * w / (s * (1.0 + s)))  # amp ((1 - w)^(-1/2) - 1)
+        closed_err += abs(g) * (6.0 * abs(w) / abs(1.0 - w) + 20.0)
+    rot, pair = radius / z0, len(poles)
+    terms = _a_logabs_stream(abs(t), n_hi=n_hi + _QUIET_TERMS + 2)
+    total, abs_sum, ulps, quiet, n, q, zn = 0j, 0.0, 0.0, 0, 0, k, 1.0
+    spread, step = 4.0 * (abs(log_radius) + abs(log_az)) + 8.0, math.exp(log_ratio) * u  # step z/R
+    envelope = deque()  # (n, |A_n - g_n| R^n) falling; the window's largest first
     try:
-        for n, term, log_a in terms:
+        for n, (log_a, sign) in enumerate(terms, 1):
+            q *= rot * (1.0 - 0.5 / n)  # K c_n (R/z0)^n, so g_n R^n = pair Re q
+            a = sign * math.exp(log_a + n * log_radius)  # A_n R^n; 0 at an exact zero
+            r = a - pair * q.real
+            zn *= step  # (z/R)^n
+            term = r * zn
             total += term
             abs_sum += abs(term)
-            if term:  # its own error: the log's few ulps of max(1, |log_a|),
-                # then n ln|z|, exp and u^n
-                ulps += abs(term) * (4.0 * max(1.0, abs(log_a))
-                                     + 4.0 * n * (abs(log_az) + 1.0) + 8.0)
-                level = log_a + n * log_radius
-                while envelope and envelope[-1][1] <= level:
+            # each part's own error: the log's few ulps of max(1, |log_a|), n ln R
+            # and n ln|z|, q's n steps and the n steps of (z/R)^n
+            ulps += abs(zn) * ((abs(a) * (4.0 * max(1.0, abs(log_a)) + n * spread + 16.0)
+                                   if sign else 0.0) + pair * abs(q) * (10.0 * n + 16.0))
+            if r:
+                while envelope and envelope[-1][1] <= abs(r):
                     envelope.pop()
-                envelope.append((n, level))
+                envelope.append((n, abs(r)))
             if envelope and envelope[0][0] <= n - window:
                 envelope.popleft()
-            tail = math.exp(envelope[0][1] + (n + 1) * log_ratio) if envelope else 0.0
-            quiet = quiet + 1 if tail < tol * max(1.0, abs(total)) else 0
+            tail = envelope[0][1] * math.exp((n + 1) * log_ratio) if envelope else 0.0
+            quiet = quiet + 1 if tail < tol * max(1.0, abs(total + closed)) else 0
             if quiet == _QUIET_TERMS:
                 break
             if n == _MAX_OUTER_TERMS:
@@ -208,8 +248,9 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     except OverflowError as exc:
         raise ConvergenceError(f"series for F({z!r},{t!r}) overflowed at term {n}") from exc
     tail *= 2.0 / (1.0 - az / radius)
-    return SeriesEvalReport(value=total, terms_used=n,
-                            tail_bound=tail + _EPS * (n * abs_sum + ulps))
+    value = total + closed
+    return SeriesEvalReport(value=value, terms_used=n, tail_bound=tail + _EPS * (
+        n * abs_sum + ulps + closed_err + abs(value)))
 
 
 def fundamental_residual(z: complex, tol: float = 1e-10) -> float:

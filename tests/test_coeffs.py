@@ -16,6 +16,7 @@ from kapteyn import (
 )
 from kapteyn import coeffs
 from kapteyn.coeffs import _a_logabs_stream, _a_numerators, _fixed_rows, _float_rows, _term_rows
+from kapteyn.domain import singular_part, solve_R_true
 
 # the first five polynomials, written out coefficient-by-coefficient
 PRINTED = {
@@ -452,6 +453,35 @@ class TestLogAbsStream:
         assert all(b >= 2 * a for a, b in zip(widths, widths[1:]))
         for n, got in enumerate(values, 1):
             _check_logabs(got, a_eval_exact(n, t))
+
+
+class TestStreamAgainstSingularPart:
+    # Darboux's method: A_n R^n = g_n R^n + O(n^{-3/2}), against g_n R^n =
+    # 2 Re[K c_n e^{-i n theta}] of order n^{-1/2} (K c_n for t > 1), with
+    # z0 = R e^{i theta} and K from domain.singular_part and c_n =
+    # binom(2n, n)/4^n taken exactly here: an oracle for the stream's
+    # magnitude and sign at n = 500-2000, where the exact kernel is slow.
+    # The largest |A_n - g_n| R^n over 100 n, as a share of the largest
+    # |A_n| R^n there, is 2.8e-5 (t = 3, n near 1900) to 7.7e-4 (t = 0.9,
+    # n near 500); the signs are checked where |g_n| is ten times the bound
+
+    @pytest.mark.parametrize("t", [0.1, 0.3, 0.9, 1.5, 3.0])
+    def test_stream_follows_the_singular_part(self, t):
+        pinch = solve_R_true(t)
+        z0, k = singular_part(pinch)
+        pair, radius = (2 if pinch.branch == "pinch" else 1), abs(z0)
+        values = list(islice(_a_logabs_stream(t, n_hi=2000), 2000))
+        for lo in (500, 1200, 1900):
+            a, g = [], []
+            for n in range(lo, lo + 100):
+                log_a, sign = values[n - 1]
+                a.append(sign * math.exp(log_a + n * math.log(radius)))
+                g.append(pair * (k * (math.comb(2 * n, n) / 4**n) * (radius / z0) ** n).real)
+            top = max(map(abs, a))
+            assert max(abs(x - y) for x, y in zip(a, g)) <= 2e-3 * top, (t, lo)
+            for x, y in zip(a, g):
+                if abs(y) > 2e-2 * top:
+                    assert (x > 0) == (y > 0), (t, lo)
 
 
 class TestStore:

@@ -50,7 +50,11 @@ radius cell moved, R at t = 1.0000000000000009 in figure4_range,
 40-digit root of y - tanh y = ln t, R = 1/cosh y.  figure2_900_1000 was
 recorded before the stream's rows became fixed-point integers over one
 unit per row; it restarts once, from 256 to 512 bits, with no term count
-given.
+given.  eval_power and eval_both were re-recorded when eval_power came to
+sum A_n - g_n and add the singular part g(z) in closed form: F(1.5, 0.5)
+takes 241 terms, not 380, and is 1.16e-10 from a 40-digit sum of exact
+terms (1.18e-10 before); the power cells of eval_both take 15 terms, not
+16, and are 9.8e-16 from mpmath's Kapteyn sum (1.3e-14 before).
 """
 
 from pathlib import Path

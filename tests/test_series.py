@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from kapteyn import (
     taylor_to_kapteyn_exact,
     theta_poly,
 )
+from kapteyn.coeffs import _a_logabs_stream
 
 # Taylor coefficients of J_1: 1/2, 0, -1/16, 0, 1/384, 0, -1/18432, ...
 J1_TAYLOR = (Fraction(1, 2), Fraction(0), Fraction(-1, 16), Fraction(0),
@@ -326,6 +328,59 @@ class TestPowerBoundBelowOne:
         p = eval_power(0.994008, 0.99, tol=8.91e-5)
         d = eval_direct(0.994008, 0.99, 1e-14)
         assert abs(p.value - d.value) <= p.tail_bound + d.tail_bound
+
+
+# terms_used before eval_power subtracted its singular part, at |z|/R = 0.5,
+# 0.9 and 0.98 (one triple each), at arguments 0, 0.7 and 2.0 of z
+_RAW_TERMS = {
+    1e-05: ((31, 31, 31), (172, 172, 172), (843, 843, 843)),
+    0.05: ((32, 32, 32), (183, 183, 183), (898, 898, 898)),
+    0.3: ((33, 33, 33), (188, 188, 188), (929, 929, 929)),
+    0.9: ((35, 35, 35), (190, 198, 198), (929, 979, 979)),
+    0.99: ((36, 36, 36), (193, 206, 206), (894, 1019, 1019)),
+    0.995: ((36, 36, 36), (195, 209, 209), (892, 1030, 1030)),
+    0.999: ((36, 36, 36), (202, 216, 216), (902, 1062, 1062)),
+    0.9999: ((36, 36, 36), (202, 216, 216), (954, 1114, 1114)),
+    1.0: ((36, 36, 36), (201, 215, 215), (951, 1109, 1109)),
+    1.0001: ((36, 36, 36), (198, 212, 212), (910, 1061, 1061)),
+    1.5: ((33, 33, 33), (185, 190, 190), (858, 937, 937)),
+    3.0: ((33, 33, 33), (185, 189, 189), (858, 930, 930)),
+    -0.5: ((33, 33, 33), (191, 191, 191), (942, 942, 942)),
+    -1.5: ((33, 33, 33), (190, 190, 190), (937, 937, 937)),
+    Fraction(1, 3): ((33, 33, 33), (189, 189, 189), (930, 918, 930)),
+    0.5: ((33, 33, 33), (191, 191, 191), (942, 933, 942)),
+}
+
+
+class TestSingularPartGrid:
+    # the sum of A_n - g_n plus g(z) in closed form, through t -> 1 from both
+    # sides (where g is subtracted only far enough out), at t = 1 (never),
+    # negative t, and exact zeros (A_4(1/2) = A_3(1/3) = 0, where the term is
+    # -g_n).  The reference sums A_n z^n at 40 digits to 340 terms past the
+    # most any call used, where at |z|/R = 0.98 the rest is under 1e-3 of
+    # the bound; A_n is exact to n = 300, and past it comes from the
+    # certified stream, whose few ulps of ln|A_n| move the sum by under 1e-16
+
+    @pytest.mark.parametrize("t", list(_RAW_TERMS))
+    def test_within_tail_bound_of_exact_sums_in_no_more_terms(self, t):
+        mpmath = pytest.importorskip("mpmath")
+        radius = solve_R_true(abs(float(t))).radius
+        reports = []
+        for x, raw_terms in zip((0.5, 0.9, 0.98), _RAW_TERMS[t]):
+            for angle, raw in zip((0.0, 0.7, 2.0), raw_terms):
+                z = x * radius * cmath.exp(1j * angle)
+                rep = eval_power(z, t)
+                assert math.isfinite(rep.tail_bound) and rep.terms_used <= raw, (z, rep)
+                reports.append((z, rep))
+        n_ref = max(rep.terms_used for _, rep in reports) + 340
+        with mpmath.workdps(40):
+            coeffs = [mpmath.mpf(v.numerator) / v.denominator
+                      for v in (a_eval_exact(n, t) for n in range(1, 301))]
+            coeffs += [sign * mpmath.exp(log_a) if sign else mpmath.mpf(0)
+                       for log_a, sign in islice(_a_logabs_stream(t), 300, n_ref)]
+            for z, rep in reports:
+                ref = complex(mpmath.polyval(coeffs[::-1] + [0], mpmath.mpc(z)))
+                assert abs(rep.value - ref) <= rep.tail_bound, (z, rep, ref)
 
 
 class TestCrossEvaluatorGrid:
