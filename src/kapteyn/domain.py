@@ -263,23 +263,32 @@ def solve_R_true(t: float) -> RadiusResult:
                        iterations=iterations, angle=cmath.phase(z0))
 
 
-def singular_part(pinch: RadiusResult) -> tuple[complex, complex]:
-    """(z0, K) of F(z, t) ~ K (1 - z/z0)^(-1/2) at the nearest singularity
-    z0 of a solve_R_true(t) result, from its root, with no second Newton.
+def singular_part(pinch: RadiusResult) -> tuple[complex, complex, complex]:
+    """(z0, K, M) of F(z, t) ~ K (1 - z/z0)^(-1/2) + const + M (1 - z/z0)^(1/2)
+    at the nearest singularity z0 of a solve_R_true(t) result, from its
+    root, with no second Newton.
 
-    As z leaves z0, the double pole of w/(1-w) at the pinch tau0 splits
-    into two, tau - tau0 ~ +-sqrt(2 (z - z0)/z0), and the residue of the
-    one the contour meets gives K = i / (sqrt 2 z0 sin tau0),
-    tau0 = acos(1/z0).  For a "pinch" result z0 = R e^{i angle} and the
-    conjugate z0 carries the conjugate K; for t > 1 z0 = R and
-    K = 1/(sqrt 2 sqrt(1 - R^2)), infinite at t = 1.  Darboux's method
-    gives A_n ~ K c_n z0^-n, plus its conjugate, c_n = binom(2n, n)/4^n.
+    As z leaves z0, the double pole of w/(1-w) at the pinch tau0,
+    tau0 = acos(1/z0), splits into two, tau = tau0 +- s + s^2/(3 tan tau0)
+    + O(s^3) with s^2 = 2 (z - z0)/z0 (tau - z sin tau held fixed).  The
+    one the contour meets adds its residue, a multiple of 1/(1 - z cos tau),
+    which up to terms analytic at z0 is K (1 - w)^(-1/2) (1 + mu (1 - w)) +
+    O((1 - w)^(3/2)), w = z/z0, with K = i / (sqrt 2 z0 sin tau0) and mu =
+    1/4 + 1/(3 tan^2 tau0).  As
+    tan^2 tau0 = z0^2 - 1 = -1/(2 K^2), mu = 1/4 - 2 K^2/3 and M = mu K.
+    For a "pinch" result z0 = R e^{i angle} and the conjugate z0 carries
+    the conjugate K and M; for t > 1 z0 = R and K = 1/(sqrt 2 sqrt(1 -
+    R^2)), infinite at t = 1 (M is then -inf).  Darboux's method gives
+    A_n ~ (K - M/(2n - 1)) c_n z0^-n, plus its conjugate, c_n =
+    binom(2n, n)/4^n, with an error of order n^(-5/2) R^-n.
     """
     if pinch.branch == "pinch":
         z0 = cmath.rect(pinch.radius, pinch.angle)
-        return z0, 1j / (_SQRT2 * z0 * cmath.sin(cmath.acos(1.0 / z0)))
-    r = pinch.radius
-    return complex(r), complex(1.0 / (_SQRT2 * math.sqrt((1.0 - r) * (1.0 + r))) if r < 1.0 else math.inf)
+        k = 1j / (_SQRT2 * z0 * cmath.sin(cmath.acos(1.0 / z0)))
+    else:
+        z0 = r = pinch.radius
+        k = 1.0 / (_SQRT2 * math.sqrt((1.0 - r) * (1.0 + r))) if r < 1.0 else math.inf
+    return complex(z0), complex(k), complex(k * (0.25 - k * k / 1.5))
 
 
 def psi_small_t(t: float) -> float:

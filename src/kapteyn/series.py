@@ -141,19 +141,27 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
 
     Near its nearest singularities z0 (R e^{+-i theta} for |t| < 1, R for
     |t| > 1; -z0 for t < 0, as F(z, -t) = F(-z, t)), F ~ g(z) = K (1 -
-    z/z0)^(-1/2), plus the conjugate for |t| < 1, with K from
-    domain.singular_part.  So |A_n| R^n falls only like n^{-1/2}, while
-    the residual A_n - g_n, g_n = K c_n z0^-n, c_n = binom(2n, n)/4^n,
-    falls like n^{-3/2}: summed in its place, it reaches tol in about
-    (ln(tol) - ln(3|K|) + 1.5 ln n0)/ln(|z|/R) terms, about 45% fewer near
-    the radius, and g(z) - g(0) = K w/(s(1 + s)), w = z/z0, s = sqrt(1 - w), is
-    added.  As |t| -> 1 the pair merges into the pole of F(z, 1) = z/(2(1 -
-    z)) and K grows like 1/|tau0|, so the residual falls like n^{-3/2} only
-    past n |tau0|^2 >> 1: g is subtracted only where n0 >= 20 |K|^2 for
-    the pair, n0 >= |K|^2 / 2 for t > 1 (never at |t| = 1, where K is
-    infinite), and otherwise the raw A_n are summed, as before.  Those
-    constants are where, for t from 0.99 to 1.01 and |z|/R from 0.5 to
-    0.985, subtracting stopped costing terms.
+    z/z0)^(-1/2) + M (1 - z/z0)^(1/2), plus the conjugate for |t| < 1,
+    with K and M = mu K from domain.singular_part (the next term of the
+    merging poles' Puiseux expansion gives mu = 1/4 + 1/(3 (z0^2 - 1))).
+    So |A_n| R^n falls only like n^{-1/2}, while the residual A_n - g_n,
+    g_n = (K - M/(2n - 1)) c_n z0^-n, c_n = binom(2n, n)/4^n, falls like
+    n^{-5/2}: summed in its place, it reaches tol in about (ln(tol) -
+    ln(3|K|) + 2.5 ln n0)/ln(|z|/R) terms, about 70% fewer near the
+    radius, and g(z) - g(0) = K w/(s(1 + s)) - M w/(1 + s), w = z/z0,
+    s = sqrt(1 - w), is added.  As |t| -> 1 the pair merges into the pole
+    of F(z, 1) = z/(2(1 - z)), K grows like 1/|tau0| and mu like
+    1/|tau0|^2, so each term of g helps only far enough out: K is
+    subtracted only where n0 >= 20 |K|^2 for the pair, n0 >= |K|^2 / 2 for
+    t > 1 (never at |t| = 1, where K is infinite), and M only where K is
+    and n0 >= max(20, 32 |mu|); with K alone the residual falls like
+    n^{-3/2}, and the count above reads 1.5 ln n0.  Otherwise the raw A_n
+    are summed, as before.  K's constants are where, for t from 0.99 to
+    1.01 and |z|/R from 0.5 to 0.985, subtracting K stopped costing terms;
+    M's are where the same held for M, over 40 t from 1e-5 to 10 (16 of
+    them in 0.99-1.01) and |z|/R from 0.3 to 0.985: at tol 1e-10 it cost
+    terms up to n0 = 25.7 |mu| for the pair and 14.2 |mu| for t > 1, and
+    at tol 1e-4 and 1e-6 (with n0 >= 32 |mu|) only below n0 = 20.
 
     For |t| < 1, |A_n - g_n| R^n swings like |cos(n theta + phi)|, and
     terms near each sign change dip a decade or more below the rest.  The
@@ -163,11 +171,11 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     consecutive terms n with E (|z|/R)^{n+1} below tol * max(1, |F|), and
     tail_bound is 2 E (|z|/R)^{N+1} / (1 - |z|/R) for N terms, plus the
     rounding: N ulps of sum |term|; each A_n term's; about 10n ulps of each
-    subtracted |g_n| z^n (before the real part is taken), from stepping
-    c_n and the phase n theta; and (6 |w|/|1 - w| + 20) ulps of each
-    closed-form part, whose 1 - w cancels near z0.  That tail is an
-    estimate from the envelope over one swing, not a proof: a proven one
-    needs max|F - g| on a circle near R.
+    subtracted (|K| + |M|/(2n - 1)) c_n |z|^n (before the real part is
+    taken), from stepping c_n and the phase n theta; and (6 |w|/|1 - w| +
+    20) ulps of each closed-form part, whose 1 - w cancels near z0.  That
+    tail is an estimate from the envelope over one swing, not a proof: a
+    proven one needs max|F - g| on a circle near R.
 
     Each A_n comes from (ln|A_n(t)|, sign) of coeffs._a_logabs_stream at
     |t|, told to expect the terms above, the quiet ones and two more, so
@@ -200,29 +208,34 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
             f"tol {tol:g} needs more than {_MAX_OUTER_TERMS} terms"
         )
     n_hi = max(math.ceil(math.log(tol) / log_ratio), 1)
-    z0, k = singular_part(pinch)
-    poles = ((k, z0), (k.conjugate(), z0.conjugate())) if pinch.branch == "pinch" else ((k, z0),)
-    if n_hi >= (20.0 if len(poles) == 2 else 0.5) * abs(k) ** 2:
-        n_hi = max(math.ceil((math.log(tol / (3.0 * abs(k))) + 1.5 * math.log(n_hi)) / log_ratio), 1)
+    z0, k, m = singular_part(pinch)
+    pair, mu = (2 if pinch.branch == "pinch" else 1), 0.0
+    if n_hi >= (20.0 if pair == 2 else 0.5) * abs(k) ** 2:
+        mu = m / k if n_hi >= max(20.0, 32.0 * abs(m / k)) else 0.0
+        m, slope = mu * k, 2.5 if mu else 1.5  # the residual falls like n^-slope
+        n_hi = max(math.ceil((math.log(tol / (3.0 * abs(k))) + slope * math.log(n_hi))
+                             / log_ratio), 1)
     else:
-        k, poles = 0j, ()
+        k, m, pair = 0j, 0j, 0
     window = math.ceil(math.pi / pinch.angle) + 2 if pinch.branch == "pinch" else 2
     closed, closed_err = 0j, 0.0
-    for amp, pole in poles:
+    for amp, amp2, pole in ((k, m, z0), (k.conjugate(), m.conjugate(), z0.conjugate()))[:pair]:
         w = az * u / pole
         s = cmath.sqrt(1.0 - w)
-        closed += (g := amp * w / (s * (1.0 + s)))  # amp ((1 - w)^(-1/2) - 1)
-        closed_err += abs(g) * (6.0 * abs(w) / abs(1.0 - w) + 20.0)
-    rot, pair = radius / z0, len(poles)
+        g, h = amp * w / (s * (1.0 + s)), amp2 * w / (1.0 + s)
+        closed += g - h  # amp ((1 - w)^(-1/2) - 1) + amp2 ((1 - w)^(1/2) - 1)
+        closed_err += (abs(g) + abs(h)) * (6.0 * abs(w) / abs(1.0 - w) + 20.0)
+    rot = radius / z0
     terms = _a_logabs_stream(abs(t), n_hi=n_hi + _QUIET_TERMS + 2)
     total, abs_sum, ulps, quiet, n, q, zn = 0j, 0.0, 0.0, 0, 0, k, 1.0
     spread, step = 4.0 * (abs(log_radius) + abs(log_az)) + 8.0, math.exp(log_ratio) * u  # step z/R
     envelope = deque()  # (n, |A_n - g_n| R^n) falling; the window's largest first
     try:
         for n, (log_a, sign) in enumerate(terms, 1):
-            q *= rot * (1.0 - 0.5 / n)  # K c_n (R/z0)^n, so g_n R^n = pair Re q
+            q *= rot * (1.0 - 0.5 / n)  # K c_n (R/z0)^n
+            mu_n = 1.0 - mu / (2 * n - 1)  # so g_n R^n = pair Re(q mu_n)
             a = sign * math.exp(log_a + n * log_radius)  # A_n R^n; 0 at an exact zero
-            r = a - pair * q.real
+            r = a - pair * (q * mu_n).real
             zn *= step  # (z/R)^n
             term = r * zn
             total += term
@@ -230,7 +243,8 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
             # each part's own error: the log's few ulps of max(1, |log_a|), n ln R
             # and n ln|z|, q's n steps and the n steps of (z/R)^n
             ulps += abs(zn) * ((abs(a) * (4.0 * max(1.0, abs(log_a)) + n * spread + 16.0)
-                                   if sign else 0.0) + pair * abs(q) * (10.0 * n + 16.0))
+                                if sign else 0.0)
+                               + pair * abs(q) * (1.0 + abs(mu) / (2 * n - 1)) * (10.0 * n + 16.0))
             if r:
                 while envelope and envelope[-1][1] <= abs(r):
                     envelope.pop()

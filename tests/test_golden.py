@@ -55,6 +55,13 @@ sum A_n - g_n and add the singular part g(z) in closed form: F(1.5, 0.5)
 takes 241 terms, not 380, and is 1.16e-10 from a 40-digit sum of exact
 terms (1.18e-10 before); the power cells of eval_both take 15 terms, not
 16, and are 9.8e-16 from mpmath's Kapteyn sum (1.3e-14 before).
+eval_power was re-recorded when eval_power came to subtract the second
+term M (1 - z/z0)^(1/2) of the singular part as well: F(1.5, 0.5) takes
+149 terms, not 241, and is 1.4e-11 from a 40-digit sum of exact terms
+(1.16e-10 before); eval_both, too far in for M, stayed as it was.
+eval_power_near was recorded then, at |z|/R = 0.987 for t = 0.3, near
+the refusal at 0.98855: 364 terms (773 with K alone), 3.7e-10 from a
+40-digit sum of 4000 terms, within its bound of 1.4e-8.
 """
 
 from pathlib import Path
@@ -90,6 +97,7 @@ CASES = {
     "eval_direct": ["eval", "0.3", "0", "1", "--method", "direct"],
     "eval_direct_near": ["eval", "0.9", "0", "0.95", "--method", "direct"],
     "eval_power": ["eval", "1.5", "0", "0.5", "--method", "power"],
+    "eval_power_near": ["eval", "1.2", "1.526", "0.3", "--method", "power"],
     "eval_both": ["eval", "0.2", "0.1", "0.7"],
     "eval_direct_json": ["--json", "eval", "0.3", "0", "1", "--method", "direct"],
     "expand_to_taylor": ["expand", "--direction", "to-taylor", "--input", SEQ40],
