@@ -8,7 +8,7 @@ the implicit model equation for R(t), which is exact for t >= 1 and a
 leading-order model, off by up to 6%, for 0 < t < 1.
 """
 
-from .bessel import SeriesEvalReport, bessel_jn_scaled, sqrt1mz2
+from .bessel import SeriesEvalReport, sqrt1mz2
 from .coeffs import (
     APoly,
     CoefficientTable,
@@ -43,7 +43,7 @@ from .series import (
     theta_poly,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "APoly",
@@ -59,7 +59,6 @@ __all__ = [
     "a_eval_exact",
     "a_eval_logabs",
     "a_poly",
-    "bessel_jn_scaled",
     "coeff_closed_form",
     "coeff_radius_estimate",
     "coeff_table_recurrence",

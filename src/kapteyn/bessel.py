@@ -1,12 +1,13 @@
-"""Bessel's integral J_n(nz) = (1/2pi) int e^{in(tau - z sin tau)} dtau for
-complex z, and the saddle line, plan, checks and report type the evaluators share.
+"""The saddle line and trapezoid plan of series.eval_direct, which takes
+F(z,t) = sum t^n J_n(nz) under Bessel's integral J_n(nz) = (1/2pi) int
+e^{in(tau - z sin tau)} dtau; the report type and argument checks of the
+evaluators; and sqrt1mz2.
 
-J_n(nz), and the Kapteyn sum F(z,t) = sum t^n J_n(nz) in series.eval_direct,
-are taken by the trapezoid rule on the line Im tau = c of least sup|e^{i(tau
-- z sin tau)}| = omega(z).  The integrands are periodic and analytic, so N
-nodes on a strip |Im tau - c| < a where they are at most M err by at most
-2M/(e^{aN} - 1) (Trefethen & Weideman, SIAM Review 56(3), 2014).  _plan
-takes a and N from that bound for both, by the false-position search of
+F is the trapezoid sum of w/(1-w), w = t e^{i(tau - z sin tau)}, on the line
+Im tau = c of least sup|w| = omega(z)|t|.  The integrand is periodic and
+analytic, so N nodes on a strip |Im tau - c| < a where it is at most M err
+by at most 2M/(e^{aN} - 1) (Trefethen & Weideman, SIAM Review 56(3), 2014).
+_plan takes a and N from that bound, by the false-position search of
 _widest.
 """
 
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 
-_MAX_ABS_Z = 4.0
 _MAX_NODES = 1 << 16  # trapezoid nodes; about 0.1 s of work
 _LN2 = math.log(2.0)
 
@@ -26,9 +26,8 @@ _LN2 = math.log(2.0)
 @dataclass(frozen=True)
 class SeriesEvalReport:
     """Result of an adaptive evaluation: terms_used counts series terms for
-    series.eval_power and trapezoid nodes otherwise; tail_bound bounds the
-    whole error for the evaluators of F (see their docstrings), and the
-    truncation, by the trapezoid error theorem, for bessel_jn_scaled."""
+    series.eval_power and trapezoid nodes for series.eval_direct; tail_bound
+    bounds the whole error (see their docstrings)."""
 
     value: complex
     terms_used: int
@@ -84,17 +83,17 @@ def _saddle_line(z: complex, log_tz: float):
     return s, lambda a: max(log_sup(s - a), log_sup(s + a))
 
 
-def _widest(value, hi: float, ok) -> float:
-    """A float a >= 0 with ok(value(a)) within 1% of the largest, for value
-    continuous and increasing, or 0.0 if ok fails at 0.  hi doubles while ok
-    holds there, then false position with the Illinois step (Dowell &
+def _widest(value, hi: float) -> float:
+    """A float a >= 0 with value(a) < 0 within 1% of the largest, for value
+    continuous and increasing, or 0.0 if value(0) >= 0.  hi doubles while
+    value(hi) < 0, then false position with the Illinois step (Dowell &
     Jarratt, BIT 11, 1971) shrinks [lo, hi] until hi <= 1.01 lo, taking the
     midpoint when the secant point is not strictly inside or two steps did
     not halve [lo, hi].  _plan's strip half-width is its one use."""
     lo, v_lo = 0.0, value(0.0)
-    if not ok(v_lo):
+    if not v_lo < 0.0:
         return 0.0
-    while ok(v_hi := value(hi)):
+    while (v_hi := value(hi)) < 0.0:
         lo, v_lo, hi = hi, v_hi, 2.0 * hi
     last, before, bisect = None, hi - lo, False
     while (1.01 * lo or math.nextafter(lo, hi)) < hi:
@@ -103,7 +102,7 @@ def _widest(value, hi: float, ok) -> float:
         secant = not bisect and lo < a < hi
         if not secant:
             a = 0.5 * (lo + hi)
-        good = ok(v := value(a))
+        good = (v := value(a)) < 0.0
         halve = 0.5 if secant and good == last else 1.0  # Illinois: an end kept twice
         lo, v_lo, hi, v_hi = (a, v, hi, halve * v_hi) if good else (lo, halve * v_lo, a, v)
         last = good if secant else last
@@ -111,18 +110,19 @@ def _widest(value, hi: float, ok) -> float:
     return lo
 
 
-def _plan(line, level: float, ln_m, ln_tol: float, hi: float, what):
-    """(a, N, bound) of the trapezoid rule on a _saddle_line strip, where
-    line(a), increasing, is the log-sup on |Im tau - c| < a and ln_m(line(a))
-    is ln M.  _widest finds the widest strip with line(a) < level to 1% from
-    hi, and a is the one of 0.85, 0.93 and 0.97 of it with the least odd N
-    whose bound = 2M/(e^{aN} - 1) <= e^{ln_tol}, taken in logs so that no M
-    overflows.  ConvergenceError, naming what(), comes before any node if N
-    would pass 65536."""
-    lo = _widest(line, hi, lambda v: v < level)
+def _plan(line, ln_tol: float, hi: float, what):
+    """(a, N, bound) of the trapezoid rule for w/(1-w) on a _saddle_line
+    strip, where line(a), increasing, is ln sup|w| = v on |Im tau - c| < a,
+    so M = e^v/(1 - e^v).  _widest finds the widest strip with line(a) < 0
+    to 1% from hi, and a is the one of 0.85, 0.93 and 0.97 of it with the
+    least odd N whose bound = 2M/(e^{aN} - 1) <= e^{ln_tol}, taken in logs
+    so that no M overflows.  ConvergenceError, naming what(), comes before
+    any node if N would pass 65536."""
+    lo = _widest(line, hi)
     need, a, x = math.inf, 0.0, 0.0
     for f in (0.85, 0.93, 0.97) if lo > 0.0 else ():
-        x_f = _LN2 + ln_m(line(f * lo)) - ln_tol  # ln(2M/tol); N >= ln(1 + e^x_f)/a
+        v = line(f * lo)
+        x_f = _LN2 + (v - math.log(-math.expm1(v))) - ln_tol  # ln(2M/tol); N >= ln(1 + e^x_f)/a
         need_f = (x_f + math.log1p(math.exp(-x_f)) if x_f > 0.0
                   else math.log1p(math.exp(x_f))) / (f * lo)
         if need_f < need:
@@ -131,47 +131,3 @@ def _plan(line, level: float, ln_m, ln_tol: float, hi: float, what):
     if count > _MAX_NODES:
         raise ConvergenceError(f"{what()} needs more than {_MAX_NODES} trapezoid nodes")
     return a, count, math.exp(x + ln_tol - a * count) / -math.expm1(-a * count)
-
-
-def bessel_jn_scaled(n: int, z: complex, tol: float = 1e-12) -> SeriesEvalReport:
-    """J_n(nz), n >= 1, as (1/2pi) int e^{in(tau - z sin tau)} dtau by the
-    trapezoid rule on _saddle_line, where the integrand's log-sup is top =
-    n ln omega(z): the value is e^top times a mean of terms of modulus <= 1,
-    and loses at most about sqrt(n) to cancellation.
-
-    _plan takes N for tail_bound = e^top 2M/(e^{aN} - 1) <= tol min(1, e^top)
-    on strips where ln M = n log-sup - top grows by at most G = ln(2/min(tol,
-    1)) + max(0, top); terms_used is N.  ConvergenceError comes before any
-    node if e^top overflows or N > 65536.  |z| > 4 stays a DomainError: on
-    the real line past |z| = 1, N grows like n|z| (40,689 nodes for
-    J_4000(16000)), and at |z| = 4 the cap refuses from n = 6451.
-    """
-    if n < 1:
-        raise DomainError(f"order n must be >= 1, got {n}")
-    _require_tol(tol)
-    z = _require_finite(z)
-    az = abs(z)
-    if az > _MAX_ABS_Z:
-        raise DomainError(f"|z| = {az:g} exceeds supported bound {_MAX_ABS_Z}")
-    if az == 0.0:
-        return SeriesEvalReport(value=0j, terms_used=1, tail_bound=0.0)
-    s, log_sup_strip = _saddle_line(z, math.log(az))
-    top = n * log_sup_strip(0.0)
-    try:
-        scale = math.exp(top)
-    except OverflowError:
-        raise ConvergenceError(f"|J_{n}({n}*{z!r})| overflows double precision") from None
-    ln_tol = math.log(min(tol, 1.0)) - max(0.0, top)  # ln(tol min(1, e^top)/e^top) = ln 2 - G
-    _, count, bound = _plan(log_sup_strip, (top + _LN2 - ln_tol) / n, lambda v: n * v - top,
-                            ln_tol, 1.0, lambda: f"J_{n}({n}*{z!r}) at tol {tol:g}")
-    sig = math.exp(s)
-    big, small, base = 0.5 * z / az / sig, 0.5 * z * az * sig, n * (math.log(az) + s) - top
-    # e^{in theta_k} from nk mod N; nodes k, N - k exact conjugates, so real z gives real J
-    terms = [cmath.exp(n * (big - small) + base)]
-    for k in range(1, count // 2 + 1):
-        e = cmath.rect(1.0, 2.0 * math.pi * k / count)
-        phase = 2.0 * math.pi * (n * k % count) / count
-        terms.append(cmath.exp(complex(base, phase) + n * (big * e.conjugate() - small * e)))
-        terms.append(cmath.exp(complex(base, -phase) + n * (big * e - small * e.conjugate())))
-    mean = complex(math.fsum(v.real for v in terms), math.fsum(v.imag for v in terms)) / count
-    return SeriesEvalReport(value=scale * mean, terms_used=count, tail_bound=scale * bound)

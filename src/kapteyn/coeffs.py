@@ -117,7 +117,7 @@ def _a_numerators(n: int):
         binom = binom * (n - k) // (k + 1)
 
 
-def _a_kernel(n: int, nums, t: Fraction) -> tuple[int, int]:
+def _a_kernel(n: int, t: Fraction) -> tuple[int, int]:
     # A_n(t) as an unreduced integer pair from its numerators: a Horner sum in
     # p^2 with a running power of q^2 over n! 2^n q^n; the power-of-two part
     # of q (all of it for a float t) is a shift
@@ -125,7 +125,7 @@ def _a_kernel(n: int, nums, t: Fraction) -> tuple[int, int]:
     twos = (q & -q).bit_length() - 1
     p2, q2 = p * p, (q >> twos) ** 2
     acc, q_pow = 0, 1
-    for k, num in enumerate(nums):
+    for k, num in enumerate(_a_numerators(n)):
         acc = acc * p2 + (num * q_pow << 2 * twos * k)
         q_pow *= q2
     if n % 2:
@@ -317,7 +317,7 @@ def _a_logabs_stream(t, n_lo: int = 1, n_hi: int = 0):
             for n, row, unit in islice(_term_rows(t, width, *start), n_next - 1 - len(done), None):
                 n_next, got = n + 1, _row_logabs(n, row, unit, t, width)
                 if isinstance(got, int):
-                    lost, got = got, _logabs(*_a_kernel(n, _a_numerators(n), t))
+                    lost, got = got, _logabs(*_a_kernel(n, t))
                     if got[1]:
                         yield got
                         break
@@ -364,7 +364,7 @@ def a_eval_exact(n: int, t) -> Fraction:
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return Fraction(*_a_kernel(n, _a_numerators(n), _exact(t)))
+    return Fraction(*_a_kernel(n, _exact(t)))
 
 
 def a_eval_logabs(n: int, t) -> tuple[float, int]:
@@ -375,4 +375,4 @@ def a_eval_logabs(n: int, t) -> tuple[float, int]:
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return _logabs(*_a_kernel(n, _a_numerators(n), _exact(t)))
+    return _logabs(*_a_kernel(n, _exact(t)))

@@ -121,8 +121,8 @@ def eval_direct(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     log_tz = math.log(t) + math.log(az)
     s, log_sup_strip = _saddle_line(z, log_tz)
     # sup|w| >= t e^{-c} puts c - ln t outside the strip where sup|w| < 1
-    _, n, bound = _plan(log_sup_strip, 0.0, lambda v: v - math.log(-math.expm1(v)),
-                        math.log(tol), -s - log_tz, lambda: f"F({z!r},{t!r}) at tol {tol:g}")
+    _, n, bound = _plan(log_sup_strip, math.log(tol), -s - log_tz,
+                        lambda: f"F({z!r},{t!r}) at tol {tol:g}")
     sig = math.exp(s)
     value, rounding = _trapezoid_nodes(n, t * az * sig, 0.5 * (z / az) / sig,
                                        0.5 * z * az * sig)

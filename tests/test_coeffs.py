@@ -307,6 +307,20 @@ class TestLogAbsStream:
                 assert abs(seen[-1] - exact) <= abs(exact) / 2**64, (width, n)
         assert accepted > 100 and refused > 100
 
+    def test_float_certificate_keeps_its_alignment_and_dropped_units(self):
+        # a hand-built per-term row of N = 2 terms on one exponent at width
+        # 256: B = (n + 1)(E + O + N) 2^(2 - width) + N + 2 units, from
+        # _float_logabs's docstring, so a sum of 2^64 (B - 1) must be refused,
+        # though it is accepted without the N + 2, and one of 2^64 B accepted
+        n, width, t, terms = 3, 256, Fraction(1, 10), 2
+        odd = 1 << width - 1
+        b = ((n + 1) * (2 * odd + terms) >> width - 2) + terms + 2
+        for total, refused in (((b - 1) << 64, True), (b << 64, False)):
+            even = odd + total
+            assert ((n + 1) * (even + odd + terms) >> width - 2) + terms + 2 == b
+            got = coeffs._float_logabs(n, [even, odd], [-300, -300], t, width)
+            assert isinstance(got, int) == refused, total >> 64
+
     @pytest.mark.parametrize("t", [0.1, 0.9, 20, Fraction(3, 7)])
     def test_head_is_within_its_truncations(self, t):
         # T(n, 0) = n^n x^m / (n! 2^n) from x^m / n! and n^n at width bits is low
@@ -402,9 +416,9 @@ class TestLogAbsStream:
             widths.append(width)
             return rows(t, width)
 
-        def recorded_kernel(n, nums, t):
+        def recorded_kernel(n, t):
             exact.append(n)
-            return kernel(n, nums, t)
+            return kernel(n, t)
 
         monkeypatch.setattr(coeffs, "_WIDTH", 8)
         monkeypatch.setattr(coeffs, "_term_rows", recorded_rows)

@@ -274,9 +274,9 @@ class TestEvalPower:
             summed.append(n)
             return row_logabs(n, *args)
 
-        def recorded_kernel(n, nums, t):
+        def recorded_kernel(n, t):
             exact.append(n)
-            return kernel(n, nums, t)
+            return kernel(n, t)
 
         def recorded_rows(t, width):
             widths.append(width)
