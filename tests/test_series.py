@@ -180,6 +180,105 @@ class TestEvalDirect:
             assert value == pytest.approx(z / (2 * (1 - z)), rel=1e-8)
 
 
+# frozen oracle: the factorial series of each J_n(nz) summed term by term at
+# z = 1/5, t = 1/2, 30 orders of 30 terms in exact rationals (recomputed
+# below by _factorial_oracle)
+F_AT_02_05 = 0.05530750464971255
+
+
+def _factorial_oracle(z, t, orders=30, terms=30):
+    # sum of t^n (nz/2)^{n+2j} (-1)^j / (j!(n+j)!), exact rationals
+    acc = Fraction(0)
+    for n in range(1, orders + 1):
+        w = n * z / 2
+        for j in range(terms):
+            acc += t**n * Fraction((-1) ** j, math.factorial(j) * math.factorial(n + j)) \
+                * w ** (n + 2 * j)
+    return float(acc)
+
+
+def _pde_residual(z, t, h=2.5e-4, tol=1e-14):
+    # every t^n J_n(nz) solves z^2 y'' + z y' + (z^2 - 1)(t d/dt)^2 y = 0, as
+    # (t d/dt)^2 t^n = n^2 t^n, so F does; central differences, t d/dt in ln t
+    f = lambda z, t: eval_direct(z, t, tol).value
+    fz = (f(z + h, t) - f(z - h, t)) / (2 * h)
+    fzz = (f(z + h, t) - 2 * f(z, t) + f(z - h, t)) / (h * h)
+    ftt = (f(z, t * math.exp(h)) - 2 * f(z, t) + f(z, t * math.exp(-h))) / (h * h)
+    return abs(z * z * fzz + z * fz + (z * z - 1) * ftt)
+
+
+# (z, t) with omega(z)|t| <= 0.75, both signs of t, |Re z| past 1 included
+_PDE_GRID = [(z, t) for z in (0.3, 0.15 + 0.2j, -0.4, 0.6j, 0.5 + 0.5j, 0.9 - 0.1j, 1.0,
+                              -0.7 - 0.2j, 1.5, -1.2j, 2.0 - 1.0j, -3.0j, 3.5)
+             for t in (-0.6, -0.4, -0.2, 0.05, 0.3, 0.5, 0.7, 1.2) if omega(z) * abs(t) <= 0.75]
+
+
+class TestEvalDirectIdentities:
+    """Identities of the sum of t^n J_n(nz) that eval_direct's integrand must
+    keep, each checked against an oracle that shares no code with it."""
+
+    def test_against_factorial_series_oracle(self):
+        rep = eval_direct(0.2, 0.5, 1e-14)
+        assert rep.value.imag == 0
+        assert rep.value.real == pytest.approx(F_AT_02_05, rel=1e-12)
+        assert rep.value.real == pytest.approx(
+            _factorial_oracle(Fraction(1, 5), Fraction(1, 2)), rel=1e-12)
+
+    def test_pde_grid_covers_both_signs_of_t(self):
+        assert len(_PDE_GRID) > 50
+        assert {t > 0.0 for _, t in _PDE_GRID} == {True, False}
+
+    @pytest.mark.parametrize("z,t", _PDE_GRID)
+    def test_pde_residual_grid(self, z, t):
+        assert _pde_residual(complex(z), t) < 1e-5
+
+    @pytest.mark.parametrize("z,t", [(0.2 + 0.4j, 0.8), (1.0 - 0.3j, 0.6), (0.1 + 0.1j, -2.0),
+                                     (1.4j, 0.3), (-2.5 + 0.3j, -0.3), (0.9 - 0.05j, 0.95),
+                                     (-0.3 - 0.6j, 0.7), (3.0 + 1.0j, 0.1)])
+    def test_conjugation_symmetry(self, z, t):
+        # real Taylor coefficients in z: F(conj z, t) = conj F(z, t)
+        a = eval_direct(z.conjugate(), t, 1e-13).value
+        b = eval_direct(z, t, 1e-13).value.conjugate()
+        assert abs(a - b) < 1e-12
+
+    @pytest.mark.parametrize("z", [0.3, 0.999, 1.0, -1.1, 2.5, -3.3, 4.0])
+    def test_real_point_gives_real_value(self, z):
+        checked = 0
+        for t in (-3.0, -1.5, -0.8, -0.2, 0.001, 0.05, 0.4, 0.9, 1.3, 2.7):
+            if kapteyn_converges(z, t):
+                checked += 1
+                assert eval_direct(z, t).value.imag == 0, t
+        assert checked >= 3
+
+    @pytest.mark.parametrize("z,t", [(0.4, 0.8), (1.1, -0.5), (0.9, 0.6), (-2.5, 0.3),
+                                     (0.2 + 0.6j, 0.7), (0.8 - 0.4j, -0.6), (3.0, 0.2),
+                                     (-0.3 - 1.0j, 0.4), (0.5, 1.5)])
+    def test_against_scipy(self, z, t):
+        # scipy's J_n(nz) summed until a term falls below 1e-18
+        jv = pytest.importorskip("scipy.special").jv
+        ref, n = 0j, 0
+        while True:
+            n += 1
+            term = t**n * complex(jv(n, n * complex(z)))
+            ref += term
+            if n > 5 and abs(term) < 1e-18:
+                break
+        rep = eval_direct(z, t, 1e-14)
+        assert abs(rep.value - ref) <= rep.tail_bound
+
+    @given(st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False),
+           st.floats(-0.9, 0.9),
+           st.sampled_from([1e-6, 1e-8, 1e-10]))
+    @settings(max_examples=60, deadline=None)
+    def test_tighter_tolerance_agrees_within_both_bounds(self, z, share, tol):
+        # omega(z)|t| <= |share|, with |t| <= 3 where omega(z) is small; a
+        # smaller tol takes no fewer nodes, and both answers hold their bounds
+        t = share / max(omega(z), 1.0 / 3.0)
+        loose, tight = eval_direct(z, t, tol), eval_direct(z, t, 1e-13)
+        assert loose.terms_used <= tight.terms_used
+        assert abs(loose.value - tight.value) <= loose.tail_bound + tight.tail_bound
+
+
 class TestEvalPower:
     def test_geometric_identity_at_t1(self):
         rep = eval_power(0.3, 1.0, 1e-10)
