@@ -263,24 +263,31 @@ def solve_R_true(t: float) -> RadiusResult:
                        iterations=iterations, angle=cmath.phase(z0))
 
 
-def singular_part(pinch: RadiusResult) -> tuple[complex, complex, complex]:
-    """(z0, K, M) of F(z, t) ~ K (1 - z/z0)^(-1/2) + const + M (1 - z/z0)^(1/2)
-    at the nearest singularity z0 of a solve_R_true(t) result, from its
-    root, with no second Newton.
+def singular_part(pinch: RadiusResult) -> tuple[complex, complex, complex, complex]:
+    """(z0, K, M, P) of F(z, t) ~ K (1 - z/z0)^(-1/2) + const + M (1 -
+    z/z0)^(1/2) + P (1 - z/z0)^(3/2) at the nearest singularity z0 of a
+    solve_R_true(t) result, from its root, with no second Newton.
 
     As z leaves z0, the double pole of w/(1-w) at the pinch tau0,
-    tau0 = acos(1/z0), splits into two, tau = tau0 +- s + s^2/(3 tan tau0)
-    + O(s^3) with s^2 = 2 (z - z0)/z0 (tau - z sin tau held fixed).  The
-    one the contour meets adds its residue, a multiple of 1/(1 - z cos tau),
-    which up to terms analytic at z0 is K (1 - w)^(-1/2) (1 + mu (1 - w)) +
-    O((1 - w)^(3/2)), w = z/z0, with K = i / (sqrt 2 z0 sin tau0) and mu =
-    1/4 + 1/(3 tan^2 tau0).  As
-    tan^2 tau0 = z0^2 - 1 = -1/(2 K^2), mu = 1/4 - 2 K^2/3 and M = mu K.
-    For a "pinch" result z0 = R e^{i angle} and the conjugate z0 carries
-    the conjugate K and M; for t > 1 z0 = R and K = 1/(sqrt 2 sqrt(1 -
-    R^2)), infinite at t = 1 (M is then -inf).  Darboux's method gives
-    A_n ~ (K - M/(2n - 1)) c_n z0^-n, plus its conjugate, c_n =
-    binom(2n, n)/4^n, with an error of order n^(-5/2) R^-n.
+    tau0 = acos(1/z0), splits into two, tau = tau0 +- s + s^2/(3 T) -+
+    (5/24 + 1/(18 T^2)) s^3 + O(s^4), T = tan tau0, with s^2 = 2 (z -
+    z0)/z0 (tau - z sin tau held fixed; the s^4 and s^5 terms, -(63 T^2 +
+    20)/(540 T^3) and (1161 T^4 + 792 T^2 + 400)/(17280 T^4), enter nu).
+    The one the contour meets adds its residue, a multiple of 1/(1 - z cos
+    tau), which up to terms analytic at z0 is K (1 - w)^(-1/2) (1 + mu (1 -
+    w) + nu (1 - w)^2) + O((1 - w)^(5/2)), w = z/z0, with K = i / (sqrt 2
+    z0 sin tau0), mu = 1/4 + 1/(3 T^2) and nu = 3/32 + 5/(36 T^2) + 1/(54
+    T^4) = (3 T^2 + 4)(27 T^2 + 4)/(864 T^4).  As T^2 = z0^2 - 1 = -1/(2
+    K^2), mu = 1/4 - 2 K^2/3, nu = 3/32 - 5 K^2/18 + 2 K^4/27, M = mu K
+    and P = nu K.  For a "pinch" result z0 = R e^{i angle} and the
+    conjugate z0 carries the conjugate K, M and P; for t > 1 z0 = R and K
+    = 1/(sqrt 2 sqrt(1 - R^2)), infinite at t = 1 (M is then -inf and P
+    inf).  Darboux's method gives A_n ~ (K - M/(2n - 1) + 3 P/((2n - 1)(2n
+    - 3))) c_n z0^-n, plus its conjugate, c_n = binom(2n, n)/4^n, with an
+    error of order n^(-7/2) R^-n: about -15 rho K c_n/(8 n^3) z0^-n from
+    the next coefficient, rho = 5/128 - 99/(800 T^2) - 149/(360 T^4) -
+    115/(486 T^6) = 5/128 + 99 K^2/400 - 149 K^4/90 + 460 K^6/243 (two
+    more terms of the expansion), which eval_power uses only to size it.
     """
     if pinch.branch == "pinch":
         z0 = cmath.rect(pinch.radius, pinch.angle)
@@ -288,7 +295,9 @@ def singular_part(pinch: RadiusResult) -> tuple[complex, complex, complex]:
     else:
         z0 = r = pinch.radius
         k = 1.0 / (_SQRT2 * math.sqrt((1.0 - r) * (1.0 + r))) if r < 1.0 else math.inf
-    return complex(z0), complex(k), complex(k * (0.25 - k * k / 1.5))
+    k2 = k * k
+    return (complex(z0), complex(k), complex(k * (0.25 - k2 / 1.5)),
+            complex(k * (0.09375 - k2 * (5.0 / 18.0 - k2 * (2.0 / 27.0)))))
 
 
 def psi_small_t(t: float) -> float:

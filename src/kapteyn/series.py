@@ -141,41 +141,58 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
 
     Near its nearest singularities z0 (R e^{+-i theta} for |t| < 1, R for
     |t| > 1; -z0 for t < 0, as F(z, -t) = F(-z, t)), F ~ g(z) = K (1 -
-    z/z0)^(-1/2) + M (1 - z/z0)^(1/2), plus the conjugate for |t| < 1,
-    with K and M = mu K from domain.singular_part (the next term of the
-    merging poles' Puiseux expansion gives mu = 1/4 + 1/(3 (z0^2 - 1))).
-    So |A_n| R^n falls only like n^{-1/2}, while the residual A_n - g_n,
-    g_n = (K - M/(2n - 1)) c_n z0^-n, c_n = binom(2n, n)/4^n, falls like
-    n^{-5/2}: summed in its place, it reaches tol in about (ln(tol) -
-    ln(3|K|) + 2.5 ln n0)/ln(|z|/R) terms, about 70% fewer near the
-    radius, and g(z) - g(0) = K w/(s(1 + s)) - M w/(1 + s), w = z/z0,
-    s = sqrt(1 - w), is added.  As |t| -> 1 the pair merges into the pole
-    of F(z, 1) = z/(2(1 - z)), K grows like 1/|tau0| and mu like
-    1/|tau0|^2, so each term of g helps only far enough out: K is
-    subtracted only where n0 >= 20 |K|^2 for the pair, n0 >= |K|^2 / 2 for
-    t > 1 (never at |t| = 1, where K is infinite), and M only where K is
-    and n0 >= max(20, 32 |mu|); with K alone the residual falls like
-    n^{-3/2}, and the count above reads 1.5 ln n0.  Otherwise the raw A_n
-    are summed, as before.  K's constants are where, for t from 0.99 to
-    1.01 and |z|/R from 0.5 to 0.985, subtracting K stopped costing terms;
-    M's are where the same held for M, over 40 t from 1e-5 to 10 (16 of
-    them in 0.99-1.01) and |z|/R from 0.3 to 0.985: at tol 1e-10 it cost
-    terms up to n0 = 25.7 |mu| for the pair and 14.2 |mu| for t > 1, and
-    at tol 1e-4 and 1e-6 (with n0 >= 32 |mu|) only below n0 = 20.
+    z/z0)^(-1/2) + M (1 - z/z0)^(1/2) + P (1 - z/z0)^(3/2), plus the
+    conjugate for |t| < 1, with K, M = mu K and P = nu K from
+    domain.singular_part (the merging poles' Puiseux expansion gives mu =
+    1/4 + 1/(3 (z0^2 - 1)) and nu = 3/32 + 5/(36 (z0^2 - 1)) + 1/(54 (z0^2
+    - 1)^2)).  So |A_n| R^n falls only like n^{-1/2}, while the residual
+    A_n - g_n, g_n = (K - M/(2n - 1) + 3P/((2n - 1)(2n - 3))) c_n z0^-n,
+    c_n = binom(2n, n)/4^n, falls like n^{-7/2}, and g(z) - g(0) = K w/(s(1
+    + s)) - M w/(1 + s) - P w (1 + s + s^2)/(1 + s), w = z/z0, s = sqrt(1 -
+    w), is added.  The residual is about pair K lead n^{-slope} R^-n, from
+    the first term left out (lead = -1.06 rho with P, rho the next
+    coefficient, 3/(4 sqrt pi) nu with M alone, -1/(2 sqrt pi) mu with K
+    alone; slope 3.5, 2.5 or 1.5), and the stream is told to expect the n
+    where that times (|z|/R)^n is tol: 0.93-1.04 of the terms used on
+    power_disk's calls of 100 terms or more.  As |t| -> 1 the pair merges
+    into the pole of F(z, 1) = z/(2(1 - z)), K grows like 1/|tau0|, mu like
+    1/|tau0|^2 and nu like 1/|tau0|^4, so each term of g helps only far
+    enough out: K is subtracted only where n0 >= 20 |K|^2 for the pair, n0
+    >= |K|^2 / 2 for t > 1 (never at |t| = 1, where K is infinite), M only
+    where K is and n0 >= max(20, 32 |mu|), and P only where M is, n0 >= 43
+    and, for t > 1, nu < 0 (R below sqrt(23/27), t above 1.0213).
+    Otherwise the raw A_n are summed, as before.  K's constants are where,
+    for t from 0.99 to 1.01 and |z|/R from 0.5 to 0.985, subtracting K
+    stopped costing terms; M's are where the same held for M, over 40 t
+    from 1e-5 to 10 (16 of them in 0.99-1.01) and |z|/R from 0.3 to 0.985:
+    at tol 1e-10 it cost terms up to n0 = 25.7 |mu| for the pair and 14.2
+    |mu| for t > 1, and at tol 1e-4 and 1e-6 (with n0 >= 32 |mu|) only
+    below n0 = 20.  P's are where the same held for P, over 44 t from 1e-5
+    to 10 (30 of them in 0.9-1.1) and |z|/R from 0.3 to 0.985 at tol 1e-4
+    to 1e-13: for t > 1 it cost terms at every n0 up to the cap where nu >
+    0 (t up to 1.021; there the residual with M alone is still far from its
+    n^{-5/2} form), and nowhere where nu < 0; for the pair it cost one term
+    at n0 = 20 to 42, and above that one term at four points of tol 1e-4
+    (n0 = 127 and 180).
 
     For |t| < 1, |A_n - g_n| R^n swings like |cos(n theta + phi)|, and
     terms near each sign change dip a decade or more below the rest.  The
     envelope E is the largest |A_n - g_n| R^n of the last
     ceil(pi/theta) + 2 terms, one swing and two (the last 2 for |t| >= 1,
-    where the singularity is real).  Summation stops after five
-    consecutive terms n with E (|z|/R)^{n+1} below tol * max(1, |F|), and
-    tail_bound is 2 E (|z|/R)^{N+1} / (1 - |z|/R) for N terms, plus the
-    rounding: N ulps of sum |term|; each A_n term's; about 10n ulps of each
-    subtracted (|K| + |M|/(2n - 1)) c_n |z|^n (before the real part is
-    taken), from stepping c_n and the phase n theta; and (6 |w|/|1 - w| +
-    20) ulps of each closed-form part, whose 1 - w cancels near z0.  That
-    tail is an estimate from the envelope over one swing, not a proof: a
-    proven one needs max|F - g| on a circle near R.
+    where the singularity is real).  For t > 1, A_n - g_n changes sign
+    once and then rises to a hump before it falls: with K alone, E is at
+    least |K lead| n^{-1.5} until the sign is lead's, and past the change
+    the tail counts the terms as growing by the last ratio |A_n - g_n| /
+    |A_{n-1} - g_{n-1}|, if above 1.  Summation stops after five
+    consecutive terms n with E (|z|/R)^{n+1} (1 - |z|/R)/(1 - G |z|/R)
+    below tol * max(1, |F|), G that ratio (1 for the pair), and tail_bound
+    is 2 E (|z|/R)^{N+1} / (1 - G |z|/R) for N terms, plus the rounding: N
+    ulps of sum |term|; each A_n term's; about 10n ulps of each subtracted
+    (|K| + |M|/(2n - 1) + 3|P|/|(2n - 1)(2n - 3)|) c_n |z|^n (before the
+    real part is taken), from stepping c_n and the phase n theta; and (6
+    |w|/|1 - w| + 20) ulps of each closed-form part, whose 1 - w cancels
+    near z0.  That tail is an estimate from the envelope over one swing,
+    not a proof: a proven one needs max|F - g| on a circle near R.
 
     Each A_n comes from (ln|A_n(t)|, sign) of coeffs._a_logabs_stream at
     |t|, told to expect the terms above, the quiet ones and two more, so
@@ -208,32 +225,44 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
             f"tol {tol:g} needs more than {_MAX_OUTER_TERMS} terms"
         )
     n_hi = max(math.ceil(math.log(tol) / log_ratio), 1)
-    z0, k, m = singular_part(pinch)
-    pair, mu = (2 if pinch.branch == "pinch" else 1), 0.0
+    z0, k, m, p = singular_part(pinch)
+    pair, mu, nu = (2 if pinch.branch == "pinch" else 1), 0.0, 0.0
     if n_hi >= (20.0 if pair == 2 else 0.5) * abs(k) ** 2:
         mu = m / k if n_hi >= max(20.0, 32.0 * abs(m / k)) else 0.0
-        m, slope = mu * k, 2.5 if mu else 1.5  # the residual falls like n^-slope
-        n_hi = max(math.ceil((math.log(tol / (3.0 * abs(k))) + slope * math.log(n_hi))
-                             / log_ratio), 1)
+        nu = p / k if mu and n_hi >= 43 and (pair == 2 or (p / k).real < 0.0) else 0.0
+        # the residual is about pair Re(K lead) n^-slope R^-n from the first term
+        # left out: lead = -0.28 mu, 0.42 nu or -1.06 rho (-1/(2 sqrt pi), 3/(4 sqrt
+        # pi), -15/(8 sqrt pi); rho from domain.singular_part); the n where its
+        # size times (|z|/R)^n is tol, by Newton steps in ln n from ln n0
+        k2 = k * k
+        slope, lead = ((3.5, -1.06 * (5 / 128 + k2 * (0.2475 - k2 * (149 / 90 - k2 * 460 / 243))))
+                       if nu else (2.5, 0.42 * p / k) if mu else (1.5, -0.28 * m / k))
+        m, p = mu * k, nu * k
+        x, ln_c = math.log(n_hi), math.log(tol / max(pair * abs(lead * k), _EPS))
+        for _ in range(6):
+            x -= (math.exp(x) * log_ratio - slope * x - ln_c) / (math.exp(x) * log_ratio - slope)
+        n_hi = max(math.ceil(math.exp(x)), 1)
     else:
-        k, m, pair = 0j, 0j, 0
+        k, m, p, pair = 0j, 0j, 0j, 0
     window = math.ceil(math.pi / pinch.angle) + 2 if pinch.branch == "pinch" else 2
-    closed, closed_err = 0j, 0.0
-    for amp, amp2, pole in ((k, m, z0), (k.conjugate(), m.conjugate(), z0.conjugate()))[:pair]:
+    closed, closed_err, rot = 0j, 0.0, radius / z0
+    for amp, amp2, amp3, pole in ((k, m, p, z0), [v.conjugate() for v in (k, m, p, z0)])[:pair]:
         w = az * u / pole
         s = cmath.sqrt(1.0 - w)
         g, h = amp * w / (s * (1.0 + s)), amp2 * w / (1.0 + s)
-        closed += g - h  # amp ((1 - w)^(-1/2) - 1) + amp2 ((1 - w)^(1/2) - 1)
-        closed_err += (abs(g) + abs(h)) * (6.0 * abs(w) / abs(1.0 - w) + 20.0)
-    rot = radius / z0
-    terms = _a_logabs_stream(abs(t), n_hi=n_hi + _QUIET_TERMS + 2)
-    total, abs_sum, ulps, quiet, n, q, zn = 0j, 0.0, 0.0, 0, 0, k, 1.0
+        j = amp3 * w * (1.0 + s + s * s) / (1.0 + s)
+        # amp ((1 - w)^(-1/2) - 1) + amp2 ((1 - w)^(1/2) - 1) + amp3 ((1 - w)^(3/2) - 1)
+        closed += g - h - j
+        closed_err += (abs(g) + abs(h) + abs(j)) * (6.0 * abs(w) / abs(1.0 - w) + 20.0)
+    # envelope: (n, |A_n - g_n| R^n) falling, the window's largest first
+    terms, envelope = _a_logabs_stream(abs(t), n_hi=n_hi + _QUIET_TERMS + 2), deque()
+    total, abs_sum, ulps, quiet, n, q, zn, was, grow = 0j, 0.0, 0.0, 0, 0, k, 1.0, 0.0, 1.0
     spread, step = 4.0 * (abs(log_radius) + abs(log_az)) + 8.0, math.exp(log_ratio) * u  # step z/R
-    envelope = deque()  # (n, |A_n - g_n| R^n) falling; the window's largest first
     try:
         for n, (log_a, sign) in enumerate(terms, 1):
             q *= rot * (1.0 - 0.5 / n)  # K c_n (R/z0)^n
-            mu_n = 1.0 - mu / (2 * n - 1)  # so g_n R^n = pair Re(q mu_n)
+            # g_n R^n = pair Re(q mu_n)
+            mu_n = 1.0 - mu / (d := 2 * n - 1) + 3.0 * nu / (d * (d - 2))
             a = sign * math.exp(log_a + n * log_radius)  # A_n R^n; 0 at an exact zero
             r = a - pair * (q * mu_n).real
             zn *= step  # (z/R)^n
@@ -243,16 +272,25 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
             # each part's own error: the log's few ulps of max(1, |log_a|), n ln R
             # and n ln|z|, q's n steps and the n steps of (z/R)^n
             ulps += abs(zn) * ((abs(a) * (4.0 * max(1.0, abs(log_a)) + n * spread + 16.0)
-                                if sign else 0.0)
-                               + pair * abs(q) * (1.0 + abs(mu) / (2 * n - 1)) * (10.0 * n + 16.0))
+                                if sign else 0.0) + pair * abs(q) * (
+                1.0 + abs(mu) / d + 3.0 * abs(nu) / abs(d * (d - 2))) * (10.0 * n + 16.0))
             if r:
-                while envelope and envelope[-1][1] <= abs(r):
+                # with K alone, until a real singularity's A_n - g_n has lead's sign,
+                # at least the first term left out: it stays under that as it rises
+                size = (max(abs(r), abs(lead * k) * n ** -slope)
+                        if pair == 1 and not mu and r * lead.real < 0.0 else abs(r))
+                while envelope and envelope[-1][1] <= size:
                     envelope.pop()
-                envelope.append((n, abs(r)))
+                envelope.append((n, size))
             if envelope and envelope[0][0] <= n - window:
                 envelope.popleft()
             tail = envelope[0][1] * math.exp((n + 1) * log_ratio) if envelope else 0.0
-            quiet = quiet + 1 if tail < tol * max(1.0, abs(total + closed)) else 0
+            # past a real singularity's sign change |A_n - g_n| R^n rises before it
+            # falls: the tail grows by the last ratio, if above 1
+            if window == 2:
+                grow, was = max(1.0, abs(r) / was) if was else math.inf, abs(r)
+            quiet = quiet + 1 if tail < tol * max(1.0, abs(total + closed)) * (
+                1.0 - grow * az / radius) / (1.0 - az / radius) else 0
             if quiet == _QUIET_TERMS:
                 break
             if n == _MAX_OUTER_TERMS:
@@ -261,7 +299,7 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
                 )
     except OverflowError as exc:
         raise ConvergenceError(f"series for F({z!r},{t!r}) overflowed at term {n}") from exc
-    tail *= 2.0 / (1.0 - az / radius)
+    tail *= 2.0 / (1.0 - grow * az / radius)
     value = total + closed
     return SeriesEvalReport(value=value, terms_used=n, tail_bound=tail + _EPS * (
         n * abs_sum + ulps + closed_err + abs(value)))

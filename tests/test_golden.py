@@ -61,7 +61,15 @@ term M (1 - z/z0)^(1/2) of the singular part as well: F(1.5, 0.5) takes
 (1.16e-10 before); eval_both, too far in for M, stayed as it was.
 eval_power_near was recorded then, at |z|/R = 0.987 for t = 0.3, near
 the refusal at 0.98855: 364 terms (773 with K alone), 3.7e-10 from a
-40-digit sum of 4000 terms, within its bound of 1.4e-8.
+40-digit sum of 4000 terms, within its bound of 1.4e-8.  eval_power and
+eval_power_near were re-recorded when eval_power came to subtract the
+third term P (1 - z/z0)^(3/2) as well: F(1.5, 0.5) takes 101 terms, not
+149, and is 7.8e-11 from a 40-digit sum of exact terms (1.4e-11 before,
+its bound 2.6e-9); eval_power_near takes 173, not 364, 3.3e-10 from the
+sum (3.7e-10 before), its bound 1.2e-8.  eval_power_real was recorded
+then, at a real singularity near the radius: F(0.52, 1.5), |z|/R =
+0.986, 116 terms (261 before), 1.3e-8 from a 40-digit sum, within its
+bound of 7.6e-8.
 """
 
 from pathlib import Path
@@ -98,6 +106,7 @@ CASES = {
     "eval_direct_near": ["eval", "0.9", "0", "0.95", "--method", "direct"],
     "eval_power": ["eval", "1.5", "0", "0.5", "--method", "power"],
     "eval_power_near": ["eval", "1.2", "1.526", "0.3", "--method", "power"],
+    "eval_power_real": ["eval", "0.52", "0", "1.5", "--method", "power"],
     "eval_both": ["eval", "0.2", "0.1", "0.7"],
     "eval_direct_json": ["--json", "eval", "0.3", "0", "1", "--method", "direct"],
     "expand_to_taylor": ["expand", "--direction", "to-taylor", "--input", SEQ40],
