@@ -149,45 +149,47 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     A_n - g_n, g_n = (K - M/(2n - 1) + 3P/((2n - 1)(2n - 3))) c_n z0^-n,
     c_n = binom(2n, n)/4^n, falls like n^{-7/2}, and g(z) - g(0) = K w/(s(1
     + s)) - M w/(1 + s) - P w (1 + s + s^2)/(1 + s), w = z/z0, s = sqrt(1 -
-    w), is added.  The residual is about pair K lead n^{-slope} R^-n, from
-    the first term left out (lead = -1.06 rho with P, rho the next
-    coefficient, 3/(4 sqrt pi) nu with M alone, -1/(2 sqrt pi) mu with K
-    alone; slope 3.5, 2.5 or 1.5), and the stream is told to expect the n
-    where that times (|z|/R)^n is tol: 0.93-1.04 of the terms used on
-    power_disk's calls of 100 terms or more.  As |t| -> 1 the pair merges
-    into the pole of F(z, 1) = z/(2(1 - z)), K grows like 1/|tau0|, mu like
-    1/|tau0|^2 and nu like 1/|tau0|^4, so each term of g helps only far
-    enough out: K is subtracted only where n0 >= 20 |K|^2 for the pair, n0
-    >= |K|^2 / 2 for t > 1 (never at |t| = 1, where K is infinite), M only
-    where K is and n0 >= max(20, 32 |mu|), and P only where M is, n0 >= 43
-    and, for t > 1, nu < 0 (R below sqrt(23/27), t above 1.0213).
-    Otherwise the raw A_n are summed, as before.  K's constants are where,
-    for t from 0.99 to 1.01 and |z|/R from 0.5 to 0.985, subtracting K
-    stopped costing terms; M's are where the same held for M, over 40 t
-    from 1e-5 to 10 (16 of them in 0.99-1.01) and |z|/R from 0.3 to 0.985:
-    at tol 1e-10 it cost terms up to n0 = 25.7 |mu| for the pair and 14.2
-    |mu| for t > 1, and at tol 1e-4 and 1e-6 (with n0 >= 32 |mu|) only
-    below n0 = 20.  P's are where the same held for P, over 44 t from 1e-5
-    to 10 (30 of them in 0.9-1.1) and |z|/R from 0.3 to 0.985 at tol 1e-4
-    to 1e-13: for t > 1 it cost terms at every n0 up to the cap where nu >
-    0 (t up to 1.021; there the residual with M alone is still far from its
-    n^{-5/2} form), and nowhere where nu < 0; for the pair it cost one term
-    at n0 = 20 to 42, and above that one term at four points of tol 1e-4
-    (n0 = 127 and 180).
+    w), is added.  With j terms subtracted, the residual is about the first
+    term left out, f_n = K left [w^n] (1 - w)^{j - 1/2} z0^-n (plus the
+    conjugate), left = mu, nu or rho = Q/K (Q from domain.singular_part),
+    of size pair |K left| Gamma(j + 1/2)/pi n^{-(j + 1/2)} R^-n, and the
+    stream is told to expect the n where that times (|z|/R)^n is tol:
+    0.93-1.04 of the terms used on power_disk's calls of 100 terms or
+    more.  As |t| -> 1 the pair merges into the pole of F(z, 1) = z/(2(1 -
+    z)), K grows like 1/|tau0|, mu like 1/|tau0|^2 and nu like 1/|tau0|^4,
+    so each term of g helps only far enough out: K is subtracted only where
+    n0 >= 20 |K|^2 for the pair, n0 >= |K|^2 / 2 for t > 1 (never at |t| =
+    1, where K is infinite), M only where K is and n0 >= max(20, 32 |mu|),
+    and P only where M is, n0 >= 43 and, for t > 1, nu < 0 (R below
+    sqrt(23/27), t above 1.0213).  Otherwise the raw A_n are summed, as
+    before.  K's constants are where, for t from 0.99 to 1.01 and |z|/R
+    from 0.5 to 0.985, subtracting K stopped costing terms; M's are where
+    the same held for M, over 40 t from 1e-5 to 10 (16 of them in
+    0.99-1.01) and |z|/R from 0.3 to 0.985: at tol 1e-10 it cost terms up
+    to n0 = 25.7 |mu| for the pair and 14.2 |mu| for t > 1, and at tol 1e-4
+    and 1e-6 (with n0 >= 32 |mu|) only below n0 = 20.  P's are where the
+    same held for P, over 44 t from 1e-5 to 10 (30 of them in 0.9-1.1) and
+    |z|/R from 0.3 to 0.985 at tol 1e-4 to 1e-13: for t > 1 it cost terms
+    at every n0 up to the cap where nu > 0 (t up to 1.021; there the
+    residual with M alone is still far from its n^{-5/2} form), and nowhere
+    where nu < 0; for the pair it cost one term at n0 = 20 to 42, and above
+    that one term at four points of tol 1e-4 (n0 = 127 and 180).
 
     For |t| < 1, |A_n - g_n| R^n swings like |cos(n theta + phi)|, and
     terms near each sign change dip a decade or more below the rest.  The
     envelope E is the largest |A_n - g_n| R^n of the last
     ceil(pi/theta) + 2 terms, one swing and two (the last 2 for |t| >= 1,
-    where the singularity is real).  For t > 1, A_n - g_n changes sign
-    once and then rises to a hump before it falls: with K alone, E is at
-    least |K lead| n^{-1.5} until the sign is lead's, and past the change
-    the tail counts the terms as growing by the last ratio |A_n - g_n| /
-    |A_{n-1} - g_{n-1}|, if above 1.  Summation stops after five
-    consecutive terms n with E (|z|/R)^{n+1} (1 - |z|/R)/(1 - G |z|/R)
-    below tol * max(1, |F|), G that ratio (1 for the pair), and tail_bound
-    is 2 E (|z|/R)^{N+1} / (1 - G |z|/R) for N terms, plus the rounding: N
-    ulps of sum |term|; each A_n term's; about 10n ulps of each subtracted
+    where the singularity is real).  Summation stops after five
+    consecutive terms n with E (|z|/R)^{n+1} below tol * max(1, |F|).  For
+    t > 1, A_n - g_n may yet change sign and rise to a hump before it falls
+    (with K alone it does, at n = 9 to 110 for t from 1.05 down to 1.001),
+    and a stop at the change reads a tail far under the hump's.  As A_n -
+    g_n is A_n - g_n - f_n plus f_n, of opposite signs there and each
+    falling, past N terms it stays under the larger of the two at N, and E
+    takes that too for tail_bound, not for the stop: there tail_bound may
+    exceed 2 tol max(1, |F|)/(1 - |z|/R).  tail_bound is 2 E
+    (|z|/R)^{N+1}/(1 - |z|/R) for N terms, plus the rounding: N ulps of
+    sum |term|; each A_n term's; about 10n ulps of each subtracted
     (|K| + |M|/(2n - 1) + 3|P|/|(2n - 1)(2n - 3)|) c_n |z|^n (before the
     real part is taken), from stepping c_n and the phase n theta; and (6
     |w|/|1 - w| + 20) ulps of each closed-form part, whose 1 - w cancels
@@ -225,20 +227,19 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
             f"tol {tol:g} needs more than {_MAX_OUTER_TERMS} terms"
         )
     n_hi = max(math.ceil(math.log(tol) / log_ratio), 1)
-    z0, k, m, p = singular_part(pinch)
-    pair, mu, nu = (2 if pinch.branch == "pinch" else 1), 0.0, 0.0
+    z0, k, m, p, nxt = singular_part(pinch)
+    pair, mu, nu, order, left = (2 if pinch.branch == "pinch" else 1), 0.0, 0.0, 0, 0j
     if n_hi >= (20.0 if pair == 2 else 0.5) * abs(k) ** 2:
         mu = m / k if n_hi >= max(20.0, 32.0 * abs(m / k)) else 0.0
         nu = p / k if mu and n_hi >= 43 and (pair == 2 or (p / k).real < 0.0) else 0.0
-        # the residual is about pair Re(K lead) n^-slope R^-n from the first term
-        # left out: lead = -0.28 mu, 0.42 nu or -1.06 rho (-1/(2 sqrt pi), 3/(4 sqrt
-        # pi), -15/(8 sqrt pi); rho from domain.singular_part); the n where its
-        # size times (|z|/R)^n is tol, by Newton steps in ln n from ln n0
-        k2 = k * k
-        slope, lead = ((3.5, -1.06 * (5 / 128 + k2 * (0.2475 - k2 * (149 / 90 - k2 * 460 / 243))))
-                       if nu else (2.5, 0.42 * p / k) if mu else (1.5, -0.28 * m / k))
-        m, p = mu * k, nu * k
-        x, ln_c = math.log(n_hi), math.log(tol / max(pair * abs(lead * k), _EPS))
+        # order terms subtracted; the first left out, K left [w^n] (1 - w)^(order -
+        # 1/2), is about K left (-1)^order Gamma(slope)/pi n^-slope, slope = order
+        # + 1/2: the stream expects the n where pair times that times (|z|/R)^n
+        # is tol, by Newton steps in ln n from ln n0
+        order, left = (3, nxt / k) if nu else (2, p / k) if mu else (1, m / k)
+        m, p, slope = mu * k, nu * k, order + 0.5
+        x, ln_c = math.log(n_hi), math.log(tol * math.pi / max(
+            pair * abs(left * k) * math.gamma(slope), _EPS))
         for _ in range(6):
             x -= (math.exp(x) * log_ratio - slope * x - ln_c) / (math.exp(x) * log_ratio - slope)
         n_hi = max(math.ceil(math.exp(x)), 1)
@@ -256,7 +257,7 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
         closed_err += (abs(g) + abs(h) + abs(j)) * (6.0 * abs(w) / abs(1.0 - w) + 20.0)
     # envelope: (n, |A_n - g_n| R^n) falling, the window's largest first
     terms, envelope = _a_logabs_stream(abs(t), n_hi=n_hi + _QUIET_TERMS + 2), deque()
-    total, abs_sum, ulps, quiet, n, q, zn, was, grow = 0j, 0.0, 0.0, 0, 0, k, 1.0, 0.0, 1.0
+    total, abs_sum, ulps, quiet, n, q, zn = 0j, 0.0, 0.0, 0, 0, k, 1.0
     spread, step = 4.0 * (abs(log_radius) + abs(log_az)) + 8.0, math.exp(log_ratio) * u  # step z/R
     try:
         for n, (log_a, sign) in enumerate(terms, 1):
@@ -275,22 +276,13 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
                                 if sign else 0.0) + pair * abs(q) * (
                 1.0 + abs(mu) / d + 3.0 * abs(nu) / abs(d * (d - 2))) * (10.0 * n + 16.0))
             if r:
-                # with K alone, until a real singularity's A_n - g_n has lead's sign,
-                # at least the first term left out: it stays under that as it rises
-                size = (max(abs(r), abs(lead * k) * n ** -slope)
-                        if pair == 1 and not mu and r * lead.real < 0.0 else abs(r))
-                while envelope and envelope[-1][1] <= size:
+                while envelope and envelope[-1][1] <= abs(r):
                     envelope.pop()
-                envelope.append((n, size))
+                envelope.append((n, abs(r)))
             if envelope and envelope[0][0] <= n - window:
                 envelope.popleft()
             tail = envelope[0][1] * math.exp((n + 1) * log_ratio) if envelope else 0.0
-            # past a real singularity's sign change |A_n - g_n| R^n rises before it
-            # falls: the tail grows by the last ratio, if above 1
-            if window == 2:
-                grow, was = max(1.0, abs(r) / was) if was else math.inf, abs(r)
-            quiet = quiet + 1 if tail < tol * max(1.0, abs(total + closed)) * (
-                1.0 - grow * az / radius) / (1.0 - az / radius) else 0
+            quiet = quiet + 1 if tail < tol * max(1.0, abs(total + closed)) else 0
             if quiet == _QUIET_TERMS:
                 break
             if n == _MAX_OUTER_TERMS:
@@ -299,7 +291,14 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
                 )
     except OverflowError as exc:
         raise ConvergenceError(f"series for F({z!r},{t!r}) overflowed at term {n}") from exc
-    tail *= 2.0 / (1.0 - grow * az / radius)
+    if pair == 1:
+        # a real singularity's A_n - g_n may change sign and rise to a hump past
+        # N: it is r - f, the residual with the first term left out subtracted
+        # too, plus f, of opposite signs there and each falling, so under both
+        f = q.real * left.real * math.prod((1 - 2 * i) / (d + 2 - 2 * i)
+                                           for i in range(1, order + 1))
+        tail = max(tail, max(abs(r - f), abs(f)) * math.exp((n + 1) * log_ratio))
+    tail *= 2.0 / (1.0 - az / radius)
     value = total + closed
     return SeriesEvalReport(value=value, terms_used=n, tail_bound=tail + _EPS * (
         n * abs_sum + ulps + closed_err + abs(value)))

@@ -486,7 +486,7 @@ class TestStreamAgainstSingularPart:
     @pytest.mark.parametrize("t", sorted(_BOUND))
     def test_stream_follows_the_singular_part(self, t):
         pinch = solve_R_true(t)
-        z0, k, m, p = singular_part(pinch)
+        z0, k, m, p, _ = singular_part(pinch)
         pair, radius = (2 if pinch.branch == "pinch" else 1), abs(z0)
         values = list(islice(_a_logabs_stream(t, n_hi=2000), 2000))
         for lo in (500, 1200, 1900):
