@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import count, islice, repeat
 from operator import floordiv, lshift, mul
@@ -198,6 +199,17 @@ def _float_rows(t: Fraction, width: int, n0: int = 0, older=((), 0), newer=((), 
         yield n, ms, es
 
 
+@lru_cache(maxsize=8192)  # rows to n = 4,096 at two widths
+def _nth_power(n: int, width: int) -> tuple[int, int]:
+    # n^n ~ nn 2^ne by squaring, each step kept to width bits: the same at every t,
+    # so each (n, width) is built once
+    nn, ne = n, 0
+    for bit in bin(n)[3:]:
+        nn, s = _scaled(nn * nn * (n if bit == "1" else 1), 1, width)
+        ne = 2 * ne - s
+    return nn, ne
+
+
 def _fixed_rows(t: Fraction, width: int, n0: int = 0, older=((), 0), newer=((), 0)):
     # (n, row, unit) for n = n0 + 1, ...: row[k] 2^unit ~ T(n, k) = |num(n, k)| x^(m-k)
     # / (n! 2^n), x = t^2, m = n // 2, num(n, k) != 0.  The unit gives the head T(n, 0)
@@ -215,10 +227,7 @@ def _fixed_rows(t: Fraction, width: int, n0: int = 0, older=((), 0), newer=((), 
         pe -= s + xs * (1 - n % 2)
         if n <= n0:
             continue
-        nn, ne = n, 0
-        for bit in bin(n)[3:]:
-            nn, s = _scaled(nn * nn * (n if bit == "1" else 1), 1, width)
-            ne = 2 * ne - s
+        nn, ne = _nth_power(n, width)
         head = pm * nn
         s = max(head.bit_length() - width, 0)
         head, unit = head >> s, pe + ne + s - n

@@ -263,11 +263,12 @@ def solve_R_true(t: float) -> RadiusResult:
                        iterations=iterations, angle=cmath.phase(z0))
 
 
-def singular_part(pinch: RadiusResult) -> tuple[complex, complex, complex, complex, complex]:
-    """(z0, K, M, P, Q) of F(z, t) ~ K (1 - z/z0)^(-1/2) + const + M (1 -
-    z/z0)^(1/2) + P (1 - z/z0)^(3/2) + Q (1 - z/z0)^(5/2) at the nearest
-    singularity z0 of a solve_R_true(t) result, from its root, with no
-    second Newton.
+def singular_part(pinch: RadiusResult
+                  ) -> tuple[complex, complex, complex, complex, complex, complex]:
+    """(z0, K, M, P, Q, S) of F(z, t) ~ K (1 - z/z0)^(-1/2) + const + M (1 -
+    z/z0)^(1/2) + P (1 - z/z0)^(3/2) + Q (1 - z/z0)^(5/2) + S (1 -
+    z/z0)^(7/2) at the nearest singularity z0 of a solve_R_true(t) result,
+    from its root, with no second Newton.
 
     As z leaves z0, the double pole of w/(1-w) at the pinch tau0,
     tau0 = acos(1/z0), splits into two, tau = tau0 +- s + s^2/(3 T) -+
@@ -276,20 +277,24 @@ def singular_part(pinch: RadiusResult) -> tuple[complex, complex, complex, compl
     20)/(540 T^3) and (1161 T^4 + 792 T^2 + 400)/(17280 T^4), enter nu).
     The one the contour meets adds its residue, a multiple of 1/(1 - z cos
     tau), which up to terms analytic at z0 is K (1 - w)^(-1/2) (1 + mu (1 -
-    w) + nu (1 - w)^2 + rho (1 - w)^3) + O((1 - w)^(7/2)), w = z/z0, with K
-    = i / (sqrt 2 z0 sin tau0), mu = 1/4 + 1/(3 T^2), nu = 3/32 + 5/(36
-    T^2) + 1/(54 T^4) = (3 T^2 + 4)(27 T^2 + 4)/(864 T^4) and rho = 5/128 -
-    99/(800 T^2) - 149/(360 T^4) - 115/(486 T^6) (from two more terms of
-    tau).  As T^2 = z0^2 - 1 = -1/(2 K^2), mu = 1/4 - 2 K^2/3, nu = 3/32 -
+    w) + nu (1 - w)^2 + rho (1 - w)^3 + sigma (1 - w)^4) + O((1 -
+    w)^(9/2)), w = z/z0, with K = i / (sqrt 2 z0 sin tau0), mu = 1/4 + 1/(3
+    T^2), nu = 3/32 + 5/(36 T^2) + 1/(54 T^4) = (3 T^2 + 4)(27 T^2 +
+    4)/(864 T^4), rho = 5/128 - 99/(800 T^2) - 149/(360 T^4) - 115/(486
+    T^6) and sigma = 35/2048 - 22711/(67200 T^2) - 119537/(100800 T^4) -
+    2425/(1944 T^6) - 2485/(5832 T^8) (from tau to s^9, the residue to
+    s^7).  As T^2 = z0^2 - 1 = -1/(2 K^2), mu = 1/4 - 2 K^2/3, nu = 3/32 -
     5 K^2/18 + 2 K^4/27, rho = 5/128 + 99 K^2/400 - 149 K^4/90 + 460
-    K^6/243, M = mu K, P = nu K and Q = rho K.  For a "pinch" result z0 = R
-    e^{i angle} and the conjugate z0 carries the conjugate K, M, P and Q;
-    for t > 1 z0 = R and K = 1/(sqrt 2 sqrt(1 - R^2)), infinite at t = 1
-    (M, P and Q are then infinite too).  Darboux's method gives A_n ~ (K -
-    M/(2n - 1) + 3 P/((2n - 1)(2n - 3)) - 15 Q/((2n - 1)(2n - 3)(2n - 5)))
-    c_n z0^-n, plus its conjugate, c_n = binom(2n, n)/4^n, with an error of
-    order n^(-9/2) R^-n; eval_power subtracts up to P, and Q only sizes
-    what is left.
+    K^6/243, sigma = 35/2048 + 22711 K^2/33600 - 119537 K^4/25200 + 2425
+    K^6/243 - 4970 K^8/729, M = mu K, P = nu K, Q = rho K and S = sigma K.
+    For a "pinch" result z0 = R e^{i angle} and the conjugate z0 carries
+    the conjugate K, M, P, Q and S; for t > 1 z0 = R and K = 1/(sqrt 2
+    sqrt(1 - R^2)), infinite at t = 1 (M, P, Q and S are then infinite
+    too).  Darboux's method gives A_n ~ (K - M/(2n - 1) + 3 P/((2n -
+    1)(2n - 3)) - 15 Q/((2n - 1)(2n - 3)(2n - 5))) c_n z0^-n, plus its
+    conjugate, c_n = binom(2n, n)/4^n, with an error of order n^(-9/2)
+    R^-n, 105 S/((2n - 1)(2n - 3)(2n - 5)(2n - 7)) c_n z0^-n to leading
+    order; eval_power subtracts up to Q, and S only sizes what is left.
     """
     if pinch.branch == "pinch":
         z0 = cmath.rect(pinch.radius, pinch.angle)
@@ -300,7 +305,9 @@ def singular_part(pinch: RadiusResult) -> tuple[complex, complex, complex, compl
     k2 = k * k
     return (complex(z0), complex(k), complex(k * (0.25 - k2 / 1.5)),
             complex(k * (0.09375 - k2 * (5.0 / 18.0 - k2 * (2.0 / 27.0)))),
-            complex(k * (5 / 128 + k2 * (0.2475 - k2 * (149 / 90 - k2 * (460 / 243))))))
+            complex(k * (5 / 128 + k2 * (0.2475 - k2 * (149 / 90 - k2 * (460 / 243))))),
+            complex(k * (35 / 2048 + k2 * (22711 / 33600 - k2 * (
+                119537 / 25200 - k2 * (2425 / 243 - k2 * (4970 / 729)))))))
 
 
 def psi_small_t(t: float) -> float:

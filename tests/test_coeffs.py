@@ -486,7 +486,7 @@ class TestStreamAgainstSingularPart:
     @pytest.mark.parametrize("t", sorted(_BOUND))
     def test_stream_follows_the_singular_part(self, t):
         pinch = solve_R_true(t)
-        z0, k, m, p, _ = singular_part(pinch)
+        z0, k, m, p, *_ = singular_part(pinch)
         pair, radius = (2 if pinch.branch == "pinch" else 1), abs(z0)
         values = list(islice(_a_logabs_stream(t, n_hi=2000), 2000))
         for lo in (500, 1200, 1900):
@@ -500,6 +500,35 @@ class TestStreamAgainstSingularPart:
                 assert abs(a - g) <= bound, (t, n, a - g, bound)
                 if abs(g) > 100.0 * bound:
                     assert (a > 0) == (g > 0), (t, n)
+
+
+class TestFirstTermLeftOut:
+    # with four terms subtracted, the residual A_n - g_n, g_n = (K - M/(2n - 1) +
+    # 3P/((2n - 1)(2n - 3)) - 15Q/((2n - 1)(2n - 3)(2n - 5))) c_n z0^-n, is
+    # about the first term left out, f_n = 105 S/((2n - 1)(2n - 3)(2n - 5)(2n -
+    # 7)) c_n z0^-n (each plus its conjugate for t < 1), S = sigma K from
+    # domain.singular_part; the next term is smaller by about 1/n.  Here |r_n
+    # - f_n| over n = 150-300 is at most 0.035 (t = 0.3) and 0.0053 (t = 1.5)
+    # of f_n's size pair |f_n| R^n.  sigma a tenth too large reads 0.122 at t
+    # = 0.3, a tenth too small 0.117 at t = 1.5, and a wrong sign of any of
+    # its five terms 0.50 to 1.31 at one t at least
+
+    @pytest.mark.parametrize("t", [0.3, 1.5])
+    def test_residual_tracks_the_first_term_left_out(self, t):
+        pinch = solve_R_true(t)
+        z0, k, m, p, q, s = singular_part(pinch)
+        pair, radius = (2 if pinch.branch == "pinch" else 1), abs(z0)
+        values = list(islice(_a_logabs_stream(t, n_hi=300), 300))
+        worst = 0.0
+        for n in range(150, 301):
+            log_a, sign = values[n - 1]
+            a = sign * math.exp(log_a + n * math.log(radius))
+            d, phase = 2 * n - 1, math.comb(2 * n, n) / 4**n * (radius / z0) ** n
+            g = k - m / d + 3 * p / (d * (d - 2)) - 15 * q / (d * (d - 2) * (d - 4))
+            f = 105 * s / (d * (d - 2) * (d - 4) * (d - 6))
+            size = pair * abs(f * phase)
+            worst = max(worst, abs(a - pair * (g * phase).real - pair * (f * phase).real) / size)
+        assert worst <= 0.1, (t, worst)
 
 
 class TestStore:

@@ -69,7 +69,13 @@ its bound 2.6e-9); eval_power_near takes 173, not 364, 3.3e-10 from the
 sum (3.7e-10 before), its bound 1.2e-8.  eval_power_real was recorded
 then, at a real singularity near the radius: F(0.52, 1.5), |z|/R =
 0.986, 116 terms (261 before), 1.3e-8 from a 40-digit sum, within its
-bound of 7.6e-8.
+bound of 7.6e-8.  eval_power, eval_power_near and eval_power_real were
+re-recorded when eval_power came to subtract the fourth term Q (1 -
+z/z0)^(5/2) as well: F(1.5, 0.5) takes 78 terms, not 101, and is 6.7e-11
+from a 40-digit sum of exact terms (7.8e-11 before, its bound 2.5e-9);
+eval_power_near takes 101, not 173, 2.6e-10 from the sum (3.3e-10
+before), its bound 1.1e-8; eval_power_real takes 66, not 116, 5.4e-9 from
+the sum (1.3e-8 before), its bound 6.2e-8.  eval_both stayed as it was.
 """
 
 from pathlib import Path
