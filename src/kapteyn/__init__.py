@@ -43,7 +43,7 @@ from .series import (
     theta_poly,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "APoly",

@@ -38,9 +38,9 @@ raised, as for any residual above 1e-12.
 from __future__ import annotations
 
 import cmath
+import collections
 import math
 import sys
-from dataclasses import dataclass
 
 from .bessel import _require_finite, sqrt1mz2
 from .coeffs import a_eval_logabs
@@ -62,27 +62,18 @@ _Y_MINUS_TANH_Y = (1 / 3, -2 / 15, 17 / 315, -62 / 2835, 1382 / 155925, -21844 /
                    929569 / 638512875, -6404582 / 10854718875, 443861162 / 1856156927625)
 
 
-@dataclass(frozen=True)
-class RadiusResult:
+class RadiusResult(collections.namedtuple(
+        "RadiusResult", "t radius branch residual iterations angle", defaults=(None,))):
     """Solved radius with the residual of its defining equation.
 
     The residual is |LHS - 1| for the implicit model equations and the
     relative residual |tau - tan(tau) - i ln t| / |ln t| for the "pinch"
-    branch; iterations counts Newton steps.
+    branch; iterations counts Newton steps.  branch is "small_t",
+    "large_t", "kapteyn_domain" or "pinch"; only a "pinch" result has an
+    angle: its nearest singularities are radius e^{+-i angle}.
     """
 
-    t: float
-    radius: float
-    branch: str  # "small_t", "large_t", "kapteyn_domain", or "pinch"
-    residual: float
-    iterations: int
-
-
-@dataclass(frozen=True)
-class PinchResult(RadiusResult):
-    """A "pinch" RadiusResult: the nearest singularities are radius e^{+-i angle}."""
-
-    angle: float
+    __slots__ = ()
 
 
 def omega(z: complex) -> float:
@@ -202,12 +193,11 @@ def _solve_radius(t: float, lhs, root, branch: str) -> RadiusResult:
     if not 0.0 < t < math.inf:
         raise DomainError(f"t must be positive and finite, got {t}")
     candidates, iterations = root(t)
-    x = min(candidates, key=lambda x: abs(lhs(x) * t - 1.0))
-    residual = abs(lhs(x) * t - 1.0)
+    residuals = [abs(lhs(x) * t - 1.0) for x in candidates]
+    residual = min(residuals)
     if not residual <= _MAX_RESIDUAL:
         raise DomainError(f"the {branch} equation has no double-precision root at t={t!r}")
-    return RadiusResult(t=t, radius=x, branch=branch, residual=residual,
-                        iterations=iterations)
+    return RadiusResult(t, candidates[residuals.index(residual)], branch, residual, iterations)
 
 
 def solve_r(t: float) -> RadiusResult:
@@ -232,12 +222,13 @@ def solve_R_true(t: float) -> RadiusResult:
     tau - tan(tau) = i ln t by complex Newton from
     tau0 = acos(1/(pi/2 + i ln(1/t))) and returns |1/cos(tau)|, the modulus
     of the conjugate pair of nearest singularities.  That root has
-    0 < Re tau < pi/2 and Im tau > 0, so the PinchResult's angle, the
-    argument of 1/cos(tau), is in (0, pi/2); a root elsewhere belongs to
-    another singularity and is refused.  Newton stops once the equation's value is at its rounding
-    level.  Near t = 1, tau - tan(tau) ~ -tau^3/3 cancels, so the reported
-    residual grows like eps/|tau|^2 (about 4e-10 at t = 1 - 1e-9) while the
-    radius, which depends on tau^2, stays accurate to a few ulps.
+    0 < Re tau < pi/2 and Im tau > 0, so the result's angle, the argument
+    of 1/cos(tau), is in (0, pi/2); a root elsewhere belongs to another
+    singularity and is refused.  Newton stops once the equation's value is
+    at its rounding level.  Near t = 1, tau - tan(tau) ~ -tau^3/3 cancels,
+    so the reported residual grows like eps/|tau|^2 (about 4e-10 at
+    t = 1 - 1e-9) while the radius, which depends on tau^2, stays accurate
+    to a few ulps.
     """
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
@@ -259,8 +250,7 @@ def solve_R_true(t: float) -> RadiusResult:
     if not (0.0 < tau.real < 0.5 * math.pi and tau.imag > 0.0):
         raise ConvergenceError(f"pinch Newton for t={t!r} left the principal root")
     residual, z0 = abs(tau - cmath.tan(tau) - c) / abs(c), 1.0 / cmath.cos(tau)
-    return PinchResult(t=t, radius=abs(z0), branch="pinch", residual=residual,
-                       iterations=iterations, angle=cmath.phase(z0))
+    return RadiusResult(t, abs(z0), "pinch", residual, iterations, cmath.phase(z0))
 
 
 def singular_part(pinch: RadiusResult

@@ -18,7 +18,8 @@ from kapteyn import (
     solve_R_true,
     solve_r,
 )
-from kapteyn.domain import _lhs_power_small, _LARGE_T, _SMALL_T, _solve_radius
+from kapteyn.domain import (
+    _KAPTEYN_DOMAIN, _LARGE_T, _SMALL_T, _lhs_power_small, _solve_radius)
 
 # frozen oracle: 200-iteration bisection on r e^{sqrt(1+r^2)}/(1+sqrt(1+r^2)) = 1
 LAPLACE_LIMIT = 0.6627434193491815
@@ -315,6 +316,62 @@ class TestRadiusOracle:
             assert self._ulps(mpmath, t, solve_r(t).radius, "kapteyn_domain") <= 3, t
             if t < 1.0:
                 assert self._ulps(mpmath, t, solve_R(t).radius, "small_t") <= 3, t
+
+
+class TestRadiusResult:
+    _TS = (1e-300, 1e-4, 0.3, 1 - 1e-9, 1.0, 2.0, 1e300)
+
+    def test_immutable_and_hashable(self):
+        res = solve_R_true(0.3)
+        with pytest.raises(AttributeError):
+            res.radius = 1.0
+        with pytest.raises(AttributeError):
+            res.note = "x"
+        assert hash(res) == hash(solve_R_true(0.3))
+        assert len({res, solve_R_true(0.3), solve_r(0.3)}) == 2
+
+    def test_angle_only_for_a_pinch(self):
+        for t in self._TS:
+            for res in (solve_r(t), solve_R(t), solve_R_true(t)):
+                assert (res.angle is None) == (res.branch != "pinch"), (t, res)
+            if t < 1.0:
+                assert 0.0 < solve_R_true(t).angle < 0.5 * math.pi, t
+
+    def test_repr_names_every_field(self):
+        text = repr(solve_R_true(0.3))
+        for field in ("t", "radius", "branch", "residual", "iterations", "angle"):
+            assert f"{field}=" in text, field
+
+    def test_unpacks_in_field_order(self):
+        t, radius, branch, residual, iterations, angle = res = solve_R(7.5)
+        assert (t, radius, branch, residual, iterations, angle) == (
+            7.5, res.radius, "large_t", res.residual, res.iterations, None)
+
+
+class TestPickUnchanged:
+    """The solvers pick their root as min(candidates, key=residual) did,
+    with the residual computed again for the chosen candidate."""
+
+    # log-spaced over 1e-300..1e300, a cluster at the t = 1 seam, and 1
+    _TS = ([10.0 ** (-300 + 600 * i / 400) for i in range(401)]
+           + [1.0 + 1e-6 * (2 * i / 39 - 1) for i in range(40)] + [1.0])
+
+    @staticmethod
+    def _reference(t, lhs, root, branch):
+        candidates, iterations = root(t)
+        x = min(candidates, key=lambda x: abs(lhs(x) * t - 1.0))
+        return x, abs(lhs(x) * t - 1.0), iterations, branch
+
+    def test_bit_for_bit(self):
+        # the grid holds 75 ties and 222 picks past the first candidate
+        for t in self._TS:
+            for res, equation in ((solve_r(t), _KAPTEYN_DOMAIN),
+                                  (solve_R(t), _LARGE_T if t >= 1.0 else _SMALL_T)):
+                x, residual, iterations, branch = self._reference(t, *equation)
+                assert (res.radius.hex(), res.residual.hex(), res.iterations, res.branch) == (
+                    x.hex(), residual.hex(), iterations, branch), t
+            if t >= 1.0:
+                assert solve_R_true(t) == solve_R(t), t
 
 
 class TestPsiAsymptotes:
