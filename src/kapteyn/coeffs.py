@@ -15,11 +15,15 @@ seeded with C_n^n = n^n/(2n)!!, or from the rearranged alternating form
 A single A_n(t) is evaluated exactly by one integer kernel: at t = p/q the
 alternating form times n! 2^n q^n is an integer, summed by Horner's rule in
 p^2; a float t is taken as the dyadic rational it is.  The stream across n
-that eval_power and figure 2 read instead carries each row, where |t| >= 1/8,
-as integers over one power of two, stepped from the row two before by C-level
-maps, and below 1/8 as fixed-width binary floats, since there one unit per
-row would widen the integers by about log2(1/t^2) bits a step.  It certifies
-each sum (_row_logabs) and restarts once, at a predicted width.  Floats leave
+that eval_power and figure 2 read instead comes from one row generator
+(_term_rows): for every t, a row's head n^n x^m / (n! 2^n), x = t^2, takes
+x^m / n! stepped across n and n^n built once per n and width, and the rest
+of the row is stepped from the row two before, where |t| >= 1/8 as integers
+over one power of two by C-level maps, and below 1/8 as fixed-width binary
+floats, since there one unit per row would widen the integers by about
+log2(1/t^2) bits a step.  One certificate (_row_logabs), with one bound for
+both kinds of row, accepts each sum, and the stream restarts once, at a
+predicted width.  Floats leave
 only as (ln|A_n(t)|, sign), since A_500(t) can lie far outside float range.
 Its values at the first width, with the last two rows, are kept for the last
 eight t and resumed by later calls; the closed form and the recurrence stay
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import count, islice, repeat
-from operator import floordiv, lshift, mul
+from operator import floordiv, lshift, mul, rshift
 
 from .errors import DomainError
 
@@ -159,46 +163,6 @@ def _scaled(num: int, den: int, width: int) -> tuple[int, int]:
     return (num << s if s >= 0 else num >> -s) // den, s
 
 
-def _term_rows(t: Fraction, width: int, n0: int = 0, older=((), 0), newer=((), 0)):
-    # the stream's rows: fixed-point where |t| >= 1/8, per-term floats below, where a
-    # row's integers would widen by about log2(1/t^2) bits a step; over 1,500 rows the
-    # two cost about the same at t = 0.1
-    rows = _fixed_rows if 64 * t.numerator**2 >= t.denominator**2 else _float_rows
-    return rows(t, width, n0, older, newer)
-
-
-def _float_rows(t: Fraction, width: int, n0: int = 0, older=((), 0), newer=((), 0)):
-    # (n, mantissas, exponents) for n = n0 + 1, n0 + 2, ...: T(n, k) = |num(n, k)|
-    # x^(m-k) / (n! 2^n) ~ mantissa 2^exponent, x = t^2, m = n // 2, for each
-    # num(n, k) != 0.  Row n is T(n, 0) = n^n x^m / (n! 2^n) ahead of row
-    # n - 2 times j^2 / (4 k1 (n - k1)), j = n - 2 k1; each step truncates once.
-    # That factor grows with j, so trailing terms under 2^-(width + 64) of the
-    # top stay so on their lineages: they are dropped.  Resumed after row n0
-    # from rows n0 - 1 and n0 (older, newer), x^m is stepped up to n0 again
-    xm, xs = _scaled(t.numerator**2, t.denominator**2, width)
-    pm, pe = 1 << (width - 1), 1 - width  # x^m, exactly 1 at m = 0
-    rows, fact = [older, newer] if n0 % 2 else [newer, older], math.factorial(n0)
-    for n in count(1):
-        if n % 2 == 0:
-            pm, s = _scaled(pm * xm, 1, width)
-            pe -= xs + s
-        if n <= n0:
-            continue
-        fact *= n
-        head, s = _scaled(n**n * pm, fact, width)
-        ms, es = [head], [pe - s - n]
-        prev_ms, prev_es = rows[n % 2]  # row 0 is ((), 0)
-        for a, e, j, k1 in zip(prev_ms, prev_es or (), range(n - 2, 0, -2), count(1)):
-            b, d = a * (j * j), k1 * (n - k1)
-            s = width + d.bit_length() - b.bit_length()
-            ms.append((b << s if s >= 0 else b >> -s) // d)
-            es.append(e - s - 2)
-        while es[-1] < max(es) - width - 66:  # mantissas have width or width + 1 bits
-            del ms[-1], es[-1]
-        rows[n % 2] = ms, es
-        yield n, ms, es
-
-
 @lru_cache(maxsize=8192)  # rows to n = 4,096 at two widths
 def _nth_power(n: int, width: int) -> tuple[int, int]:
     # n^n ~ nn 2^ne by squaring, each step kept to width bits: the same at every t,
@@ -210,17 +174,23 @@ def _nth_power(n: int, width: int) -> tuple[int, int]:
     return nn, ne
 
 
-def _fixed_rows(t: Fraction, width: int, n0: int = 0, older=((), 0), newer=((), 0)):
+def _term_rows(t: Fraction, width: int, n0: int = 0, older=((), 0), newer=((), 0)):
     # (n, row, unit) for n = n0 + 1, ...: row[k] 2^unit ~ T(n, k) = |num(n, k)| x^(m-k)
-    # / (n! 2^n), x = t^2, m = n // 2, num(n, k) != 0.  The unit gives the head T(n, 0)
-    # = n^n x^m / (n! 2^n) width bits, from x^m / n! (x's m truncations, one per n)
-    # and n^n by squaring (under n), each kept to width bits, and one more: under
-    # 3n.  Then row n - 2 times j^2 / (4 k (n - k)), j = n - 2k, floored once; a zero
-    # stays zero, so trailing zeros are dropped.  At t = 0 each head past n = 1 is 0.
-    # Resumed after row n0 from rows n0 - 1 and n0, x^m / n! is stepped to n0 again
+    # / (n! 2^n), x = t^2, m = n // 2, num(n, k) != 0, where |t| >= 1/8; below, unit is
+    # a list, one exponent per term, as one unit would widen a row's integers by about
+    # log2(1/t^2) bits a step (over 1,500 rows the two cost about the same at t = 0.1).
+    # The head T(n, 0) = n^n x^m / (n! 2^n) has width bits, from x^m / n! (x's m
+    # truncations, one per n) and n^n by squaring (under n), each kept to width bits,
+    # and one more: under 3n.  Then row n - 2 times j^2 / (4 k (n - k)), j = n - 2k:
+    # with one unit, floored once, and a zero stays zero, so trailing zeros are
+    # dropped; with one exponent per term, truncated to width bits, and as that factor
+    # grows with j, trailing terms under 2^-(width + 64) of the top stay so on their
+    # lineages: they are dropped.  At t = 0 each head past n = 1 is 0.  Resumed after
+    # row n0 from rows n0 - 1 and n0, x^m / n! is stepped to n0 again
     xm, xs = _scaled(t.numerator**2, t.denominator**2, width)
     pm, pe = 1 << (width - 1), 1 - width  # x^m / n!, exactly 1 at n = 0
     rows, squares = [older, newer] if n0 % 2 else [newer, older], [0]
+    one_unit = 64 * t.numerator**2 >= t.denominator**2
     for n in count(1):
         squares.append(n * n)
         pm, s = _scaled(pm * xm ** (1 - n % 2), n, width)
@@ -231,15 +201,26 @@ def _fixed_rows(t: Fraction, width: int, n0: int = 0, older=((), 0), newer=((), 
         head = pm * nn
         s = max(head.bit_length() - width, 0)
         head, unit = head >> s, pe + ne + s - n
-        prev, shift = rows[n % 2][0], rows[n % 2][1] - 2 - unit
-        terms, divs = map(mul, prev, squares[n - 2::-2]), map(mul, range(1, n), range(n - 1, 0, -1))
-        if shift > 0:
-            terms = map(lshift, terms, repeat(shift))
-        elif shift < 0:
-            divs = map(lshift, divs, repeat(-shift))
-        row = [head, *map(floordiv, terms, divs)]
-        while row and not row[-1]:
-            del row[-1]
+        prev, prev_unit = rows[n % 2]
+        if one_unit:
+            shift = prev_unit - 2 - unit
+            terms, divs = map(mul, prev, squares[n - 2::-2]), map(mul, range(1, n), range(n - 1, 0, -1))
+            if shift > 0:
+                terms = map(lshift, terms, repeat(shift))
+            elif shift < 0:
+                divs = map(lshift, divs, repeat(-shift))
+            row = [head, *map(floordiv, terms, divs)]
+            while row and not row[-1]:
+                del row[-1]
+        else:
+            row, unit = [head], [unit]
+            for a, e, jj, k in zip(prev, prev_unit or (), squares[n - 2::-2], count(1)):
+                b, d = a * jj, k * (n - k)
+                s = width + d.bit_length() - b.bit_length()
+                row.append((b << s if s >= 0 else b >> -s) // d)
+                unit.append(e - s - 2)
+            while unit[-1] < max(unit) - width - 66:  # terms have width or width + 1 bits
+                del row[-1], unit[-1]
         rows[n % 2] = row, unit
         yield n, row, unit
 
@@ -247,63 +228,49 @@ def _fixed_rows(t: Fraction, width: int, n0: int = 0, older=((), 0), newer=((), 
 def _row_logabs(n: int, row, unit, t: Fraction, width: int):
     """(ln|A_n(t)|, sign) from row n of _term_rows, A_n(t) = t^(n mod 2)
     sum (-1)^k T(n, k), or if it cannot be certified the bits lost, an int.
-    A row of _float_rows, with an exponent per term, goes to _float_logabs.
 
-    In units 2^unit the terms sum exactly to S, E from even k less O from
-    odd; every floor leaves a term low by under 1.  With u = 2^(1 - width),
-    the lineage of T(n, k) starts at the head of row j = n - 2k, low by under
-    3j u of itself, and takes k steps.  Its ratio to its row's head rises,
-    then falls (the step factor falls with k, the heads' ratio rises with n
-    to e^2 x / 4), so each floor is either taken at 2^(width - 1) units or
-    more, costing under T(n, k) 2^-unit u, or after the fall, costing under
-    2 / (1 - 3n u) units, a ratio of heads.  Over the K + 1 lineages, K =
-    (n - 1) // 2, the shortfall D is under 3n u (E + O + D) + K (K + 1) /
-    (1 - 3n u).  The certificate requires |S| >= 2^64 B, B = floor((3n + 1)
-    u (E + O)) + K (K + 1) + 3; as |S| <= E + O, then (3n + 1) u < 2^-64, so
-    D <= B and S's relative error is at most 2^-64: its sign is right.  The
-    bits lost are bitlen(E + O) - bitlen(|S|).
+    The N terms are summed in units 2^unit, or, with one exponent per term,
+    aligned to the largest: S, E from even k less O from odd.  With u =
+    2^(1 - width), the lineage of T(n, k) = V starts at the head of row j =
+    n - 2k, low by under 3j u of itself, and takes k steps, so its term A
+    in S has V - A <= 3n u V + c.  With one exponent per term each step
+    truncates to width bits, under u V, and aligning floors once: c = 1;
+    each dropped lineage stays under 2^-(width + 64) of a kept term, itself
+    under 2^(width + 1) units, so together they add under 1.  With one unit,
+    the term's ratio to its row's head rises, then falls (the step factor
+    falls with k, the heads' ratio rises with n to e^2 x / 4), so each floor
+    is either taken at 2^(width - 1) units or more, costing under u V, or
+    after the fall, costing under 2 / (1 - 3n u) units, a ratio of heads:
+    c = 2k / (1 - 3n u), and the K + 1 lineages, K = (n - 1) // 2, give
+    sum c <= K (K + 1) / (1 - 3n u).  So V <= (A + c) / (1 - 3n u), and
+    the shortfall D is under (3n u (E + O) + sum c) / (1 - 3n u) + 1.  The
+    certificate requires |S| >= 2^64 B, B = floor((3n + 1) u (E + O + N))
+    + K (K + 1) + N + 3; as |S| <= E + O, then (3n + 1) u < 2^-64, so for
+    n < 2^32 the divisions by 1 - 3n u add under (3n + 1) u (E + O + N)
+    - 3n u (E + O) + 1 units, and D < B: S's relative error is under
+    2^-64, and its sign is right.  The bits lost are bitlen(E + O) -
+    bitlen(|S|).
     """
-    if not isinstance(unit, int):
-        return _float_logabs(n, row, unit, t, width)
-    even, odd = sum(row[::2]), sum(row[1::2])
-    total, lineages = even - odd, (n - 1) // 2 * ((n + 1) // 2)
-    bound = ((3 * n + 1) * (even + odd) >> width - 1) + lineages + 3
+    if isinstance(unit, int):
+        even, odd = sum(row[::2]), sum(row[1::2])
+    else:
+        top = max(unit)
+        even = sum(map(rshift, row[::2], map(top.__sub__, unit[::2])))
+        odd = sum(map(rshift, row[1::2], map(top.__sub__, unit[1::2])))
+        unit = top
+    total, terms, lineages = even - odd, len(row), (n - 1) // 2 * ((n + 1) // 2)
+    bound = ((3 * n + 1) * (even + odd + terms) >> width - 1) + lineages + terms + 3
     if abs(total) < bound << 64:
         return (even + odd).bit_length() - abs(total).bit_length()
     p, q = (t.numerator, t.denominator) if n % 2 else (1, 1)
     return _logabs(total * p, q, unit)
 
 
-def _float_logabs(n: int, ms, es, t: Fraction, width: int):
-    """_row_logabs for a row of _float_rows.
-
-    Aligned to the unit 2^top, the N terms sum exactly to S units: E from
-    even k less O from odd.  T(n, k) has 2(m - k) + 1 + k <= n + 1
-    truncations of relative size u = 2^(1 - width) on its lineage (x's in
-    each of the m - k factors of x^(m-k), the m - k products, the head
-    T(n - 2k, 0), k steps), so if (n + 1) u <= 1/2 it is low by at most
-    2 (n + 1) u of itself, and aligning drops under a unit; the at most n/2
-    dropped lineages, each under 2^-(width + 64) of a kept term below
-    2^(width + 1) units, add under n 2^-63 < 1: S is off by at most
-    B = (n + 1)(E + O + N) 2^(2 - width) + N + 2 units.  The required
-    |S| >= 2^64 B implies (n + 1) u <= 1/2, as |S| <= E + O, and bounds the
-    relative error of S by 2^-64, so its sign is right.  The bits lost are
-    bitlen(E + O) - bitlen(|S|).
-    """
-    top = max(es)
-    even = sum(a >> top - e for a, e in zip(ms[::2], es[::2]))
-    odd = sum(a >> top - e for a, e in zip(ms[1::2], es[1::2]))
-    total, terms = even - odd, len(ms)
-    bound = ((n + 1) * (even + odd + terms) >> width - 2) + terms + 2
-    if abs(total) < bound << 64:
-        return (even + odd).bit_length() - abs(total).bit_length()
-    p, q = (t.numerator, t.denominator) if n % 2 else (1, 1)
-    return _logabs(total * p, q, top)
-
-
 def _a_logabs_stream(t, n_lo: int = 1, n_hi: int = 0):
     """(ln|A_n(t)|, sign) for n = n_lo, n_lo + 1, ..., each log within a
-    few ulps of max(1, |ln|A_n(t)||), each sign exact.  An n that
+    few ulps of max(1, |ln|A_n(t)||), each sign exact, summed from the
+    rows of _term_rows, whatever t, and each sum certified by _row_logabs,
+    whichever step built its row.  An n that
     _row_logabs cannot certify is taken from the exact kernel, and unless
     it is 0 the rows restart from n = 1, yielding nothing twice: at twice
     the width, or the first time at least the width its lost bits predict

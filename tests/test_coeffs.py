@@ -15,7 +15,7 @@ from kapteyn import (
     coeff_table_recurrence,
 )
 from kapteyn import coeffs
-from kapteyn.coeffs import _a_logabs_stream, _a_numerators, _fixed_rows, _float_rows, _term_rows
+from kapteyn.coeffs import _a_logabs_stream, _a_numerators, _term_rows
 from kapteyn.domain import singular_part, solve_R_true
 
 # the first five polynomials, written out coefficient-by-coefficient
@@ -230,15 +230,15 @@ def _check_logabs(got: tuple[float, int], v: Fraction) -> None:
 
 
 class TestLogAbsStream:
-    @pytest.mark.parametrize("t", [0.1, 0.7, 20, -0.4, Fraction(3, 7), 2.0**-40])
+    @pytest.mark.parametrize("t", [0.125, 0.7, 20, -0.4, Fraction(3, 7), 2.7])
     def test_terms_match_the_exact_numerators(self, t):
-        # V = T(n, k) / 2^unit, T(n, k) = |num(n, k)| x^(m-k) / (n! 2^n), x = t^2,
-        # exceeds its fixed-point term by at most its stated error (3j + k) u V
-        # + 2k / (1 - 3n u), u = 2^(1 - width), j = n - 2k, for every nonzero num;
-        # a dropped term counts as 0.  The head has width bits
+        # with one unit per row (|t| >= 1/8): V = T(n, k) / 2^unit, T(n, k) =
+        # |num(n, k)| x^(m-k) / (n! 2^n), x = t^2, exceeds its term by at most its
+        # stated error (3j + k) u V + 2k / (1 - 3n u), u = 2^(1 - width), j = n - 2k,
+        # for every nonzero num; a dropped term counts as 0.  The head has width bits
         t, width, dropped = Fraction(t), 64, 0
         u = Fraction(2) ** (1 - width)
-        for n, row, unit in islice(_fixed_rows(t, width), 120):
+        for n, row, unit in islice(_term_rows(t, width), 120):
             nums = [num for num in _a_numerators(n) if num]
             scale = Fraction(2) ** -unit / (math.factorial(n) * 2**n)
             assert len(row) <= len(nums) and 2 ** (width - 1) <= row[0] < 2**width
@@ -255,94 +255,80 @@ class TestLogAbsStream:
                                           (1e-5, False), (5e-324, False), (0.0, False)])
     def test_rows_are_fixed_point_from_one_eighth(self, t, fixed):
         # one unit per row where |t| >= 1/8; below, an exponent per term, so no
-        # mantissa widens past width + 1 bits however small t is
+        # term widens past width + 1 bits however small t is
         rows = list(islice(_term_rows(Fraction(t), 64), 300))
         assert all(isinstance(unit, int) == fixed for _, _, unit in rows)
         if not fixed:
             assert max(a.bit_length() for _, ms, _ in rows for a in ms) <= 65
 
-    @pytest.mark.parametrize("t", [0.1, 0.7, 20, -0.4, Fraction(3, 7)])
-    def test_float_terms_match_the_exact_numerators(self, t):
-        # T(n, k) = |num(n, k)| x^(m-k) / (n! 2^n), x = t^2, is low by at
-        # most n + 1 truncations of 2^(1 - width) each, for every nonzero num
-        # the row keeps; each term it drops is under 2^-(width + 64) of its top
+    @pytest.mark.parametrize("t", [0.1, -0.1, 0.05, 1e-5, 2.0**-40, Fraction(3, 29)])
+    def test_per_term_exponents_match_the_exact_numerators(self, t):
+        # with an exponent per term (|t| < 1/8): T(n, k) = |num(n, k)| x^(m-k) /
+        # (n! 2^n), x = t^2, is low by at most (3j + k) u of itself, u = 2^(1 -
+        # width), j = n - 2k, the head's error and one truncation a step, for
+        # every nonzero num the row keeps; each term it drops is under
+        # 2^-(width + 64) of its top
         t, width, dropped = Fraction(t), 64, 0
-        for n, ms, es in islice(_float_rows(t, width), 120):
+        u = Fraction(2) ** (1 - width)
+        for n, ms, es in islice(_term_rows(t, width), 120):
             nums = [num for num in _a_numerators(n) if num]
             exact = [abs(num) * t ** (2 * (n // 2 - k)) / (math.factorial(n) * 2**n)
                      for k, num in enumerate(nums)]
             assert len(ms) == len(es) <= len(nums), n
+            assert 2 ** (width - 1) <= ms[0] < 2**width
             for k, (a, e) in enumerate(zip(ms, es)):
                 got = a * Fraction(2) ** e
                 assert 2 ** (width - 1) <= a < 2 ** (width + 1)
                 rel = (exact[k] - got) / exact[k]
-                assert 0 <= rel <= (n + 1) * Fraction(2) ** (1 - width), (n, k)
+                assert 0 <= rel <= (3 * (n - 2 * k) + k) * u, (n, k)
             top = exact[es.index(max(es))]
             for v in exact[len(ms):]:
                 assert v < top / 2 ** (width + 64), n
             dropped += len(nums) - len(ms)
-        assert dropped > 0
+        assert dropped > 0 or abs(t) < 1e-5
 
-    @pytest.mark.parametrize("t", [0.1, 0.3, 0.7, -0.4, Fraction(3, 7)])
-    def test_float_sums_are_within_the_certificate(self, t, monkeypatch):
-        # every sum _row_logabs accepts from _float_rows is within 2^-64 of
-        # A_n(t), relative, checked exactly; at these narrow widths many sums
-        # are refused, so acceptance is near its threshold, where a bound too
-        # small would show
-        t, seen = Fraction(t), []
-
-        def recorded(acc, den, e2=0):
-            seen.append(Fraction(acc, den) * Fraction(2) ** e2)
-            return 0.0, 1
-
-        monkeypatch.setattr(coeffs, "_logabs", recorded)
-        accepted = refused = 0
-        for width in (80, 96, 128):
-            for n, ms, es in islice(_float_rows(t, width), 150):
-                if isinstance(coeffs._row_logabs(n, ms, es, t, width), int):  # refused
-                    refused += 1
-                    continue
-                accepted += 1
-                exact = a_eval_exact(n, t)
-                assert abs(seen[-1] - exact) <= abs(exact) / 2**64, (width, n)
-        assert accepted > 100 and refused > 100
-
-    def test_float_certificate_keeps_its_alignment_and_dropped_units(self):
-        # a hand-built per-term row of N = 2 terms on one exponent at width
-        # 256: B = (n + 1)(E + O + N) 2^(2 - width) + N + 2 units, from
-        # _float_logabs's docstring, so a sum of 2^64 (B - 1) must be refused,
-        # though it is accepted without the N + 2, and one of 2^64 B accepted
-        n, width, t, terms = 3, 256, Fraction(1, 10), 2
+    @pytest.mark.parametrize("kind", ["one unit", "per term"])
+    def test_certificate_pins_its_bound(self, kind):
+        # a hand-built row n = 3 of N = 2 terms at width 256, from both steps:
+        # B = floor((3n + 1) u (E + O + N)) + K (K + 1) + N + 3 units, u = 2^(1 -
+        # width), K = 1, from _row_logabs's docstring, so a sum of 2^64 (B - 1)
+        # must be refused and one of 2^64 B accepted
+        n, width, t, terms = 3, 256, Fraction(1, 10 if kind == "per term" else 3), 2
         odd = 1 << width - 1
-        b = ((n + 1) * (2 * odd + terms) >> width - 2) + terms + 2
+        b = ((3 * n + 1) * (2 * odd + terms) >> width - 1) + 2 + terms + 3
         for total, refused in (((b - 1) << 64, True), (b << 64, False)):
             even = odd + total
-            assert ((n + 1) * (even + odd + terms) >> width - 2) + terms + 2 == b
-            got = coeffs._float_logabs(n, [even, odd], [-300, -300], t, width)
+            assert ((3 * n + 1) * (even + odd + terms) >> width - 1) + 2 + terms + 3 == b
+            unit = [-300, -300] if kind == "per term" else -300
+            got = coeffs._row_logabs(n, [even, odd], unit, t, width)
             assert isinstance(got, int) == refused, total >> 64
 
-    @pytest.mark.parametrize("t", [0.1, 0.9, 20, Fraction(3, 7)])
+    @pytest.mark.parametrize("t", [0.1, 2.0**-40, 1e-5, 0.9, 20, Fraction(3, 7)])
     def test_head_is_within_its_truncations(self, t):
         # T(n, 0) = n^n x^m / (n! 2^n) from x^m / n! and n^n at width bits is low
-        # by under 3n u of itself: m + (n - 1) + n + 1 truncations at most
+        # by under 3n u of itself: m + (n - 1) + n + 1 truncations at most, with
+        # one unit per row or an exponent per term
         t, width = Fraction(t), 64
-        for n, row, unit in islice(_fixed_rows(t, width), 300):
+        for n, row, unit in islice(_term_rows(t, width), 300):
             exact = Fraction(n**n) * t ** (2 * (n // 2)) / (math.factorial(n) * 2**n)
-            rel = (exact - row[0] * Fraction(2) ** unit) / exact
+            head_unit = unit if isinstance(unit, int) else unit[0]
+            rel = (exact - row[0] * Fraction(2) ** head_unit) / exact
             assert 0 <= rel < 3 * n * Fraction(2) ** (1 - width), n
 
     def test_zero_t_yields_exact_zeros(self):
-        # at t = 0 every head past n = 1 is 0, so a row has no unit of its
-        # own; every A_n(0) is 0
+        # at t = 0 every head past n = 1 is 0; every A_n(0) is 0
         assert list(islice(_a_logabs_stream(0.0), 120)) == [(-math.inf, 0)] * 120
 
-    @pytest.mark.parametrize("t", [0.1, 0.3, 0.7, -0.4, Fraction(3, 7), 2.7])
+    @pytest.mark.parametrize("t", [0.1, -0.1, Fraction(3, 29), 0.3, 0.7, -0.4,
+                                   Fraction(3, 7), 2.7])
     def test_accepted_sums_are_within_the_certificate(self, t, monkeypatch):
         # every sum _row_logabs accepts is within 2^-64 of A_n(t), relative,
         # checked exactly, and is at least 2^64 times the sum over all K + 1
-        # lineages of the stated errors of test_terms_match_the_exact_numerators;
-        # at these narrow widths many sums are refused, so acceptance is near its
-        # threshold, where a bound too small would show
+        # lineages of their stated errors (3n - 5k) u V + c: c = 2k / (1 - 3n u)
+        # with one unit per row, as in test_terms_match_the_exact_numerators, and
+        # with an exponent per term c = 1 for aligning each kept term, plus 1 for
+        # all the dropped ones.  At these narrow widths many sums are refused, so
+        # acceptance is near its threshold, where a bound too small would show
         t, seen = Fraction(t), []
         p2, q2 = t.numerator**2, t.denominator**2
 
@@ -354,13 +340,20 @@ class TestLogAbsStream:
         accepted = refused = 0
         for width in (72, 80, 96, 128):
             u = Fraction(2) ** (1 - width)
-            for n, row, unit in islice(_fixed_rows(t, width), 150):
+            for n, row, unit in islice(_term_rows(t, width), 150):
                 m, nums = n // 2, [num for num in _a_numerators(n) if num]
-                den = q2**m * math.factorial(n) * 2**n * Fraction(2) ** unit
+                if isinstance(unit, int):
+                    top, terms = unit, row
+                    units = sum(2 * k for k in range(len(nums))) / (1 - 3 * n * u)
+                else:
+                    top = max(unit)
+                    terms = [a >> top - e for a, e in zip(row, unit)]
+                    units = len(row) + 1
+                den = q2**m * math.factorial(n) * 2**n * Fraction(2) ** top
                 rel = sum((3 * n - 5 * k) * abs(num) * p2 ** (m - k) * q2**k
                           for k, num in enumerate(nums)) / den
-                stated = rel * u + sum(2 * k for k in range(len(nums))) / (1 - 3 * n * u)
-                total = sum(row[::2]) - sum(row[1::2])
+                stated = rel * u + units
+                total = sum(terms[::2]) - sum(terms[1::2])
                 assert abs(sum(num * p2 ** (m - k) * q2**k for k, num in enumerate(nums))
                            / den - total) <= stated
                 if isinstance(coeffs._row_logabs(n, row, unit, t, width), int):  # refused

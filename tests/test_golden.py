@@ -76,16 +76,25 @@ from a 40-digit sum of exact terms (7.8e-11 before, its bound 2.5e-9);
 eval_power_near takes 101, not 173, 2.6e-10 from the sum (3.3e-10
 before), its bound 1.1e-8; eval_power_real takes 66, not 116, 5.4e-9 from
 the sum (1.3e-8 before), its bound 6.2e-8.  eval_both stayed as it was.
+
+stream.csv is not CLI output: it holds n, t, ln|A_n(t)| to 15 significant
+digits and the sign from coeffs._a_logabs_stream, for n = 1..300 at ten t
+on both sides of the rows' 1/8 switch, recorded before the two row formats
+came to share one generator and one certificate.  At t = 0.9 it covers a
+restart at twice the width.
 """
 
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from kapteyn.cli import EXIT_OK, main
+from kapteyn.coeffs import _a_logabs_stream
 
 GOLDEN = Path(__file__).parent / "golden"
 SEQ40 = str(GOLDEN / "seq40.csv")
+STREAM_T = [1e-30, 2.0**-40, 0.05, 0.1249, 0.125, 0.3, -0.4, 0.9, 1.5, 20.0]
 
 CASES = {
     "figure1": ["figure", "1", "--samples", "12"],
@@ -126,3 +135,16 @@ def test_stdout_matches_golden(name, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out.encode() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def stream_csv() -> str:
+    # n, t, ln|A_n(t)| and sign for n = 1..300 at each of STREAM_T, t by t
+    lines = ["n,t,ln_abs,sign"]
+    for t in STREAM_T:
+        for n, (ln, sign) in enumerate(islice(_a_logabs_stream(t), 300), 1):
+            lines.append(f"{n},{t!r},{ln:.15g},{sign}")
+    return "\n".join(lines) + "\n"
+
+
+def test_stream_matches_golden():
+    assert stream_csv().encode() == (GOLDEN / "stream.csv").read_bytes()
