@@ -25,9 +25,10 @@ log2(1/t^2) bits a step.  One certificate (_row_logabs), with one bound for
 both kinds of row, accepts each sum, and the stream restarts once, at a
 predicted width.  Floats leave
 only as (ln|A_n(t)|, sign), since A_500(t) can lie far outside float range.
-Its values at the first width, with the last two rows, are kept for the last
-eight t and resumed by later calls; the closed form and the recurrence stay
-as oracles.
+Its values at the first width, with the last two rows and the last head's
+x^m / n!, are kept for the last eight t, and later calls resume the rows
+there without stepping any head again; the closed form and the recurrence
+stay as oracles.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from operator import floordiv, lshift, mul, rshift
 from .errors import DomainError
 
 _WIDTH = 256  # the stream's starting width, in bits: that of each row's head
-_STORE: dict = {}  # (p, q, width) -> (values of rows 1..k on, k, row k - 1, row k), newest last
+# (p, q, width) -> (values of rows 1..k on, k, rows k - 1 and k, row k's x^m / n!), newest last
+_STORE: dict = {}
 _STORE_T, _STORE_LOCK = 8, threading.Lock()  # t held; one writer at a time
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # HI has 32 bits
 
@@ -112,14 +114,16 @@ class APoly:
     coeffs: tuple[Fraction, ...]  # length n+1; only k == n (mod 2) entries nonzero
 
 
-def _a_numerators(n: int):
+@lru_cache(maxsize=8)  # the same at every t: figures 1 and 3 read one n at many t
+def _a_numerators(n: int) -> tuple[int, ...]:
     # (-1)^{n+k} binom(n,k) (2k-n)^n for k = 0..n//2: the numerator, over
     # n! 2^n, of the coefficient of t^{n-2k}
-    binom = 1
+    nums, binom = [], 1
     for k in range(n // 2 + 1):
         num = binom * (2 * k - n) ** n
-        yield -num if (n + k) % 2 else num
+        nums.append(-num if (n + k) % 2 else num)
         binom = binom * (n - k) // (k + 1)
+    return tuple(nums)
 
 
 def _a_kernel(n: int, t: Fraction) -> tuple[int, int]:
@@ -174,7 +178,7 @@ def _nth_power(n: int, width: int) -> tuple[int, int]:
     return nn, ne
 
 
-def _term_rows(t: Fraction, width: int, n0: int = 0, older=((), 0), newer=((), 0)):
+def _term_rows(t: Fraction, width: int, n0: int = 0, older=((), 0), newer=((), 0), state=None):
     # (n, row, unit) for n = n0 + 1, ...: row[k] 2^unit ~ T(n, k) = |num(n, k)| x^(m-k)
     # / (n! 2^n), x = t^2, m = n // 2, num(n, k) != 0, where |t| >= 1/8; below, unit is
     # a list, one exponent per term, as one unit would widen a row's integers by about
@@ -185,18 +189,20 @@ def _term_rows(t: Fraction, width: int, n0: int = 0, older=((), 0), newer=((), 0
     # with one unit, floored once, and a zero stays zero, so trailing zeros are
     # dropped; with one exponent per term, truncated to width bits, and as that factor
     # grows with j, trailing terms under 2^-(width + 64) of the top stay so on their
-    # lineages: they are dropped.  At t = 0 each head past n = 1 is 0.  Resumed after
-    # row n0 from rows n0 - 1 and n0, x^m / n! is stepped to n0 again
+    # lineages: they are dropped.  At t = 0 each head past n = 1 is 0.  A list state
+    # holds the head's [pm, pe], x^m / n! ~ pm 2^pe, at row n0 (at n = 0 if empty),
+    # and is set in place to row n's before row n is yielded: resumed after row n0
+    # from rows n0 - 1 and n0 and its state, no x^m / n! is stepped again
     xm, xs = _scaled(t.numerator**2, t.denominator**2, width)
-    pm, pe = 1 << (width - 1), 1 - width  # x^m / n!, exactly 1 at n = 0
-    rows, squares = [older, newer] if n0 % 2 else [newer, older], [0]
+    pm, pe = state or (1 << (width - 1), 1 - width)  # x^m / n!, exactly 1 at n = 0
+    state = [] if state is None else state
+    rows, squares = [older, newer] if n0 % 2 else [newer, older], [j * j for j in range(n0 + 1)]
     one_unit = 64 * t.numerator**2 >= t.denominator**2
-    for n in count(1):
+    for n in count(n0 + 1):
         squares.append(n * n)
         pm, s = _scaled(pm * xm ** (1 - n % 2), n, width)
         pe -= s + xs * (1 - n % 2)
-        if n <= n0:
-            continue
+        state[:] = pm, pe
         nn, ne = _nth_power(n, width)
         head = pm * nn
         s = max(head.bit_length() - width, 0)
@@ -279,18 +285,21 @@ def _a_logabs_stream(t, n_lo: int = 1, n_hi: int = 0):
 
     The values summed at the first width in order from n = 1 are kept in
     _STORE, the first k of a list only its call appends to, with rows k - 1
-    and k, for the last _STORE_T values of t; a later call replays them and
-    resumes the rows there, and a call stopped anywhere leaves a valid entry."""
+    and k and row k's head state x^m / n!, for the last _STORE_T values of
+    t; a later call replays them and resumes the rows at row k + 1, with no
+    head stepped again, and a call stopped anywhere leaves a valid entry."""
     t = _exact(t)
 
     def stream(n_next, width, n_hi):
         key = t.numerator, t.denominator, width  # hashed in C, unlike a Fraction
-        done, *start = _STORE.get(key, ((),))  # values of rows 1..k and on; k, rows k - 1 and k
+        # values of rows 1..k and on; k, rows k - 1 and k, row k's head state
+        done, *start = _STORE.get(key, ((),))
         done = list(done[:start[0] if start else 0])  # appended to by this call alone
         yield from done[n_next - 1:]
-        n_next = max(n_next, len(done) + 1)
+        n_next, state = max(n_next, len(done) + 1), [*start[3]] if start else []
         while True:
-            for n, row, unit in islice(_term_rows(t, width, *start), n_next - 1 - len(done), None):
+            rows = _term_rows(t, width, *start[:3], state=state)
+            for n, row, unit in islice(rows, n_next - 1 - len(done), None):
                 n_next, got = n + 1, _row_logabs(n, row, unit, t, width)
                 if isinstance(got, int):
                     lost, got = got, _logabs(*_a_kernel(n, t))
@@ -299,14 +308,14 @@ def _a_logabs_stream(t, n_lo: int = 1, n_hi: int = 0):
                         break
                 if key and n == len(done) + 1:
                     done.append(got)
-                    start = [n, start[2] if start else ((), 0), (row, unit)]
+                    start = [n, start[2] if start else ((), 0), (row, unit), tuple(state)]
                     _keep(key, (done, *start))
                 yield got
             # lost bits grow like n, under 1 per n; the certificate needs 68 + log2 n
             # more, and 28 are margin
             need = min(lost * n_hi // n, n_hi) + 96 + n_hi.bit_length() if n_hi else 0
             width, n_hi = max(2 * width, -(-need // 64) * 64), 0
-            key, done, start = None, [], ()
+            key, done, start, state = None, [], (), []
 
     return stream(n_lo, _WIDTH, n_hi)
 

@@ -254,37 +254,45 @@ def solve_R_true(t: float) -> RadiusResult:
 
 
 def singular_part(pinch: RadiusResult
-                  ) -> tuple[complex, complex, complex, complex, complex, complex]:
-    """(z0, K, M, P, Q, S) of F(z, t) ~ K (1 - z/z0)^(-1/2) + const + M (1 -
-    z/z0)^(1/2) + P (1 - z/z0)^(3/2) + Q (1 - z/z0)^(5/2) + S (1 -
-    z/z0)^(7/2) at the nearest singularity z0 of a solve_R_true(t) result,
-    from its root, with no second Newton.
+                  ) -> tuple[complex, complex, complex, complex, complex, complex, complex]:
+    """(z0, K, M, P, Q, S, U) of F(z, t) ~ K (1 - z/z0)^(-1/2) + const + M (1 -
+    z/z0)^(1/2) + P (1 - z/z0)^(3/2) + Q (1 - z/z0)^(5/2) + S (1 - z/z0)^(7/2)
+    + U (1 - z/z0)^(9/2) at the nearest singularity z0 of a solve_R_true(t)
+    result, from its root, with no second Newton.
 
     As z leaves z0, the double pole of w/(1-w) at the pinch tau0,
-    tau0 = acos(1/z0), splits into two, tau = tau0 +- s + s^2/(3 T) -+
-    (5/24 + 1/(18 T^2)) s^3 + O(s^4), T = tan tau0, with s^2 = 2 (z -
-    z0)/z0 (tau - z sin tau held fixed; the s^4 and s^5 terms, -(63 T^2 +
-    20)/(540 T^3) and (1161 T^4 + 792 T^2 + 400)/(17280 T^4), enter nu).
-    The one the contour meets adds its residue, a multiple of 1/(1 - z cos
-    tau), which up to terms analytic at z0 is K (1 - w)^(-1/2) (1 + mu (1 -
-    w) + nu (1 - w)^2 + rho (1 - w)^3 + sigma (1 - w)^4) + O((1 -
-    w)^(9/2)), w = z/z0, with K = i / (sqrt 2 z0 sin tau0), mu = 1/4 + 1/(3
-    T^2), nu = 3/32 + 5/(36 T^2) + 1/(54 T^4) = (3 T^2 + 4)(27 T^2 +
-    4)/(864 T^4), rho = 5/128 - 99/(800 T^2) - 149/(360 T^4) - 115/(486
-    T^6) and sigma = 35/2048 - 22711/(67200 T^2) - 119537/(100800 T^4) -
-    2425/(1944 T^6) - 2485/(5832 T^8) (from tau to s^9, the residue to
-    s^7).  As T^2 = z0^2 - 1 = -1/(2 K^2), mu = 1/4 - 2 K^2/3, nu = 3/32 -
-    5 K^2/18 + 2 K^4/27, rho = 5/128 + 99 K^2/400 - 149 K^4/90 + 460
+    tau0 = acos(1/z0), splits into two, tau = tau0 + delta, where delta -
+    (1 + s^2/2)(T cos delta + sin delta) + T = 0 (tau - z sin tau held
+    fixed), T = tan tau0, s^2 = 2 (z - z0)/z0: delta = +-s + s^2/(3 T) -+
+    (5/24 + 1/(18 T^2)) s^3 - (7/(60 T) + 1/(27 T^3)) s^4 +- (43/640 +
+    11/(240 T^2) + 5/(216 T^4)) s^5 + O(s^6).  The one the contour meets
+    adds its residue, a multiple of 1/(1 - z cos tau), which up to terms
+    analytic at z0 is K (1 - w)^(-1/2) (1 + mu (1 - w) + nu (1 - w)^2 + rho
+    (1 - w)^3 + sigma (1 - w)^4 + upsilon (1 - w)^5) + O((1 - w)^(11/2)), w
+    = z/z0, with K = i / (sqrt 2 z0 sin tau0), mu = 1/4 + 1/(3 T^2), nu =
+    3/32 + 5/(36 T^2) + 1/(54 T^4) = (3 T^2 + 4)(27 T^2 + 4)/(864 T^4), rho
+    = 5/128 - 99/(800 T^2) - 149/(360 T^4) - 115/(486 T^6), sigma =
+    35/2048 - 22711/(67200 T^2) - 119537/(100800 T^4) - 2425/(1944 T^6) -
+    2485/(5832 T^8) and upsilon = 63/8192 - 32572661/(67737600 T^2) -
+    3198127/(1555200 T^4) - 1700519/(544320 T^6) - 436373/(209952 T^8) -
+    81137/(157464 T^10): delta solved order by order to s^11 and the
+    residue expanded to s^9, in exact rationals in 1/T (sympy), each
+    coefficient of s^(2j - 1) over that of s^-1 times (-2)^j, as s^2 = -2
+    (1 - w).  As T^2 = z0^2 - 1 = -1/(2 K^2), mu = 1/4 - 2 K^2/3, nu = 3/32
+    - 5 K^2/18 + 2 K^4/27, rho = 5/128 + 99 K^2/400 - 149 K^4/90 + 460
     K^6/243, sigma = 35/2048 + 22711 K^2/33600 - 119537 K^4/25200 + 2425
-    K^6/243 - 4970 K^8/729, M = mu K, P = nu K, Q = rho K and S = sigma K.
-    For a "pinch" result z0 = R e^{i angle} and the conjugate z0 carries
-    the conjugate K, M, P, Q and S; for t > 1 z0 = R and K = 1/(sqrt 2
-    sqrt(1 - R^2)), infinite at t = 1 (M, P, Q and S are then infinite
-    too).  Darboux's method gives A_n ~ (K - M/(2n - 1) + 3 P/((2n -
-    1)(2n - 3)) - 15 Q/((2n - 1)(2n - 3)(2n - 5))) c_n z0^-n, plus its
-    conjugate, c_n = binom(2n, n)/4^n, with an error of order n^(-9/2)
-    R^-n, 105 S/((2n - 1)(2n - 3)(2n - 5)(2n - 7)) c_n z0^-n to leading
-    order; eval_power subtracts up to Q, and S only sizes what is left.
+    K^6/243 - 4970 K^8/729, upsilon = 63/8192 + 32572661 K^2/33868800 -
+    3198127 K^4/388800 + 1700519 K^6/68040 - 436373 K^8/13122 + 324548
+    K^10/19683, M = mu K, P = nu K, Q = rho K, S = sigma K and U = upsilon
+    K.  For a "pinch" result z0 = R e^{i angle} and the conjugate z0 carries
+    the conjugate K to U; for t > 1 z0 = R and K = 1/(sqrt 2 sqrt(1 - R^2)),
+    infinite at t = 1 (M to U are then infinite too).  Darboux's method
+    gives A_n ~ (K - M/(2n - 1) + 3 P/((2n - 1)(2n - 3)) - 15 Q/((2n -
+    1)(2n - 3)(2n - 5)) + 105 S/((2n - 1)(2n - 3)(2n - 5)(2n - 7))) c_n
+    z0^-n, plus its conjugate, c_n = binom(2n, n)/4^n, with an error of
+    order n^(-11/2) R^-n, -945 U/((2n - 1)(2n - 3)(2n - 5)(2n - 7)(2n - 9))
+    c_n z0^-n to leading order; eval_power subtracts up to S, and U only
+    sizes what is left.
     """
     if pinch.branch == "pinch":
         z0 = cmath.rect(pinch.radius, pinch.angle)
@@ -297,7 +305,9 @@ def singular_part(pinch: RadiusResult
             complex(k * (0.09375 - k2 * (5.0 / 18.0 - k2 * (2.0 / 27.0)))),
             complex(k * (5 / 128 + k2 * (0.2475 - k2 * (149 / 90 - k2 * (460 / 243))))),
             complex(k * (35 / 2048 + k2 * (22711 / 33600 - k2 * (
-                119537 / 25200 - k2 * (2425 / 243 - k2 * (4970 / 729)))))))
+                119537 / 25200 - k2 * (2425 / 243 - k2 * (4970 / 729)))))),
+            complex(k * (63 / 8192 + k2 * (32572661 / 33868800 - k2 * (3198127 / 388800 - k2 * (
+                1700519 / 68040 - k2 * (436373 / 13122 - k2 * (324548 / 19683))))))))
 
 
 def psi_small_t(t: float) -> float:

@@ -142,30 +142,33 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     Near its nearest singularities z0 (R e^{+-i theta} for |t| < 1, R for
     |t| > 1; -z0 for t < 0, as F(z, -t) = F(-z, t)), F ~ g(z) = K (1 -
     z/z0)^(-1/2) + M (1 - z/z0)^(1/2) + P (1 - z/z0)^(3/2) + Q (1 -
-    z/z0)^(5/2), plus the conjugate for |t| < 1, with K, M = mu K, P = nu
-    K and Q = rho K from domain.singular_part (the merging poles' Puiseux
-    expansion gives mu = 1/4 + 1/(3 (z0^2 - 1)), nu = 3/32 + 5/(36 (z0^2 -
-    1)) + 1/(54 (z0^2 - 1)^2) and rho, a cubic in 1/(z0^2 - 1)).  So |A_n|
-    R^n falls only like n^{-1/2}, while the residual A_n - g_n, g_n = (K -
-    M/(2n - 1) + 3P/((2n - 1)(2n - 3)) - 15Q/((2n - 1)(2n - 3)(2n - 5)))
-    c_n z0^-n, c_n = binom(2n, n)/4^n, falls like n^{-9/2}, and g(z) - g(0)
-    = K w/(s(1 + s)) - M w/(1 + s) - P w (1 + s + s^2)/(1 + s) - Q w (1 +
-    s + s^2 + s^3 + s^4)/(1 + s), w = z/z0, s = sqrt(1 - w), is added.
-    With j terms subtracted, the residual is about the first term left
-    out, f_n = K left [w^n] (1 - w)^{j - 1/2} z0^-n (plus the conjugate),
-    left = mu, nu, rho or sigma = S/K (S from domain.singular_part), of
-    size pair |K left| Gamma(j + 1/2)/pi n^{-(j + 1/2)} R^-n, and the
-    stream is told to expect the n where that times (|z|/R)^n is tol:
-    0.90-0.99 of the terms used on power_disk's calls of 70 terms or more.
+    z/z0)^(5/2) + S (1 - z/z0)^(7/2), plus the conjugate for |t| < 1, with
+    K, M = mu K, P = nu K, Q = rho K and S = sigma K from
+    domain.singular_part (the merging poles' Puiseux expansion gives mu =
+    1/4 + 1/(3 (z0^2 - 1)), nu = 3/32 + 5/(36 (z0^2 - 1)) + 1/(54 (z0^2 -
+    1)^2), and rho and sigma, a cubic and a quartic in 1/(z0^2 - 1)).  So
+    |A_n| R^n falls only like n^{-1/2}, while the residual A_n - g_n, g_n =
+    (K - M/(2n - 1) + 3P/((2n - 1)(2n - 3)) - 15Q/((2n - 1)(2n - 3)(2n -
+    5)) + 105S/((2n - 1)(2n - 3)(2n - 5)(2n - 7))) c_n z0^-n, c_n =
+    binom(2n, n)/4^n, falls like n^{-11/2}, and g(z) - g(0) = K w/(s(1 +
+    s)) - M w/(1 + s) - P w (1 + s + s^2)/(1 + s) - Q w (1 + s + ... +
+    s^4)/(1 + s) - S w (1 + s + ... + s^6)/(1 + s), w = z/z0, s = sqrt(1 -
+    w), is added.  With j terms subtracted, the residual is about the
+    first term left out, f_n = K left [w^n] (1 - w)^{j - 1/2} z0^-n (plus
+    the conjugate), left = mu, nu, rho or upsilon = U/K (U from
+    domain.singular_part), of size pair |K left| Gamma(j + 1/2)/pi n^{-(j
+    + 1/2)} R^-n, and the stream is told to expect the n where that times
+    (|z|/R)^n is tol: 0.87-0.94 of the terms used on power_disk's calls of
+    70 terms or more (6 calls at seeds 11 and 23).
     As |t| -> 1 the pair merges into the pole of F(z, 1) = z/(2(1 - z)), K
-    grows like 1/|tau0|, mu like 1/|tau0|^2, nu like 1/|tau0|^4 and rho
-    like 1/|tau0|^6, so each term of g helps only far enough out: K is
-    subtracted only where n0 >= 20 |K|^2 for the pair, n0 >= |K|^2 / 2 for
-    t > 1 (never at |t| = 1, where K is infinite), M only where K is and
-    n0 >= max(20, 32 |mu|), P only where M is, n0 >= 43 and, for t > 1, nu
-    < 0 (R below sqrt(23/27), t above 1.0213), and Q only where P is, n0
-    >= 45 and, for the pair, n0 >= 24 |rho|.  Otherwise the raw A_n are
-    summed, as before.  K's constants are where, for t from 0.99 to 1.01
+    grows like 1/|tau0|, mu like 1/|tau0|^2, nu like 1/|tau0|^4, rho like
+    1/|tau0|^6 and sigma like 1/|tau0|^8, so each term of g helps only far
+    enough out: K is subtracted only where n0 >= 20 |K|^2 for the pair, n0
+    >= |K|^2 / 2 for t > 1 (never at |t| = 1, where K is infinite), M only
+    where K is and n0 >= max(20, 32 |mu|), P only where M is, n0 >= 43
+    and, for t > 1, nu < 0 (R below sqrt(23/27), t above 1.0213), and Q
+    and S only where P is, n0 >= 45 and, for the pair, n0 >= 24 |rho|.
+    Otherwise the raw A_n are summed, as before.  K's constants are where, for t from 0.99 to 1.01
     and |z|/R from 0.5 to 0.985, subtracting K stopped costing terms; M's
     are where the same held for M, over 40 t from 1e-5 to 10 (16 of them in
     0.99-1.01) and |z|/R from 0.3 to 0.985: at tol 1e-10 it cost terms up
@@ -181,7 +184,12 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     0.95 to 0.999 up to n0 = 16.5 |rho|, one term at n0 = 43 and 44 (t =
     0.8, tol 1e-10), and past the gate 1-5 terms at 96 of 882 points, 93
     of them at tol 1e-4 or 1e-6; for t > 1 it cost 1-4 terms only at t = 2
-    to 10, where |rho| < 0.015, and saved 25,680 in all there.
+    to 10, where |rho| < 0.015, and saved 25,680 in all there.  S rides on
+    Q's gate, with no constant of its own: over 25 t from 1e-5 to 10, |z|/R
+    from 0.3 to 0.985 and tol 1e-4 to 1e-13 (2,400 points), subtracting S
+    where Q is cost 1-8 terms at 84 points, 79 of them at tol 1e-4, saved
+    terms at 642 and 13,855 (5.6%) in all, and moved none for t from 0.99
+    to 1.02, where Q's gate is closed.
     For |t| < 1, |A_n - g_n| R^n swings like |cos(n theta + phi)|, and
     terms near each sign change dip a decade or more below the rest.  The
     envelope E is the largest |A_n - g_n| R^n of the last
@@ -198,10 +206,10 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     (|z|/R)^{N+1}/(1 - |z|/R) for N terms, plus the rounding: N ulps of
     sum |term|; each A_n term's; about 10n ulps of each subtracted
     (|K| + |M|/(2n - 1) + 3|P|/|(2n - 1)(2n - 3)| + 15|Q|/|(2n - 1)(2n -
-    3)(2n - 5)|) c_n |z|^n (before the real part is taken), from stepping
-    c_n and the phase n theta; and (6
-    |w|/|1 - w| + 20) ulps of each closed-form part, whose 1 - w cancels
-    near z0.  That tail is an estimate from the envelope over one swing,
+    3)(2n - 5)| + 105|S|/|(2n - 1)(2n - 3)(2n - 5)(2n - 7)|) c_n |z|^n
+    (before the real part is taken), from stepping c_n and the phase n
+    theta; and (6 |w|/|1 - w| + 20) ulps of each closed-form part, whose 1
+    - w cancels near z0.  That tail is an estimate from the envelope over one swing,
     not a proof: a proven one needs max|F - g| on a circle near R.
 
     Each A_n comes from (ln|A_n(t)|, sign) of coeffs._a_logabs_stream at
@@ -209,8 +217,8 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     coefficients far beyond float range still give finite terms; each log
     errs by a few ulps of max(1, |ln|A_n(t)||), each sign is exact, and an
     exact zero leaves the term -g_n.  The stream resumes the rows earlier
-    calls at this |t| certified at its first width, so a sweep over z
-    builds those once; results are unchanged.
+    calls at this |t| certified at its first width, with their heads'
+    state, so a sweep over z builds those once; results are unchanged.
     """
     z = _require_finite(z)
     _require_tol(tol)
@@ -235,29 +243,30 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
             f"tol {tol:g} needs more than {_MAX_OUTER_TERMS} terms"
         )
     n_hi = max(math.ceil(math.log(tol) / log_ratio), 1)
-    z0, k, m, p, b, nxt = singular_part(pinch)  # b is Q; q below is K c_n (R/z0)^n
-    pair, mu, nu, rho, order, left = (2 if pinch.branch == "pinch" else 1), 0.0, 0.0, 0.0, 0, 0j
+    z0, k, m, p, b, c, nxt = singular_part(pinch)  # b is Q, c is S; q below is K c_n (R/z0)^n
+    pair, mu, nu, rho, sigma = (2 if pinch.branch == "pinch" else 1), 0.0, 0.0, 0.0, 0.0
     if n_hi >= (20.0 if pair == 2 else 0.5) * abs(k) ** 2:
         mu = m / k if n_hi >= max(20.0, 32.0 * abs(m / k)) else 0.0
         nu = p / k if mu and n_hi >= 43 and (pair == 2 or (p / k).real < 0.0) else 0.0
         rho = b / k if nu and n_hi >= 45 and (pair == 1 or n_hi >= 24.0 * abs(b / k)) else 0.0
+        sigma = c / k if rho else 0.0  # S rides on Q's gate
         # order terms subtracted; the first left out, K left [w^n] (1 - w)^(order -
         # 1/2), is about K left (-1)^order Gamma(slope)/pi n^-slope, slope = order
         # + 1/2: the stream expects the n where pair times that times (|z|/R)^n
         # is tol, by Newton steps in ln n from ln n0
-        order = 4 if rho else 3 if nu else 2 if mu else 1
-        left = (m, p, b, nxt)[order - 1] / k
-        m, p, b, slope = mu * k, nu * k, rho * k, order + 0.5
+        order = 5 if rho else 3 if nu else 2 if mu else 1
+        left = (m, p, b, c, nxt)[order - 1] / k
+        m, p, b, c, slope = mu * k, nu * k, rho * k, sigma * k, order + 0.5
         x, ln_c = math.log(n_hi), math.log(tol * math.pi / max(
             pair * abs(left * k) * math.gamma(slope), _EPS))
         for _ in range(6):
             x -= (math.exp(x) * log_ratio - slope * x - ln_c) / (math.exp(x) * log_ratio - slope)
         n_hi = max(math.ceil(math.exp(x)), 1)
     else:
-        k, m, p, b, pair = 0j, 0j, 0j, 0j, 0
+        k, m, p, b, c, pair = 0j, 0j, 0j, 0j, 0j, 0
     window = math.ceil(math.pi / pinch.angle) + 2 if pinch.branch == "pinch" else 2
     closed, closed_err, rot = 0j, 0.0, radius / z0
-    both = (((k, m, p, b), z0), ([v.conjugate() for v in (k, m, p, b)], z0.conjugate()))
+    both = (((k, m, p, b, c), z0), ([v.conjugate() for v in (k, m, p, b, c)], z0.conjugate()))
     for (amp, *amps), pole in both[:pair]:
         w = az * u / pole
         s = cmath.sqrt(1.0 - w)
@@ -271,12 +280,14 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     terms, envelope = _a_logabs_stream(abs(t), n_hi=n_hi + _QUIET_TERMS + 2), deque()
     total, abs_sum, ulps, quiet, n, q, zn = 0j, 0.0, 0.0, 0, 0, k, 1.0
     spread, step = 4.0 * (abs(log_radius) + abs(log_az)) + 8.0, math.exp(log_ratio) * u  # step z/R
+    abs_mu, abs_nu, abs_rho, abs_sigma, exp = abs(mu), abs(nu), abs(rho), abs(sigma), math.exp
     try:
         for n, (log_a, sign) in enumerate(terms, 1):
             q *= rot * (1.0 - 0.5 / n)  # K c_n (R/z0)^n
             # g_n R^n = pair Re(q mu_n)
-            mu_n = 1.0 - (mu - 3.0 * (nu - 5.0 * rho / ((d := 2 * n - 1) - 4)) / (d - 2)) / d
-            a = sign * math.exp(log_a + n * log_radius)  # A_n R^n; 0 at an exact zero
+            d = 2 * n - 1
+            mu_n = 1.0 - (mu - 3.0 * (nu - 5.0 * (rho - 7.0 * sigma / (d - 6)) / (d - 4)) / (d - 2)) / d
+            a = sign * exp(log_a + n * log_radius)  # A_n R^n; 0 at an exact zero
             r = a - pair * (q * mu_n).real
             zn *= step  # (z/R)^n
             term = r * zn
@@ -285,15 +296,16 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
             # each part's own error: the log's few ulps of max(1, |log_a|), n ln R
             # and n ln|z|, q's n steps and the n steps of (z/R)^n
             ulps += abs(zn) * ((abs(a) * (4.0 * max(1.0, abs(log_a)) + n * spread + 16.0)
-                                if sign else 0.0) + pair * abs(q) * (1.0 + (abs(mu) + 3.0 * (
-                    abs(nu) + 5.0 * abs(rho) / abs(d - 4)) / abs(d - 2)) / d) * (10.0 * n + 16.0))
-            if r:
-                while envelope and envelope[-1][1] <= abs(r):
+                                if sign else 0.0) + pair * abs(q) * (1.0 + (abs_mu + 3.0 * (
+                    abs_nu + 5.0 * (abs_rho + 7.0 * abs_sigma / abs(d - 6)) / abs(d - 4))
+                    / abs(d - 2)) / d) * (10.0 * n + 16.0))
+            if abs_r := abs(r):
+                while envelope and envelope[-1][1] <= abs_r:
                     envelope.pop()
-                envelope.append((n, abs(r)))
+                envelope.append((n, abs_r))
             if envelope and envelope[0][0] <= n - window:
                 envelope.popleft()
-            tail = envelope[0][1] * math.exp((n + 1) * log_ratio) if envelope else 0.0
+            tail = envelope[0][1] * exp((n + 1) * log_ratio) if envelope else 0.0
             quiet = quiet + 1 if tail < tol * max(1.0, abs(total + closed)) else 0
             if quiet == _QUIET_TERMS:
                 break

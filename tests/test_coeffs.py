@@ -405,9 +405,9 @@ class TestLogAbsStream:
         widths, exact = [], []
         rows, kernel = coeffs._term_rows, coeffs._a_kernel
 
-        def recorded_rows(t, width):
+        def recorded_rows(t, width, **state):
             widths.append(width)
-            return rows(t, width)
+            return rows(t, width, **state)
 
         def recorded_kernel(n, t):
             exact.append(n)
@@ -429,9 +429,9 @@ class TestLogAbsStream:
         widths, built = [], []
         rows = coeffs._term_rows
 
-        def recorded_rows(t, width):
+        def recorded_rows(t, width, **state):
             widths.append(width)
-            for row in rows(t, width):
+            for row in rows(t, width, **state):
                 built.append(row[0])
                 yield row
 
@@ -449,9 +449,9 @@ class TestLogAbsStream:
         widths = []
         rows = coeffs._term_rows
 
-        def recorded_rows(t, width):
+        def recorded_rows(t, width, **state):
             widths.append(width)
-            return rows(t, width)
+            return rows(t, width, **state)
 
         monkeypatch.setattr(coeffs, "_WIDTH", 8)
         monkeypatch.setattr(coeffs, "_term_rows", recorded_rows)
@@ -509,7 +509,7 @@ class TestFirstTermLeftOut:
     @pytest.mark.parametrize("t", [0.3, 1.5])
     def test_residual_tracks_the_first_term_left_out(self, t):
         pinch = solve_R_true(t)
-        z0, k, m, p, q, s = singular_part(pinch)
+        z0, k, m, p, q, s, _ = singular_part(pinch)
         pair, radius = (2 if pinch.branch == "pinch" else 1), abs(z0)
         values = list(islice(_a_logabs_stream(t, n_hi=300), 300))
         worst = 0.0
@@ -522,6 +522,51 @@ class TestFirstTermLeftOut:
             size = pair * abs(f * phase)
             worst = max(worst, abs(a - pair * (g * phase).real - pair * (f * phase).real) / size)
         assert worst <= 0.1, (t, worst)
+
+
+class TestSixthTermLeftOut:
+    # with S subtracted too, the residual A_n - g_n, g_n = (K - M/(2n - 1) +
+    # 3P/((2n - 1)(2n - 3)) - 15Q/((2n - 1)(2n - 3)(2n - 5)) + 105S/((2n -
+    # 1)(2n - 3)(2n - 5)(2n - 7))) c_n z0^-n, is about f_n = -945 U/((2n -
+    # 1)(2n - 3)(2n - 5)(2n - 7)(2n - 9)) c_n z0^-n (each plus its conjugate
+    # for t < 1), U = upsilon K from domain.singular_part.  r_n is about
+    # n^-5 of g_n, beyond a float sum's reach, so A_n is exact and every sum
+    # is taken at 40 digits.  Here |r_n - f_n| over n = 120-240 (step 3) is
+    # at most 0.044, 0.036 and 0.036 of f_n's size pair |f_n| R^n at these
+    # t; upsilon scaled by 0.9 or 1.1 reads at least 0.077 at each t
+
+    @staticmethod
+    def _worst(t, scale=1.0):
+        mpmath = pytest.importorskip("mpmath")
+        pinch = solve_R_true(t)
+        z0, *amps, u = singular_part(pinch)
+        pair, radius = (2 if pinch.branch == "pinch" else 1), abs(z0)
+        worst = 0.0
+        with mpmath.workdps(40):
+            k, m, p, q, s = (mpmath.mpc(v) for v in amps)
+            u, rot = mpmath.mpc(u) * scale, mpmath.mpf(radius) / mpmath.mpc(z0)
+            for n in range(120, 241, 3):
+                exact = a_eval_exact(n, t)
+                a = mpmath.mpf(exact.numerator) / exact.denominator * mpmath.mpf(radius) ** n
+                d = mpmath.mpf(2 * n - 1)
+                phase = mpmath.binomial(2 * n, n) / mpmath.mpf(4) ** n * rot**n
+                g = (k - m / d + 3 * p / (d * (d - 2)) - 15 * q / (d * (d - 2) * (d - 4))
+                     + 105 * s / (d * (d - 2) * (d - 4) * (d - 6)))
+                f = -945 * u / (d * (d - 2) * (d - 4) * (d - 6) * (d - 8))
+                r = a - pair * (g * phase).real - pair * (f * phase).real
+                worst = max(worst, float(abs(r) / (pair * abs(f * phase))))
+        return worst
+
+    @pytest.mark.parametrize("t", [0.3, 1.5, 3.0])
+    def test_residual_tracks_the_sixth_term(self, t):
+        worst = self._worst(t)
+        assert worst <= 0.06, (t, worst)
+
+    @pytest.mark.parametrize("t", [0.3, 1.5, 3.0])
+    @pytest.mark.parametrize("scale", [0.9, 1.1])
+    def test_scaled_upsilon_is_caught(self, t, scale):
+        worst = self._worst(t, scale)
+        assert worst > 0.06, (t, scale, worst)
 
 
 class TestStore:
@@ -593,6 +638,24 @@ class TestStore:
         list(islice(_a_logabs_stream(0.3, 80), 10))
         assert summed == list(range(80, 90))
         assert self._kept(0.3) == 50
+
+    @pytest.mark.parametrize("t", [0.05, 0.3])
+    def test_resume_steps_the_head_only_for_new_rows(self, t, monkeypatch):
+        # x^m / n! is stepped once per row, by _scaled(..., n, width); resumed
+        # from the store after row 175, in either row format, only rows 176-180
+        # step it
+        steps, scaled = [], coeffs._scaled
+
+        def recorded(num, den, width):
+            if 1 < den <= 10**6:  # neither n^n's squarings (den 1) nor x = t^2
+                steps.append(den)
+            return scaled(num, den, width)
+
+        cold = list(islice(_a_logabs_stream(t), 175))
+        monkeypatch.setattr(coeffs, "_scaled", recorded)
+        warm = list(islice(_a_logabs_stream(t), 180))
+        assert steps == list(range(176, 181)) and warm[:175] == cold
+        assert warm == self._cold(lambda: list(islice(_a_logabs_stream(t), 180)))
 
     def test_call_stopped_mid_row_leaves_the_store_valid(self, monkeypatch):
         # as a deadline's signal would: an exception raised while row 45 is summed

@@ -76,6 +76,13 @@ from a 40-digit sum of exact terms (7.8e-11 before, its bound 2.5e-9);
 eval_power_near takes 101, not 173, 2.6e-10 from the sum (3.3e-10
 before), its bound 1.1e-8; eval_power_real takes 66, not 116, 5.4e-9 from
 the sum (1.3e-8 before), its bound 6.2e-8.  eval_both stayed as it was.
+eval_power, eval_power_near and eval_power_real were re-recorded when
+eval_power came to subtract the fifth term S (1 - z/z0)^(7/2) wherever
+it subtracts Q: F(1.5, 0.5) takes 62 terms, not 78, and is 4.7e-11 from a
+40-digit sum of exact terms (6.7e-11 before), its bound 2.1e-9;
+eval_power_near takes 69, not 101, 1.6e-10 from the sum (2.6e-10
+before), its bound 9.6e-9; eval_power_real takes 37, not 66, 1.4e-9 from
+the sum (5.4e-9 before), its bound 3.8e-8.  eval_both stayed as it was.
 
 stream.csv is not CLI output: it holds n, t, ln|A_n(t)| to 15 significant
 digits and the sign from coeffs._a_logabs_stream, for n = 1..300 at ten t

@@ -377,9 +377,9 @@ class TestEvalPower:
             exact.append(n)
             return kernel(n, t)
 
-        def recorded_rows(t, width):
+        def recorded_rows(t, width, **state):
             widths.append(width)
-            return rows(t, width)
+            return rows(t, width, **state)
 
         monkeypatch.setattr(coeffs, "_row_logabs", recorded_sum)
         monkeypatch.setattr(coeffs, "_a_kernel", recorded_kernel)
@@ -434,25 +434,26 @@ class TestPowerRoundingBudget:
     # series._EPS) is, in ulps: N sum |term|; the A_n terms' own, |a| (4
     # max(1, |ln|A_n||) + n spread + 16) (z/R)^n, a = A_n R^n; about 10n of
     # each subtracted term, pair (|K| + |M|/(2n - 1) + 3|P|/|(2n - 1)(2n -
-    # 3)| + 15|Q|/|(2n - 1)(2n - 3)(2n - 5)|) c_n |z|^n; (6|w|/|1 - w| + 20)
-    # of each closed-form part, |K w/(s(1 + s))|, |M w/(1 + s)|, |P w (1 + s
-    # + s^2)/(1 + s)| and |Q w (1 + s + s^2 + s^3 + s^4)/(1 + s)|, w = z/z0,
-    # s = sqrt(1 - w); and |value|.  Recomputed here from
+    # 3)| + 15|Q|/|(2n - 1)(2n - 3)(2n - 5)| + 105|S|/|(2n - 1)(2n - 3)(2n -
+    # 5)(2n - 7)|) c_n |z|^n; (6|w|/|1 - w| + 20) of each closed-form part,
+    # |K w/(s(1 + s))|, |M w/(1 + s)|, |P w (1 + s + s^2)/(1 + s)|, |Q w (1 +
+    # s + ... + s^4)/(1 + s)| and |S w (1 + s + ... + s^6)/(1 + s)|, w =
+    # z/z0, s = sqrt(1 - w); and |value|.  Recomputed here from
     # domain.singular_part and the stream, it matches to 1e-6.  At t = 0.999,
     # near the merging pair, mu = 16.1, nu = 46 and |rho| = 2.6e4; |z| = 0.96
-    # R subtracts K, M and P at tol 1e-10, and not Q; the M and P parts of
-    # the subtracted terms are 1.6-2.0% and 7.1-8.8% of the budget, the
+    # R subtracts K, M and P at tol 1e-10, and not Q or S; the M and P parts
+    # of the subtracted terms are 1.6-2.0% and 7.1-8.8% of the budget, the
     # closed form's M and P parts 0.7-5.6% and 5.5-20% (off the ray of z0
     # and on it, where 1 - w cancels).  At t = 0.9, |z| = 0.96 R subtracts Q
-    # too, and Q's two parts are 12-13% and 4.4-8.4% of the budget
+    # and S too, each with two parts over 1e-3 of the budget
 
     @staticmethod
-    def _rounding_and_budget(t, angle, subtracts_q, monkeypatch):
+    def _rounding_and_budget(t, angle, subtracts_qs, monkeypatch):
         from kapteyn import series
 
         pinch = solve_R_true(t)
-        z0, k, m, p, q, _ = singular_part(pinch)
-        q *= subtracts_q
+        z0, k, m, p, q, s_, _ = singular_part(pinch)
+        q, s_ = q * subtracts_qs, s_ * subtracts_qs
         radius = pinch.radius
         z = 0.96 * cmath.rect(radius, pinch.angle if angle is None else angle)
         rep = eval_power(z, t)
@@ -460,27 +461,31 @@ class TestPowerRoundingBudget:
         rounding = (eval_power(z, t).tail_bound - rep.tail_bound) / (0.5 * series._EPS)
         x, n_used = abs(z) / radius, rep.terms_used
         spread = 4 * (abs(math.log(radius)) + abs(math.log(abs(z)))) + 8
-        own = abs_sum = q_own = 0.0
+        own = abs_sum = q_own = s_own = 0.0
         for n, (log_a, sign) in enumerate(islice(_a_logabs_stream(t), n_used), 1):
             a, d = sign * math.exp(log_a + n * math.log(radius)), 2 * n - 1
             c = math.comb(2 * n, n) / 4**n
-            g = 2 * ((k - m / d + 3 * p / (d * (d - 2)) - 15 * q / (d * (d - 2) * (d - 4)))
-                     * c * (radius / z0) ** n).real
+            g = 2 * ((k - m / d + 3 * p / (d * (d - 2)) - 15 * q / (d * (d - 2) * (d - 4))
+                      + 105 * s_ / (d * (d - 2) * (d - 4) * (d - 6))) * c * (radius / z0) ** n).real
             abs_sum += abs(a - g) * x**n
             own += x**n * (abs(a) * (4 * max(1, abs(log_a)) + n * spread + 16) + 2 * c * (
                 abs(k) + abs(m) / d + 3 * abs(p) / abs(d * (d - 2))) * (10 * n + 16))
             q_own += x**n * 2 * c * 15 * abs(q) / abs(d * (d - 2) * (d - 4)) * (10 * n + 16)
-        closed = q_closed = 0.0
-        for pole, amps in ((z0, (k, m, p, q)), (z0.conjugate(), [v.conjugate() for v in
-                                                                  (k, m, p, q)])):
+            s_own += x**n * 2 * c * 105 * abs(s_) / abs(d * (d - 2) * (d - 4) * (d - 6)) * (
+                10 * n + 16)
+        closed = q_closed = s_closed = 0.0
+        for pole, amps in ((z0, (k, m, p, q, s_)), (z0.conjugate(), [v.conjugate() for v in
+                                                                      (k, m, p, q, s_)])):
             w = z / pole
             s = cmath.sqrt(1 - w)
+            cancel = 6 * abs(w) / abs(1 - w) + 20
             parts = (amps[0] * w / (s * (1 + s)), amps[1] * w / (1 + s),
                      amps[2] * w * (1 + s + s * s) / (1 + s))
-            closed += sum(map(abs, parts)) * (6 * abs(w) / abs(1 - w) + 20)
-            q_closed += abs(amps[3] * w * (1 + s + s**2 + s**3 + s**4) / (1 + s)) * (
-                6 * abs(w) / abs(1 - w) + 20)
-        return rounding, (n_used * abs_sum + own + closed + abs(rep.value), q_own, q_closed)
+            closed += sum(map(abs, parts)) * cancel
+            q_closed += abs(amps[3] * w * sum(s**e for e in range(5)) / (1 + s)) * cancel
+            s_closed += abs(amps[4] * w * sum(s**e for e in range(7)) / (1 + s)) * cancel
+        return rounding, (n_used * abs_sum + own + closed + abs(rep.value), q_own, q_closed,
+                          s_own, s_closed)
 
     @pytest.mark.parametrize("angle", [None, 1.0])
     def test_rounding_part_is_the_stated_budget(self, angle, monkeypatch):
@@ -492,9 +497,17 @@ class TestPowerRoundingBudget:
     def test_q_rounding_parts_are_in_the_budget(self, angle, monkeypatch):
         # each of Q's two parts is over 1e-3 of the budget, so tail_bound
         # misses the 1e-6 match if it drops either
-        rounding, (rest, q_own, q_closed) = self._rounding_and_budget(0.9, angle, True, monkeypatch)
-        budget = rest + q_own + q_closed
-        assert min(q_own, q_closed) > 1e-3 * budget, (q_own, q_closed, budget)
+        rounding, parts = self._rounding_and_budget(0.9, angle, True, monkeypatch)
+        budget = sum(parts)
+        assert min(parts[1:3]) > 1e-3 * budget, (parts, budget)
+        assert abs(rounding - budget) <= 1e-6 * budget, (rounding, budget)
+
+    @pytest.mark.parametrize("angle", [None, 1.0])
+    def test_s_rounding_parts_are_in_the_budget(self, angle, monkeypatch):
+        # the same for S's two parts
+        rounding, parts = self._rounding_and_budget(0.9, angle, True, monkeypatch)
+        budget = sum(parts)
+        assert min(parts[3:]) > 1e-3 * budget, (parts, budget)
         assert abs(rounding - budget) <= 1e-6 * budget, (rounding, budget)
 
 
@@ -528,14 +541,14 @@ class TestRealSingularityEnvelope:
                         assert abs(rep.value - ref) <= rep.tail_bound, (z, t, tol, rep, ref)
 
 
-# terms_used when eval_power came to subtract the fourth term Q (1 - z/z0)^(5/2)
+# terms_used when eval_power came to subtract the fifth term S (1 - z/z0)^(7/2)
 # of its singular part, at |z|/R = 0.5, 0.9 and 0.98 (one triple each), at
 # arguments 0, 0.7 and 2.0 of z; t = 1e-5 and t from 0.99 to 1.02 took as many as before
 _MOST_TERMS = {
     1e-05: ((28, 28, 28), (110, 110, 110), (208, 208, 208)),
-    0.05: ((22, 22, 22), (43, 43, 43), (72, 72, 72)),
-    0.3: ((23, 23, 23), (50, 50, 50), (92, 92, 92)),
-    0.9: ((27, 27, 27), (79, 85, 85), (177, 206, 206)),
+    0.05: ((22, 22, 22), (40, 40, 40), (52, 52, 52)),
+    0.3: ((23, 23, 23), (44, 44, 44), (65, 65, 65)),
+    0.9: ((27, 27, 27), (74, 76, 76), (139, 156, 156)),
     0.99: ((36, 36, 36), (135, 143, 143), (361, 453, 453)),
     0.995: ((36, 36, 36), (149, 164, 164), (430, 530, 530)),
     0.999: ((36, 36, 36), (202, 216, 216), (606, 677, 677)),
@@ -545,19 +558,19 @@ _MOST_TERMS = {
     1.005: ((31, 31, 31), (133, 142, 142), (380, 465, 465)),
     1.01: ((28, 28, 28), (120, 128, 128), (329, 406, 406)),
     1.02: ((29, 29, 29), (107, 115, 115), (291, 364, 364)),
-    1.5: ((22, 22, 22), (44, 46, 46), (64, 82, 82)),
-    3.0: ((20, 20, 20), (37, 39, 39), (50, 63, 63)),
-    -0.5: ((23, 23, 23), (56, 56, 56), (109, 109, 109)),
-    -1.5: ((22, 22, 22), (46, 46, 46), (82, 82, 82)),
-    Fraction(1, 3): ((22, 22, 22), (51, 51, 51), (94, 92, 94)),
-    0.5: ((23, 23, 23), (56, 56, 56), (109, 104, 109)),
+    1.5: ((22, 22, 22), (31, 33, 33), (37, 45, 45)),
+    3.0: ((20, 20, 20), (30, 31, 31), (35, 43, 43)),
+    -0.5: ((23, 23, 23), (49, 49, 49), (77, 77, 77)),
+    -1.5: ((22, 22, 22), (33, 33, 33), (45, 45, 45)),
+    Fraction(1, 3): ((22, 22, 22), (43, 43, 43), (67, 65, 67)),
+    0.5: ((23, 23, 23), (49, 49, 49), (77, 77, 77)),
 }
 
 
 class TestSingularPartGrid:
     # the sum of A_n - g_n plus g(z) in closed form, through t -> 1 from both
-    # sides (where K, M, P and Q are subtracted only far enough out, and P
-    # and Q not at all for t in (1, 1.0213), where nu > 0), at t = 1
+    # sides (where K, M, P, Q and S are subtracted only far enough out, and
+    # P, Q and S not at all for t in (1, 1.0213), where nu > 0), at t = 1
     # (never), negative t, and exact zeros (A_4(1/2) = A_3(1/3) = 0, where
     # the term is -g_n).  The reference sums A_n z^n at 40 digits to n =
     # 1500, where the sum of |A_n z^n| beyond is under 2e-4 of every bound;
