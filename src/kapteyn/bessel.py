@@ -85,17 +85,15 @@ def _saddle_line(z: complex, log_tz: float):
 
 def _widest(value, hi: float) -> float:
     """A float a >= 0 with value(a) < 0 within 1% of the largest, for value
-    continuous and increasing, or 0.0 if value(0) >= 0.  hi doubles while
-    value(hi) < 0, then false position with the Illinois step (Dowell &
-    Jarratt, BIT 11, 1971) shrinks [lo, hi] until hi <= 1.01 lo, taking the
-    midpoint when the secant point is not strictly inside or two steps did
-    not halve [lo, hi].  _plan's strip half-width is its one use."""
+    continuous and increasing with value(hi) >= 0, or 0.0 if value(0) >= 0.
+    False position with the Illinois step (Dowell & Jarratt, BIT 11, 1971)
+    shrinks [0, hi] until hi <= 1.01 lo, taking the midpoint when the secant
+    point is not strictly inside or two steps did not halve [lo, hi].
+    _plan's strip half-width is its one use."""
     lo, v_lo = 0.0, value(0.0)
     if not v_lo < 0.0:
         return 0.0
-    while (v_hi := value(hi)) < 0.0:
-        lo, v_lo, hi = hi, v_hi, 2.0 * hi
-    last, before, bisect = None, hi - lo, False
+    v_hi, last, before, bisect = value(hi), None, hi, False
     while (1.01 * lo or math.nextafter(lo, hi)) < hi:
         width = hi - lo
         a = lo + width * (v_lo / (v_lo - v_hi))
@@ -113,10 +111,10 @@ def _widest(value, hi: float) -> float:
 def _plan(line, ln_tol: float, hi: float, what):
     """(a, N, bound) of the trapezoid rule for w/(1-w) on a _saddle_line
     strip, where line(a), increasing, is ln sup|w| = v on |Im tau - c| < a,
-    so M = e^v/(1 - e^v).  _widest finds the widest strip with line(a) < 0
-    to 1% from hi, and a is the one of 0.85, 0.93 and 0.97 of it with the
-    least odd N whose bound = 2M/(e^{aN} - 1) <= e^{ln_tol}, taken in logs
-    so that no M overflows.  ConvergenceError, naming what(), comes before
+    so M = e^v/(1 - e^v), and line(hi) >= 0.  _widest finds the widest
+    strip with line(a) < 0 to 1% below hi, and a is the one of 0.85, 0.93
+    and 0.97 of it with the least odd N whose bound = 2M/(e^{aN} - 1) <=
+    e^{ln_tol}, taken in logs so that no M overflows.  ConvergenceError, naming what(), comes before
     any node if N would pass 65536."""
     lo = _widest(line, hi)
     need, a, x = math.inf, 0.0, 0.0

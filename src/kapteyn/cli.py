@@ -134,6 +134,10 @@ def _cmd_radius(args) -> tuple[list[str], list[list]]:
 
 def _cmd_figure(args) -> tuple[list[str], list[list]]:
     fid = args.id
+    if args.range is not None and not all(
+            x.is_integer() if fid == 2 else math.isfinite(x) for x in args.range):
+        raise UsageError(f"--range bounds must be {'integers' if fid == 2 else 'finite'}, "
+                         f"got {args.range}")
     if fid == 2:
         n_lo, n_hi = _FIG2_N_RANGE if args.range is None else map(int, args.range)
         if args.samples is not None:

@@ -163,33 +163,17 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     As |t| -> 1 the pair merges into the pole of F(z, 1) = z/(2(1 - z)), K
     grows like 1/|tau0|, mu like 1/|tau0|^2, nu like 1/|tau0|^4, rho like
     1/|tau0|^6 and sigma like 1/|tau0|^8, so each term of g helps only far
-    enough out: K is subtracted only where n0 >= 20 |K|^2 for the pair, n0
-    >= |K|^2 / 2 for t > 1 (never at |t| = 1, where K is infinite), M only
-    where K is and n0 >= max(20, 32 |mu|), P only where M is, n0 >= 43
-    and, for t > 1, nu < 0 (R below sqrt(23/27), t above 1.0213), and Q
-    and S only where P is, n0 >= 45 and, for the pair, n0 >= 24 |rho|.
-    Otherwise the raw A_n are summed, as before.  K's constants are where, for t from 0.99 to 1.01
-    and |z|/R from 0.5 to 0.985, subtracting K stopped costing terms; M's
-    are where the same held for M, over 40 t from 1e-5 to 10 (16 of them in
-    0.99-1.01) and |z|/R from 0.3 to 0.985: at tol 1e-10 it cost terms up
-    to n0 = 25.7 |mu| for the pair and 14.2 |mu| for t > 1, and at tol 1e-4
-    and 1e-6 (with n0 >= 32 |mu|) only below n0 = 20.  P's are where the
-    same held for P, over 44 t from 1e-5 to 10 (30 of them in 0.9-1.1) and
-    |z|/R from 0.3 to 0.985 at tol 1e-4 to 1e-13: for t > 1 it cost terms
-    at every n0 up to the cap where nu > 0 (t up to 1.021; there the
-    residual with M alone is still far from its n^{-5/2} form), and nowhere
-    where nu < 0; for the pair it cost one term at n0 = 20 to 42, and above
-    that one term at four points of tol 1e-4 (n0 = 127 and 180).  Q's are
-    from the same grids, 33 t: for the pair, Q cost 6 to 55 terms at t =
-    0.95 to 0.999 up to n0 = 16.5 |rho|, one term at n0 = 43 and 44 (t =
-    0.8, tol 1e-10), and past the gate 1-5 terms at 96 of 882 points, 93
-    of them at tol 1e-4 or 1e-6; for t > 1 it cost 1-4 terms only at t = 2
-    to 10, where |rho| < 0.015, and saved 25,680 in all there.  S rides on
-    Q's gate, with no constant of its own: over 25 t from 1e-5 to 10, |z|/R
-    from 0.3 to 0.985 and tol 1e-4 to 1e-13 (2,400 points), subtracting S
-    where Q is cost 1-8 terms at 84 points, 79 of them at tol 1e-4, saved
-    terms at 642 and 13,855 (5.6%) in all, and moved none for t from 0.99
-    to 1.02, where Q's gate is closed.
+    enough out.  Each term is subtracted only where the one before it is and
+    its rules below hold; where K's fail, and at |t| = 1 (K infinite), the
+    raw A_n are summed.  Each rule, what it guards, and the test that fails
+    without it ("terms": a call takes more than its cap there):
+      K, pair: n0 >= 20 |K|^2; terms near |t| = 1; TestSingularPartGrid
+      K, t > 1: n0 >= |K|^2 / 2; terms near |t| = 1; the same, t = 1 + 1e-8
+      M: n0 >= 32 |mu|; terms near |t| = 1; TestSingularPartGrid
+      P: n0 >= 43; terms at t = 0.9; TestSingularPartGrid
+      P, t > 1: nu < 0 (t above 1.0213); rounding; TestRealSingularityEnvelope
+      Q and S: n0 >= 45; rounding for t > 1; TestRealSingularityEnvelope
+      Q and S, pair: n0 >= 24 |rho|; terms near |t| = 1; TestSingularPartGrid
     For |t| < 1, |A_n - g_n| R^n swings like |cos(n theta + phi)|, and
     terms near each sign change dip a decade or more below the rest.  The
     envelope E is the largest |A_n - g_n| R^n of the last
@@ -246,7 +230,7 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     z0, k, m, p, b, c, nxt = singular_part(pinch)  # b is Q, c is S; q below is K c_n (R/z0)^n
     pair, mu, nu, rho, sigma = (2 if pinch.branch == "pinch" else 1), 0.0, 0.0, 0.0, 0.0
     if n_hi >= (20.0 if pair == 2 else 0.5) * abs(k) ** 2:
-        mu = m / k if n_hi >= max(20.0, 32.0 * abs(m / k)) else 0.0
+        mu = m / k if n_hi >= 32.0 * abs(m / k) else 0.0
         nu = p / k if mu and n_hi >= 43 and (pair == 2 or (p / k).real < 0.0) else 0.0
         rho = b / k if nu and n_hi >= 45 and (pair == 1 or n_hi >= 24.0 * abs(b / k)) else 0.0
         sigma = c / k if rho else 0.0  # S rides on Q's gate

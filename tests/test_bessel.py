@@ -110,14 +110,14 @@ _STEP_M = math.exp(-1.0) / -math.expm1(-1.0)
 
 
 class TestPlan:
-    # a line that steps from -1 to 1 just past a = 1 = hi puts the widest
-    # strip below level 0 at exactly 1, and its constant M makes 0.97 of it
-    # the best fraction, with need = ln(2M/tol) / 0.97
+    # a line that steps from -1 to 1 just past a = 1, below hi = 2, puts the
+    # widest strip below level 0 at exactly 1, and its constant M makes 0.97
+    # of it the best fraction, with need = ln(2M/tol) / 0.97
     @staticmethod
     def _plan(ln_tol):
         from kapteyn.bessel import _plan
 
-        return _plan(lambda a: -1.0 if a <= 1.0 else 1.0, ln_tol, 1.0, lambda: "the step line")
+        return _plan(lambda a: -1.0 if a <= 1.0 else 1.0, ln_tol, 2.0, lambda: "the step line")
 
     def _plan_for(self, need):
         return self._plan(math.log(2.0 * _STEP_M) - 0.97 * need)

@@ -59,6 +59,20 @@ class TestCoeff:
         _, rows = parse_csv(out)
         assert rows == [["200", "2", expected]]
 
+    def test_overflowing_value_matches_mpmath(self, capsys):
+        # C_3000^3000 is about 4.5e397, past the largest float; it prints
+        # through a power of ten
+        mpmath = pytest.importorskip("mpmath")
+        from kapteyn import coeff_closed_form
+
+        c = coeff_closed_form(3000, 3000)
+        with mpmath.workdps(40):
+            expected = mpmath.nstr(mpmath.mpf(c.numerator) / c.denominator, 15)
+        code, out, _ = run_cli(["coeff", "3000", "3000"], capsys)
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert rows == [["3000", "3000", expected]]
+
     def test_k_above_n_is_usage_error(self, capsys):
         code, _, err = run_cli(["coeff", "3", "5"], capsys)
         assert code == EXIT_USAGE
@@ -237,6 +251,26 @@ class TestFigure:
         code, _, _ = run_cli(["figure", "9"], capsys)
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("fid,lo,hi", [
+        ("2", "nan", "5"), ("2", "inf", "5"), ("2", "10.7", "12.2"), ("2", "9", "5"),
+        ("1", "0.1", "inf"), ("1", "5", "1"), ("3", "nan", "2"), ("4", "0.5", "inf")])
+    def test_bad_range_is_usage_error(self, fid, lo, hi, capsys):
+        # non-finite bounds for every figure, non-integer n for figure 2, and
+        # bounds out of order
+        code, out, err = run_cli(["figure", fid, "--range", lo, hi], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage error")
+
+    def test_one_sample_is_one_row(self, capsys):
+        code, out, _ = run_cli(["figure", "1", "--samples", "1"], capsys)
+        assert code == EXIT_OK
+        assert [float(r[0]) for r in parse_csv(out)[1]] == [0.05]
+
+    def test_figure2_samples_is_the_largest_n(self, capsys):
+        code, out, _ = run_cli(["figure", "2", "--range", "5", "9", "--samples", "7"], capsys)
+        assert code == EXIT_OK
+        assert [int(r[0]) for r in parse_csv(out)[1]] == [5, 6, 7]
+
 
 class TestExpand:
     def _write(self, tmp_path, rows, header=False):
@@ -285,6 +319,28 @@ class TestExpand:
                                 "--input", str(path)], capsys)
         assert code == EXIT_USAGE
         assert ":2:" in err
+
+    @pytest.mark.parametrize("text", ["1,0.5\n2,0.25,9\n", "1,0.5\n1,0.25\n",
+                                      "1,0.5\n2,nan\n", "1,0.5\n2,-inf\n"])
+    def test_bad_row_reports_line(self, text, capsys, tmp_path):
+        # a third field, a repeated index or a non-finite value
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code, _, err = run_cli(["expand", "--direction", "to-taylor",
+                                "--input", str(path)], capsys)
+        assert code == EXIT_USAGE
+        assert ":2:" in err
+
+    def test_blank_rows_are_skipped(self, capsys, tmp_path):
+        outs = []
+        for text in ("1,0.5\n2,0.25\n", "1,0.5\n\n  \n2,0.25\n"):
+            path = tmp_path / "seq.csv"
+            path.write_text(text)
+            code, out, _ = run_cli(["expand", "--direction", "to-taylor",
+                                    "--input", str(path)], capsys)
+            assert code == EXIT_OK
+            outs.append(out)
+        assert outs[0] == outs[1] and len(parse_csv(outs[0])[1]) == 2
 
     def test_gap_in_indices_rejected(self, capsys, tmp_path):
         path = self._write(tmp_path, [(1, 0.5), (3, 0.25)])

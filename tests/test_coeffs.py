@@ -87,6 +87,8 @@ class TestRecurrenceTable:
         tbl = coeff_table_recurrence(3)
         with pytest.raises(DomainError):
             tbl.value(4, 0)
+        with pytest.raises(DomainError):
+            tbl.value(3, 4)
 
 
 class TestAPoly:
@@ -110,6 +112,10 @@ class TestAPoly:
     def test_coefficients_sum_to_half(self):
         for n in (1, 2, 3, 10, 37):
             assert sum(a_poly(n).coeffs) == Fraction(1, 2)
+
+    def test_order_zero_rejected(self):
+        with pytest.raises(DomainError):
+            a_poly(0)
 
 
 class TestEvalExact:
@@ -160,6 +166,10 @@ class TestEvalExact:
 
 
 class TestEvalLogAbs:
+    def test_order_zero_rejected(self):
+        with pytest.raises(DomainError):
+            a_eval_logabs(0, 0.5)
+
     def test_at_unity(self):
         for n in (4, 500):
             log_abs, sign = a_eval_logabs(n, 1)

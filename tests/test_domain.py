@@ -49,6 +49,10 @@ class TestOmega:
         z = 0.4 + 0.7j
         assert omega(z) == omega(z.conjugate())
 
+    def test_overflow_is_infinite(self):
+        # ln omega(1000i) is about 1000, past the largest float's 709.8
+        assert omega(1000j) == math.inf
+
 
 class TestKapteynConverges:
     def test_examples(self):

@@ -83,6 +83,14 @@ it subtracts Q: F(1.5, 0.5) takes 62 terms, not 78, and is 4.7e-11 from a
 eval_power_near takes 69, not 101, 1.6e-10 from the sum (2.6e-10
 before), its bound 9.6e-9; eval_power_real takes 37, not 66, 1.4e-9 from
 the sum (5.4e-9 before), its bound 3.8e-8.  eval_both stayed as it was.
+eval_both was re-recorded when eval_power dropped M's floor of n0 >= 20
+and came to subtract M wherever n0 >= 32 |mu|: its power cells take 15
+terms, as before, and are 4.4e-17 from a 40-digit sum of exact terms
+(9.8e-16 before), their bound 3.6e-15 (8.3e-15 before).
+eval_power_above_one was recorded then, at t = 1.001 and tol 1e-13, where
+P's rule nu < 0 keeps the rounding down: 386 terms, 1.0e-11 from a
+40-digit sum, within its bound of 3.6e-11 (without the rule, 364 terms,
+4.4e-9 off, its bound 9.4e-6).
 
 stream.csv is not CLI output: it holds n, t, ln|A_n(t)| to 15 significant
 digits and the sign from coeffs._a_logabs_stream, for n = 1..300 at ten t
@@ -129,6 +137,8 @@ CASES = {
     "eval_power": ["eval", "1.5", "0", "0.5", "--method", "power"],
     "eval_power_near": ["eval", "1.2", "1.526", "0.3", "--method", "power"],
     "eval_power_real": ["eval", "0.52", "0", "1.5", "--method", "power"],
+    "eval_power_above_one": ["eval", "0.9401", "0", "1.001", "--method", "power",
+                             "--tol", "1e-13"],
     "eval_both": ["eval", "0.2", "0.1", "0.7"],
     "eval_direct_json": ["--json", "eval", "0.3", "0", "1", "--method", "direct"],
     "expand_to_taylor": ["expand", "--direction", "to-taylor", "--input", SEQ40],

@@ -308,6 +308,11 @@ class TestEvalPower:
             with pytest.raises(DomainError):
                 eval_power(0.3, 0.5, tol)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_rejects_non_finite_t(self, t):
+        with pytest.raises(DomainError):
+            eval_power(0.5, t)
+
     def test_tiny_t_within_tail_bound_of_mpmath(self):
         # a float t far below 2**-12 must enter the coefficients exactly, and
         # the tail bound must cover the odd terms, which scale like t while
@@ -521,7 +526,12 @@ class TestRealSingularityEnvelope:
     # times, when tail_bound came from the last two terms alone.  The stop is
     # where it was; tail_bound now also covers the hump.  The reference sums
     # A_n z^n at 40 digits to n = 1000 (exact A_n to 300, then the certified
-    # stream), where the rest is under 1e-17
+    # stream), where the rest is under 1e-17.  At tol 1e-13 two gates keep
+    # tail_bound near tol max(1, |F|): P's nu < 0 (subtracting P where nu >
+    # 0, t below 1.0213, sent it to 9.9e7, 6.1e5, 6.5e4 and 6.8e3 times that
+    # at t = 1.001, 1.005, 1.01 and 1.02, against at most 342 with the gate)
+    # and Q's n0 >= 45 (Q and S subtracted closer in sent it to 35 at t =
+    # 1.05 and 3.9 at t = 1.1, |z| <= 0.5 R, against at most 1.65)
 
     @pytest.mark.parametrize("t", [1.001, 1.005, 1.01, 1.02, 1.05, 1.1])
     def test_within_tail_bound_of_exact_sums(self, t):
@@ -536,14 +546,18 @@ class TestRealSingularityEnvelope:
                 for angle in (0.0, 0.7):
                     z = x * radius * cmath.exp(1j * angle)
                     ref = complex(mpmath.polyval(coeffs[::-1] + [0], mpmath.mpc(z)))
-                    for tol in (1e-4, 1e-6):
+                    for tol in (1e-4, 1e-6, 1e-13):
                         rep = eval_power(z, t, tol)
                         assert abs(rep.value - ref) <= rep.tail_bound, (z, t, tol, rep, ref)
+                    most = (3 if x <= 0.5 else 1000) * 1e-13 * max(1.0, abs(ref))
+                    assert rep.tail_bound <= most, (z, t, rep)
 
 
 # terms_used when eval_power came to subtract the fifth term S (1 - z/z0)^(7/2)
 # of its singular part, at |z|/R = 0.5, 0.9 and 0.98 (one triple each), at
-# arguments 0, 0.7 and 2.0 of z; t = 1e-5 and t from 0.99 to 1.02 took as many as before
+# arguments 0, 0.7 and 2.0 of z; t = 1e-5 and t from 0.99 to 1.02 took as many as before.
+# t = 1 + 1e-8 holds K's gate n0 >= |K|^2/2 for t > 1: without it, 41, 228 and 1047
+# terms at argument 0
 _MOST_TERMS = {
     1e-05: ((28, 28, 28), (110, 110, 110), (208, 208, 208)),
     0.05: ((22, 22, 22), (40, 40, 40), (52, 52, 52)),
@@ -554,6 +568,7 @@ _MOST_TERMS = {
     0.999: ((36, 36, 36), (202, 216, 216), (606, 677, 677)),
     0.9999: ((36, 36, 36), (202, 216, 216), (954, 1114, 1114)),
     1.0: ((36, 36, 36), (201, 215, 215), (951, 1109, 1109)),
+    1 + 1e-8: ((36, 36, 36), (201, 215, 215), (950, 1109, 1109)),
     1.0001: ((36, 36, 36), (183, 196, 196), (717, 877, 877)),
     1.005: ((31, 31, 31), (133, 142, 142), (380, 465, 465)),
     1.01: ((28, 28, 28), (120, 128, 128), (329, 406, 406)),
@@ -733,6 +748,10 @@ class TestTaylorToKapteyn:
             taylor_to_kapteyn(seq, 5)
         with pytest.raises(DomainError):
             taylor_to_kapteyn_exact([1, 2], 5)
+
+    def test_empty_output_rejected(self):
+        with pytest.raises(DomainError):
+            taylor_to_kapteyn(CoeffSequence((1.0,), "taylor_a"), 0)
 
 
 class TestKapteynToTaylor:
