@@ -29,8 +29,12 @@ gives 3.0006 where the nearest singularity sits at 1.482257 +- 2.451978i
 Each root is found by Newton's method on an equation whose derivative is
 exact, in a median of 4 steps.  r(t) and the small-t R(t) solve the log of
 their equation in u = ln x, where it is convex with derivative
-sqrt(1 + x^2); the large-t R(t) solves y - tanh y = ln t, R = 1/cosh y,
-where the model equation is flat in R near R = 1 and this one is not.
+sqrt(1 + x^2) (_log_root); the large-t R(t) solves y - tanh y = ln t,
+R = 1/cosh y, where the model equation is flat in R near R = 1 and this
+one is not (_pinch_root).  Both stop before the first step that does not
+halve the last, because from there on the steps are rounding noise, and
+keep the iterate that step was evaluated at; iterations counts the steps
+evaluated, and ConvergenceError is raised after _NEWTON_CAP of them.
 Below about t = 9e-309 the root's lhs, 1/t, overflows and DomainError is
 raised, as for any residual above 1e-12.
 """
@@ -66,9 +70,10 @@ class RadiusResult(collections.namedtuple(
         "RadiusResult", "t radius branch residual iterations angle", defaults=(None,))):
     """Solved radius with the residual of its defining equation.
 
-    The residual is |LHS - 1| for the implicit model equations and the
-    relative residual |tau - tan(tau) - i ln t| / |ln t| for the "pinch"
-    branch; iterations counts Newton steps.  branch is "small_t",
+    The residual is |LHS - 1| for solve_r and solve_R, and for
+    solve_R_true the relative residual |tau - tan(tau) - i ln t| / |ln t|
+    of the "pinch" branch, or |y - tanh y - ln t| / ln t of the "large_t"
+    one; iterations counts Newton steps.  branch is "small_t",
     "large_t", "kapteyn_domain" or "pinch"; only a "pinch" result has an
     angle: its nearest singularities are radius e^{+-i angle}.
     """
@@ -122,38 +127,36 @@ def _lhs_power_large(x: float) -> float:
     return x * math.exp(s) / (1.0 + s)
 
 
-def _newton(step, x: float, t: float) -> tuple[float, int]:
-    """Newton's method from x, where step(x) gives the next iterate and the
-    size of the step: it stops before the first step that does not halve the
-    last, because from there on the steps are rounding noise, and returns the
-    iterate with the steps evaluated."""
-    last = math.inf
-    for steps in range(1, _NEWTON_CAP + 1):
-        after, size = step(x)
-        if not 0.0 < size <= 0.5 * last:
-            return x, steps
-        x, last = after, size
-    raise ConvergenceError(f"radius Newton for t={t!r} did not settle")
-
-
-def _log_root(t: float, pref: float) -> tuple[list[float], int]:
-    """Root of pref x e^s / (1 + s) t = 1, s = sqrt(1 + x^2), and its two
-    neighbouring floats.  In u = ln x the log of the equation,
-    ln(pref x t) + s - ln(1 + s) = 0, is convex with derivative s, so
-    Newton converges from either side; each step multiplies x by e^-step,
-    which keeps a subnormal root's precision.  It starts from the
-    asymptotes: (2/e) / (t pref) for a small root, w + 1/(2w) for a large
-    one, w = -ln(t pref).  The neighbours go to the residual pick, which
-    cuts the share of r(t) more than 1 ulp off from 12.7% to 9.0%."""
+def _log_root(t: float, pref: float, lhs, branch: str) -> RadiusResult:
+    """Root of lhs(x) t = 1, lhs(x) = pref x e^s / (1 + s), s = sqrt(1 + x^2).
+    In u = ln x the log of the equation, ln(pref x t) + s - ln(1 + s) = 0,
+    is convex with derivative s, so Newton converges from either side; each
+    step multiplies x by e^-step, which keeps a subnormal root's precision.
+    It starts from the asymptotes: (2/e) / (t pref) for a small root,
+    w + 1/(2w) for a large one, w = -ln(t pref).  Of the Newton root and its
+    two neighbouring floats it returns the one with the least residual, the
+    first on a tie, which cuts the share of r(t) more than 1 ulp off from
+    12.7% to 9.0%."""
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     w = -math.log(t * pref)
-
-    def step(x):
+    x, last = (2.0 * math.exp(w - 1.0) if w < 1.0 else w + 0.5 / w), math.inf
+    for steps in range(1, _NEWTON_CAP + 1):
         s = math.sqrt(1.0 + x * x)
         d = (math.log(x * t * pref) + s - math.log(1.0 + s)) / s
-        return x + x * math.expm1(-d), abs(d)
-
-    x, steps = _newton(step, 2.0 * math.exp(w - 1.0) if w < 1.0 else w + 0.5 / w, t)
-    return [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)], steps
+        size = abs(d)
+        if not 0.0 < size <= 0.5 * last:
+            break
+        x, last = x + x * math.expm1(-d), size
+    else:
+        raise ConvergenceError(f"radius Newton for t={t!r} did not settle")
+    radius, residual = x, abs(lhs(x) * t - 1.0)
+    for near in (math.nextafter(x, 0.0), math.nextafter(x, math.inf)):
+        if (near_residual := abs(lhs(near) * t - 1.0)) < residual:
+            radius, residual = near, near_residual
+    if not residual <= _MAX_RESIDUAL:
+        raise DomainError(f"the {branch} equation has no double-precision root at t={t!r}")
+    return RadiusResult(t, radius, branch, residual, steps)
 
 
 def _y_minus_tanh_y(y: float) -> float:
@@ -161,48 +164,38 @@ def _y_minus_tanh_y(y: float) -> float:
         c * y ** (2 * k + 3) for k, c in enumerate(_Y_MINUS_TANH_Y))
 
 
-def _pinch_root(t: float) -> tuple[list[float], int]:
-    """Root R = 1/cosh y of the large-t equation, t >= 1, by Newton on
+def _pinch_root(t: float, model: bool) -> RadiusResult:
+    """Root R = 1/cosh y of the large-t equation, 1 <= t < inf, by Newton on
     y - tanh y = ln t, whose derivative is tanh^2 y, from a lower bound of y.
     1/cosh y = e^-y (1 + tanh y), and e^-y = e^-tanh(y) / t at the root:
     taken from y, e^-y would carry the rounding of ln t, about y eps, and
     cosh y overflows past y = 710.  The model equation's residual is flat
-    in R near R = 1, so the root is its only candidate."""
+    in R near R = 1, so the root is its only candidate.  The residual is
+    the model equation's if model, else |y - tanh y - ln t| / ln t at the
+    last step (0 at t = 1)."""
     ln_t = math.log(t)
-
-    def step(y):
+    y, last = max((3.0 * ln_t) ** (1.0 / 3.0), ln_t + math.tanh(ln_t)), math.inf
+    for steps in range(1, _NEWTON_CAP + 1):
         tanh2 = math.tanh(y) ** 2
         f = _y_minus_tanh_y(y) - ln_t
-        return (y - f / tanh2, abs(f) / tanh2) if f else (y, 0.0)
-
-    y, steps = _newton(step, max((3.0 * ln_t) ** (1.0 / 3.0), ln_t + math.tanh(ln_t)), t)
+        size = abs(f) / tanh2 if f else 0.0
+        if not 0.0 < size <= 0.5 * last:
+            break
+        y, last = y - f / tanh2, size
+    else:
+        raise ConvergenceError(f"radius Newton for t={t!r} did not settle")
     tanh_y = math.tanh(y)
-    return [math.exp(-tanh_y) * (1.0 + tanh_y) / t], steps
-
-
-# (lhs, root, branch) of each implicit radius equation: root(t) gives the
-# candidate roots and the Newton steps taken
-_KAPTEYN_DOMAIN = (_lhs_kapteyn, lambda t: _log_root(t, 1.0), "kapteyn_domain")
-_SMALL_T = (_lhs_power_small, lambda t: _log_root(t, _SMALL_T_PREFACTOR), "small_t")
-_LARGE_T = (_lhs_power_large, _pinch_root, "large_t")
-
-
-def _solve_radius(t: float, lhs, root, branch: str) -> RadiusResult:
-    """Root of lhs(x)*t = 1 for strictly increasing lhs, x > 0: of root(t)'s
-    candidates, the one with the least residual; the first on a tie."""
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"t must be positive and finite, got {t}")
-    candidates, iterations = root(t)
-    residuals = [abs(lhs(x) * t - 1.0) for x in candidates]
-    residual = min(residuals)
+    radius = math.exp(-tanh_y) * (1.0 + tanh_y) / t
+    residual = (abs(_lhs_power_large(radius) * t - 1.0) if model
+                else (abs(f) / ln_t if f else 0.0))
     if not residual <= _MAX_RESIDUAL:
-        raise DomainError(f"the {branch} equation has no double-precision root at t={t!r}")
-    return RadiusResult(t, candidates[residuals.index(residual)], branch, residual, iterations)
+        raise DomainError(f"the large_t equation has no double-precision root at t={t!r}")
+    return RadiusResult(t, radius, "large_t", residual, steps)
 
 
 def solve_r(t: float) -> RadiusResult:
     """Kapteyn-domain radius r(t): unique positive root of its implicit equation."""
-    return _solve_radius(t, *_KAPTEYN_DOMAIN)
+    return _log_root(t, 1.0, _lhs_kapteyn, "kapteyn_domain")
 
 
 def solve_R(t: float) -> RadiusResult:
@@ -212,13 +205,18 @@ def solve_R(t: float) -> RadiusResult:
     convergence of sum A_n(t) z^n; for 0 < t < 1 it is the small-t model,
     which misses that radius by up to 6% (see solve_R_true).
     """
-    return _solve_radius(t, *(_LARGE_T if t >= 1.0 else _SMALL_T))
+    if 1.0 <= t < math.inf:
+        return _pinch_root(t, model=True)
+    return _log_root(t, _SMALL_T_PREFACTOR, _lhs_power_small, "small_t")
 
 
 def solve_R_true(t: float) -> RadiusResult:
     """Radius of convergence of sum A_n(t) z^n: modulus of the nearest pinch.
 
-    For t >= 1 this is solve_R(t).  For 0 < t < 1 it solves
+    For t >= 1 this is solve_R(t) with the residual of y - tanh y = ln t
+    relative to ln t (0 at t = 1): the rounding of y - tanh y makes it up
+    to 176 eps just above t = 1.00265, where y = 0.2 and the series for
+    y - tanh y hands over to the subtraction.  For 0 < t < 1 it solves
     tau - tan(tau) = i ln t by complex Newton from
     tau0 = acos(1/(pi/2 + i ln(1/t))) and returns |1/cos(tau)|, the modulus
     of the conjugate pair of nearest singularities.  That root has
@@ -230,10 +228,10 @@ def solve_R_true(t: float) -> RadiusResult:
     t = 1 - 1e-9) while the radius, which depends on tau^2, stays accurate
     to a few ulps.
     """
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     if t >= 1.0:
-        return solve_R(t)
+        return _pinch_root(t, model=False)
     c = 1j * math.log(t)
     tau = cmath.acos(1.0 / (0.5 * math.pi - c))
     for iterations in range(1, _NEWTON_CAP + 1):

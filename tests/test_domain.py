@@ -1,11 +1,13 @@
 import cmath
 import math
+import random
 import statistics
 import sys
 
 import pytest
 
 from kapteyn import (
+    ConvergenceError,
     DomainError,
     ZeroCoefficientError,
     a_eval_exact,
@@ -18,8 +20,10 @@ from kapteyn import (
     solve_R_true,
     solve_r,
 )
+from kapteyn import domain
 from kapteyn.domain import (
-    _KAPTEYN_DOMAIN, _LARGE_T, _SMALL_T, _lhs_power_small, _solve_radius)
+    _MAX_RESIDUAL, _NEWTON_CAP, _SMALL_T_PREFACTOR, _lhs_kapteyn, _lhs_power_large,
+    _lhs_power_small, _log_root, _pinch_root, _y_minus_tanh_y)
 
 # frozen oracle: 200-iteration bisection on r e^{sqrt(1+r^2)}/(1+sqrt(1+r^2)) = 1
 LAPLACE_LIMIT = 0.6627434193491815
@@ -118,8 +122,9 @@ class TestSolveR:
 
 class TestSolveCapitalR:
     def test_unity_from_both_branches(self):
-        assert _solve_radius(1.0, *_SMALL_T).radius == pytest.approx(1.0, abs=1e-10)
-        assert _solve_radius(1.0, *_LARGE_T).radius == pytest.approx(1.0, abs=1e-10)
+        small = _log_root(1.0, _SMALL_T_PREFACTOR, _lhs_power_small, "small_t")
+        assert small.radius == pytest.approx(1.0, abs=1e-10)
+        assert _pinch_root(1.0, model=True).radius == pytest.approx(1.0, abs=1e-10)
         assert solve_R(1.0).branch == "large_t"
 
     def test_branch_selection(self):
@@ -180,7 +185,25 @@ class TestSolveRTrue:
 
     @pytest.mark.parametrize("t", [1.0, 1 + 1e-9, 2.0, 10.0, 1e4])
     def test_equals_model_from_unity_up(self, t):
-        assert solve_R_true(t) == solve_R(t)
+        # the same root and steps; only the reported residual differs
+        assert solve_R_true(t)._replace(residual=0.0) == solve_R(t)._replace(residual=0.0)
+
+    def test_pinch_residual_from_unity_up(self):
+        # |y - tanh y - ln t| / ln t, with ln t log-spaced from 1e-16 to
+        # ln 1e308; y - tanh y cancels just above the series' switch at
+        # y = 0.2 (t = 1.00265), where its rounding, about 2 y eps, is
+        # 150 eps of ln t: 63 eps at most on this grid, and 176 eps on
+        # 600,000 random t in [1.00265, 1.0035]
+        assert solve_R_true(1.0).residual == 0.0
+        eps = sys.float_info.epsilon
+        lo, hi = math.log(1e-16), math.log(math.log(1e308))
+        for i in range(1001):
+            t = math.exp(math.exp(lo + (hi - lo) * i / 1000))
+            assert solve_R_true(t).residual <= 128 * eps, t
+        rng = random.Random(7)
+        for _ in range(2000):
+            t = rng.uniform(1.00265, 1.0035)
+            assert solve_R_true(t).residual <= 256 * eps, t
 
     def test_continuous_at_unity_from_below(self):
         assert abs(solve_R_true(1 - 1e-9).radius - 1.0) < 1e-5
@@ -352,30 +375,102 @@ class TestRadiusResult:
             7.5, res.radius, "large_t", res.residual, res.iterations, None)
 
 
+# The radius solvers as they were with a step closure, one generic Newton
+# loop and a pick by min over a candidate list, copied verbatim up to the
+# _frozen prefix: TestPickUnchanged holds the inline solvers to them bit
+# for bit.
+def _frozen_newton(step, x: float, t: float) -> tuple[float, int]:
+    last = math.inf
+    for steps in range(1, _NEWTON_CAP + 1):
+        after, size = step(x)
+        if not 0.0 < size <= 0.5 * last:
+            return x, steps
+        x, last = after, size
+    raise ConvergenceError(f"radius Newton for t={t!r} did not settle")
+
+
+def _frozen_log_root(t: float, pref: float) -> tuple[list[float], int]:
+    w = -math.log(t * pref)
+
+    def step(x):
+        s = math.sqrt(1.0 + x * x)
+        d = (math.log(x * t * pref) + s - math.log(1.0 + s)) / s
+        return x + x * math.expm1(-d), abs(d)
+
+    x, steps = _frozen_newton(step, 2.0 * math.exp(w - 1.0) if w < 1.0 else w + 0.5 / w, t)
+    return [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)], steps
+
+
+def _frozen_pinch_root(t: float) -> tuple[list[float], int]:
+    ln_t = math.log(t)
+
+    def step(y):
+        tanh2 = math.tanh(y) ** 2
+        f = _y_minus_tanh_y(y) - ln_t
+        return (y - f / tanh2, abs(f) / tanh2) if f else (y, 0.0)
+
+    y, steps = _frozen_newton(step, max((3.0 * ln_t) ** (1.0 / 3.0), ln_t + math.tanh(ln_t)), t)
+    tanh_y = math.tanh(y)
+    return [math.exp(-tanh_y) * (1.0 + tanh_y) / t], steps
+
+
+_FROZEN_KAPTEYN_DOMAIN = (_lhs_kapteyn, lambda t: _frozen_log_root(t, 1.0), "kapteyn_domain")
+_FROZEN_SMALL_T = (_lhs_power_small, lambda t: _frozen_log_root(t, _SMALL_T_PREFACTOR), "small_t")
+_FROZEN_LARGE_T = (_lhs_power_large, _frozen_pinch_root, "large_t")
+
+
+def _frozen_solve_radius(t: float, lhs, root, branch: str):
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
+    candidates, iterations = root(t)
+    residuals = [abs(lhs(x) * t - 1.0) for x in candidates]
+    residual = min(residuals)
+    if not residual <= _MAX_RESIDUAL:
+        raise DomainError(f"the {branch} equation has no double-precision root at t={t!r}")
+    return candidates[residuals.index(residual)], residual, iterations, branch
+
+
 class TestPickUnchanged:
-    """The solvers pick their root as min(candidates, key=residual) did,
-    with the residual computed again for the chosen candidate."""
+    """solve_r and solve_R give the frozen solvers' radius, residual, steps
+    and branch bit for bit; solve_R_true from t = 1 up gives solve_R's
+    result but for the residual."""
 
     # log-spaced over 1e-300..1e300, a cluster at the t = 1 seam, and 1
     _TS = ([10.0 ** (-300 + 600 * i / 400) for i in range(401)]
            + [1.0 + 1e-6 * (2 * i / 39 - 1) for i in range(40)] + [1.0])
 
     @staticmethod
-    def _reference(t, lhs, root, branch):
-        candidates, iterations = root(t)
-        x = min(candidates, key=lambda x: abs(lhs(x) * t - 1.0))
-        return x, abs(lhs(x) * t - 1.0), iterations, branch
+    def _check(t):
+        for res, equation in ((solve_r(t), _FROZEN_KAPTEYN_DOMAIN),
+                              (solve_R(t), _FROZEN_LARGE_T if t >= 1.0 else _FROZEN_SMALL_T)):
+            x, residual, iterations, branch = _frozen_solve_radius(t, *equation)
+            assert (res.radius.hex(), res.residual.hex(), res.iterations, res.branch) == (
+                x.hex(), residual.hex(), iterations, branch), t
+        if t >= 1.0:
+            assert solve_R_true(t)._replace(residual=0.0) == solve_R(t)._replace(residual=0.0), t
 
     def test_bit_for_bit(self):
         # the grid holds 75 ties and 222 picks past the first candidate
         for t in self._TS:
-            for res, equation in ((solve_r(t), _KAPTEYN_DOMAIN),
-                                  (solve_R(t), _LARGE_T if t >= 1.0 else _SMALL_T)):
-                x, residual, iterations, branch = self._reference(t, *equation)
-                assert (res.radius.hex(), res.residual.hex(), res.iterations, res.branch) == (
-                    x.hex(), residual.hex(), iterations, branch), t
-            if t >= 1.0:
-                assert solve_R_true(t) == solve_R(t), t
+            self._check(t)
+
+    def test_bit_for_bit_at_random_t(self):
+        # 2,000 log-uniform t over 1e-6..1e6 and 60 within 1e-3 of 1
+        rng = random.Random(36)
+        for _ in range(2000):
+            self._check(math.exp(rng.uniform(math.log(1e-6), math.log(1e6))))
+        for _ in range(60):
+            self._check(1.0 + rng.uniform(-1e-3, 1e-3))
+
+
+class TestNewtonCap:
+    @pytest.mark.parametrize("solve, t", [
+        (solve_r, 0.5), (solve_R, 0.5), (solve_R, 7.5), (solve_R_true, 0.3)])
+    def test_one_step_does_not_settle(self, monkeypatch, solve, t):
+        # each of the three Newton loops raises once its cap is spent
+        monkeypatch.setattr(domain, "_NEWTON_CAP", 1)
+        with pytest.raises(ConvergenceError, match="did not settle"):
+            solve(t)
 
 
 class TestPsiAsymptotes:
