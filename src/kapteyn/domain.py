@@ -64,6 +64,13 @@ _NEWTON_CAP = 64
 # where subtracting tanh y would cancel
 _Y_MINUS_TANH_Y = (1 / 3, -2 / 15, 17 / 315, -62 / 2835, 1382 / 155925, -21844 / 6081075,
                    929569 / 638512875, -6404582 / 10854718875, 443861162 / 1856156927625)
+# lambda_j of singular_part, j = 0..5, as polynomials in K^2, highest power first;
+# tests/test_domain.py derives these rationals again in exact series arithmetic
+_RUNGS = ((1.0,), (-2 / 3, 1 / 4), (2 / 27, -5 / 18, 3 / 32),
+          (460 / 243, -149 / 90, 99 / 400, 5 / 128),
+          (-4970 / 729, 2425 / 243, -119537 / 25200, 22711 / 33600, 35 / 2048),
+          (324548 / 19683, -436373 / 13122, 1700519 / 68040, -3198127 / 388800,
+           32572661 / 33868800, 63 / 8192))
 
 
 class RadiusResult(collections.namedtuple(
@@ -117,21 +124,18 @@ def _lhs_kapteyn(x: float) -> float:
         return math.inf  # the root's lhs, 1/t, overflows once t < ~9e-309
 
 
-def _lhs_power_small(x: float) -> float:
-    return _SMALL_T_PREFACTOR * _lhs_kapteyn(x)
-
-
 def _lhs_power_large(x: float) -> float:
     # (1-x)(1+x) instead of 1-x^2: keeps precision near the R = 1 seam
     s = math.sqrt((1.0 - x) * (1.0 + x))
     return x * math.exp(s) / (1.0 + s)
 
 
-def _log_root(t: float, pref: float, lhs, branch: str) -> RadiusResult:
-    """Root of lhs(x) t = 1, lhs(x) = pref x e^s / (1 + s), s = sqrt(1 + x^2).
-    In u = ln x the log of the equation, ln(pref x t) + s - ln(1 + s) = 0,
-    is convex with derivative s, so Newton converges from either side; each
-    step multiplies x by e^-step, which keeps a subnormal root's precision.
+def _log_root(t: float, pref: float, branch: str) -> RadiusResult:
+    """Root of pref lhs(x) t = 1, lhs(x) = x e^s / (1 + s) (_lhs_kapteyn),
+    s = sqrt(1 + x^2).  In u = ln x the log of the equation, ln(pref x t) +
+    s - ln(1 + s) = 0, is convex with derivative s, so Newton converges
+    from either side; each step multiplies x by e^-step, which keeps a
+    subnormal root's precision.
     It starts from the asymptotes: (2/e) / (t pref) for a small root,
     w + 1/(2w) for a large one, w = -ln(t pref).  Of the Newton root and its
     two neighbouring floats it returns the one with the least residual, the
@@ -150,9 +154,9 @@ def _log_root(t: float, pref: float, lhs, branch: str) -> RadiusResult:
         x, last = x + x * math.expm1(-d), size
     else:
         raise ConvergenceError(f"radius Newton for t={t!r} did not settle")
-    radius, residual = x, abs(lhs(x) * t - 1.0)
+    radius, residual = x, abs(pref * _lhs_kapteyn(x) * t - 1.0)
     for near in (math.nextafter(x, 0.0), math.nextafter(x, math.inf)):
-        if (near_residual := abs(lhs(near) * t - 1.0)) < residual:
+        if (near_residual := abs(pref * _lhs_kapteyn(near) * t - 1.0)) < residual:
             radius, residual = near, near_residual
     if not residual <= _MAX_RESIDUAL:
         raise DomainError(f"the {branch} equation has no double-precision root at t={t!r}")
@@ -195,7 +199,7 @@ def _pinch_root(t: float, model: bool) -> RadiusResult:
 
 def solve_r(t: float) -> RadiusResult:
     """Kapteyn-domain radius r(t): unique positive root of its implicit equation."""
-    return _log_root(t, 1.0, _lhs_kapteyn, "kapteyn_domain")
+    return _log_root(t, 1.0, "kapteyn_domain")
 
 
 def solve_R(t: float) -> RadiusResult:
@@ -207,7 +211,7 @@ def solve_R(t: float) -> RadiusResult:
     """
     if 1.0 <= t < math.inf:
         return _pinch_root(t, model=True)
-    return _log_root(t, _SMALL_T_PREFACTOR, _lhs_power_small, "small_t")
+    return _log_root(t, _SMALL_T_PREFACTOR, "small_t")
 
 
 def solve_R_true(t: float) -> RadiusResult:
@@ -251,46 +255,30 @@ def solve_R_true(t: float) -> RadiusResult:
     return RadiusResult(t, abs(z0), "pinch", residual, iterations, cmath.phase(z0))
 
 
-def singular_part(pinch: RadiusResult
-                  ) -> tuple[complex, complex, complex, complex, complex, complex, complex]:
-    """(z0, K, M, P, Q, S, U) of F(z, t) ~ K (1 - z/z0)^(-1/2) + const + M (1 -
-    z/z0)^(1/2) + P (1 - z/z0)^(3/2) + Q (1 - z/z0)^(5/2) + S (1 - z/z0)^(7/2)
-    + U (1 - z/z0)^(9/2) at the nearest singularity z0 of a solve_R_true(t)
-    result, from its root, with no second Newton.
+def singular_part(pinch: RadiusResult) -> tuple[complex, complex, tuple[complex, ...]]:
+    """(z0, K, ratios) of F(z, t) ~ K sum_j lambda_j (1 - z/z0)^(j - 1/2) +
+    const, j = 0..5, at the nearest singularity z0 of a solve_R_true(t)
+    result, from its root, with no second Newton; ratios = (lambda_0, ...,
+    lambda_5) = (1, mu, nu, rho, sigma, upsilon).
 
     As z leaves z0, the double pole of w/(1-w) at the pinch tau0,
     tau0 = acos(1/z0), splits into two, tau = tau0 + delta, where delta -
     (1 + s^2/2)(T cos delta + sin delta) + T = 0 (tau - z sin tau held
-    fixed), T = tan tau0, s^2 = 2 (z - z0)/z0: delta = +-s + s^2/(3 T) -+
-    (5/24 + 1/(18 T^2)) s^3 - (7/(60 T) + 1/(27 T^3)) s^4 +- (43/640 +
-    11/(240 T^2) + 5/(216 T^4)) s^5 + O(s^6).  The one the contour meets
-    adds its residue, a multiple of 1/(1 - z cos tau), which up to terms
-    analytic at z0 is K (1 - w)^(-1/2) (1 + mu (1 - w) + nu (1 - w)^2 + rho
-    (1 - w)^3 + sigma (1 - w)^4 + upsilon (1 - w)^5) + O((1 - w)^(11/2)), w
-    = z/z0, with K = i / (sqrt 2 z0 sin tau0), mu = 1/4 + 1/(3 T^2), nu =
-    3/32 + 5/(36 T^2) + 1/(54 T^4) = (3 T^2 + 4)(27 T^2 + 4)/(864 T^4), rho
-    = 5/128 - 99/(800 T^2) - 149/(360 T^4) - 115/(486 T^6), sigma =
-    35/2048 - 22711/(67200 T^2) - 119537/(100800 T^4) - 2425/(1944 T^6) -
-    2485/(5832 T^8) and upsilon = 63/8192 - 32572661/(67737600 T^2) -
-    3198127/(1555200 T^4) - 1700519/(544320 T^6) - 436373/(209952 T^8) -
-    81137/(157464 T^10): delta solved order by order to s^11 and the
-    residue expanded to s^9, in exact rationals in 1/T (sympy), each
-    coefficient of s^(2j - 1) over that of s^-1 times (-2)^j, as s^2 = -2
-    (1 - w).  As T^2 = z0^2 - 1 = -1/(2 K^2), mu = 1/4 - 2 K^2/3, nu = 3/32
-    - 5 K^2/18 + 2 K^4/27, rho = 5/128 + 99 K^2/400 - 149 K^4/90 + 460
-    K^6/243, sigma = 35/2048 + 22711 K^2/33600 - 119537 K^4/25200 + 2425
-    K^6/243 - 4970 K^8/729, upsilon = 63/8192 + 32572661 K^2/33868800 -
-    3198127 K^4/388800 + 1700519 K^6/68040 - 436373 K^8/13122 + 324548
-    K^10/19683, M = mu K, P = nu K, Q = rho K, S = sigma K and U = upsilon
-    K.  For a "pinch" result z0 = R e^{i angle} and the conjugate z0 carries
-    the conjugate K to U; for t > 1 z0 = R and K = 1/(sqrt 2 sqrt(1 - R^2)),
-    infinite at t = 1 (M to U are then infinite too).  Darboux's method
-    gives A_n ~ (K - M/(2n - 1) + 3 P/((2n - 1)(2n - 3)) - 15 Q/((2n -
-    1)(2n - 3)(2n - 5)) + 105 S/((2n - 1)(2n - 3)(2n - 5)(2n - 7))) c_n
-    z0^-n, plus its conjugate, c_n = binom(2n, n)/4^n, with an error of
-    order n^(-11/2) R^-n, -945 U/((2n - 1)(2n - 3)(2n - 5)(2n - 7)(2n - 9))
-    c_n z0^-n to leading order; eval_power subtracts up to S, and U only
-    sizes what is left.
+    fixed), T = tan tau0, s^2 = 2 (z - z0)/z0, and delta = +-s + O(s^2).
+    The one the contour meets adds its residue, a multiple of 1/(1 - z cos
+    tau) = 1/(1 - (1 + s^2/2)(cos delta - T sin delta)).  Its coefficient
+    of s^(2j - 1) over that of s^-1, times (-2)^j as s^2 = -2 (1 - z/z0), is
+    lambda_j, a polynomial of degree j in K^2 = -1/(2 T^2) whose exact
+    rationals are the rows of _RUNGS (delta solved order by order to s^11,
+    the residue expanded to s^9); K = i / (sqrt 2 z0 sin tau0).  For a
+    "pinch" result z0 = R e^{i angle} and the conjugate z0 carries the
+    conjugate K and ratios; for t > 1 z0 = R and K = 1/(sqrt 2 sqrt(1 -
+    R^2)), infinite at t = 1 (every ratio past lambda_0 is then infinite
+    too).  Darboux's method gives A_n ~ K sum_j lambda_j [w^n](1 - w)^(j -
+    1/2) z0^-n, plus its conjugate, [w^n](1 - w)^(j - 1/2) = (-1)^j (2j -
+    1)!! c_n / ((2n - 1)(2n - 3)...(2n - 2j + 1)), c_n = binom(2n, n)/4^n,
+    with an error of order n^(-13/2) R^-n past j = 5; eval_power subtracts
+    up to j = 4, and lambda_5 only sizes what is left.
     """
     if pinch.branch == "pinch":
         z0 = cmath.rect(pinch.radius, pinch.angle)
@@ -298,14 +286,13 @@ def singular_part(pinch: RadiusResult
     else:
         z0 = r = pinch.radius
         k = 1.0 / (_SQRT2 * math.sqrt((1.0 - r) * (1.0 + r))) if r < 1.0 else math.inf
-    k2 = k * k
-    return (complex(z0), complex(k), complex(k * (0.25 - k2 / 1.5)),
-            complex(k * (0.09375 - k2 * (5.0 / 18.0 - k2 * (2.0 / 27.0)))),
-            complex(k * (5 / 128 + k2 * (0.2475 - k2 * (149 / 90 - k2 * (460 / 243))))),
-            complex(k * (35 / 2048 + k2 * (22711 / 33600 - k2 * (
-                119537 / 25200 - k2 * (2425 / 243 - k2 * (4970 / 729)))))),
-            complex(k * (63 / 8192 + k2 * (32572661 / 33868800 - k2 * (3198127 / 388800 - k2 * (
-                1700519 / 68040 - k2 * (436373 / 13122 - k2 * (324548 / 19683))))))))
+    k2, ratios = k * k, []
+    for row in _RUNGS:
+        ratio = row[0]
+        for c in row[1:]:
+            ratio = ratio * k2 + c
+        ratios.append(complex(ratio))
+    return complex(z0), complex(k), tuple(ratios)
 
 
 def psi_small_t(t: float) -> float:

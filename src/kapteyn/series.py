@@ -140,40 +140,37 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     tol = 1e-10, every |z|/R above 0.98855).
 
     Near its nearest singularities z0 (R e^{+-i theta} for |t| < 1, R for
-    |t| > 1; -z0 for t < 0, as F(z, -t) = F(-z, t)), F ~ g(z) = K (1 -
-    z/z0)^(-1/2) + M (1 - z/z0)^(1/2) + P (1 - z/z0)^(3/2) + Q (1 -
-    z/z0)^(5/2) + S (1 - z/z0)^(7/2), plus the conjugate for |t| < 1, with
-    K, M = mu K, P = nu K, Q = rho K and S = sigma K from
-    domain.singular_part (the merging poles' Puiseux expansion gives mu =
-    1/4 + 1/(3 (z0^2 - 1)), nu = 3/32 + 5/(36 (z0^2 - 1)) + 1/(54 (z0^2 -
-    1)^2), and rho and sigma, a cubic and a quartic in 1/(z0^2 - 1)).  So
-    |A_n| R^n falls only like n^{-1/2}, while the residual A_n - g_n, g_n =
-    (K - M/(2n - 1) + 3P/((2n - 1)(2n - 3)) - 15Q/((2n - 1)(2n - 3)(2n -
-    5)) + 105S/((2n - 1)(2n - 3)(2n - 5)(2n - 7))) c_n z0^-n, c_n =
-    binom(2n, n)/4^n, falls like n^{-11/2}, and g(z) - g(0) = K w/(s(1 +
-    s)) - M w/(1 + s) - P w (1 + s + s^2)/(1 + s) - Q w (1 + s + ... +
-    s^4)/(1 + s) - S w (1 + s + ... + s^6)/(1 + s), w = z/z0, s = sqrt(1 -
-    w), is added.  With j terms subtracted, the residual is about the
-    first term left out, f_n = K left [w^n] (1 - w)^{j - 1/2} z0^-n (plus
-    the conjugate), left = mu, nu, rho or upsilon = U/K (U from
-    domain.singular_part), of size pair |K left| Gamma(j + 1/2)/pi n^{-(j
-    + 1/2)} R^-n, and the stream is told to expect the n where that times
-    (|z|/R)^n is tol: 0.87-0.94 of the terms used on power_disk's calls of
-    70 terms or more (6 calls at seeds 11 and 23).
+    |t| > 1; -z0 for t < 0, as F(z, -t) = F(-z, t)), F ~ K sum_j lambda_j
+    (1 - w)^(j - 1/2), w = z/z0, plus the conjugate for |t| < 1, with K and
+    the ratios lambda_j = 1, mu, nu, rho, sigma, upsilon (j = 0..5) from
+    domain.singular_part, so |A_n| R^n falls only like n^{-1/2}.  The sum
+    taken is sum (A_n - g_n) z^n + g(z) - g(0), where g keeps the first
+    order rungs, j < order (plus the conjugate for |t| < 1):
+        g_n = K sum_{j < order} lambda_j [w^n](1 - w)^(j - 1/2) z0^-n,
+        g(z) - g(0) = K w/(s (1 + s)) - K sum_{0 < j < order} lambda_j w
+                      (1 + s + ... + s^(2j - 2))/(1 + s),   s = sqrt(1 - w),
+    [w^n](1 - w)^(j - 1/2) = (-1)^j (2j - 1)!! c_n/((2n - 1)(2n - 3)...(2n
+    - 2j + 1)), c_n = binom(2n, n)/4^n.  A_n - g_n falls like n^{-(order +
+    1/2)}: it is about the first term left out, f_n = K left [w^n](1 -
+    w)^(order - 1/2) z0^-n (plus the conjugate), left = lambda_order, of
+    size pair |K left| Gamma(order + 1/2)/pi n^{-(order + 1/2)} R^-n, and
+    the stream is told to expect the n where that times (|z|/R)^n is tol:
+    0.87-0.94 of the terms used on power_disk's calls of 70 terms or more
+    (6 calls at seeds 11 and 23).
     As |t| -> 1 the pair merges into the pole of F(z, 1) = z/(2(1 - z)), K
-    grows like 1/|tau0|, mu like 1/|tau0|^2, nu like 1/|tau0|^4, rho like
-    1/|tau0|^6 and sigma like 1/|tau0|^8, so each term of g helps only far
-    enough out.  Each term is subtracted only where the one before it is and
-    its rules below hold; where K's fail, and at |t| = 1 (K infinite), the
+    grows like 1/|tau0| and lambda_j like 1/|tau0|^(2j), so each rung helps
+    only far enough out.  Rung j is subtracted only where rung j - 1 is and
+    its rules below hold, sigma's wherever rho's is, so order is 1, 2, 3 or
+    5; where K's rules fail, and at |t| = 1 (K infinite), order is 0 and the
     raw A_n are summed.  Each rule, what it guards, and the test that fails
     without it ("terms": a call takes more than its cap there):
       K, pair: n0 >= 20 |K|^2; terms near |t| = 1; TestSingularPartGrid
       K, t > 1: n0 >= |K|^2 / 2; terms near |t| = 1; the same, t = 1 + 1e-8
-      M: n0 >= 32 |mu|; terms near |t| = 1; TestSingularPartGrid
-      P: n0 >= 43; terms at t = 0.9; TestSingularPartGrid
-      P, t > 1: nu < 0 (t above 1.0213); rounding; TestRealSingularityEnvelope
-      Q and S: n0 >= 45; rounding for t > 1; TestRealSingularityEnvelope
-      Q and S, pair: n0 >= 24 |rho|; terms near |t| = 1; TestSingularPartGrid
+      mu: n0 >= 32 |mu|; terms near |t| = 1; TestSingularPartGrid
+      nu: n0 >= 43; terms at t = 0.9; TestSingularPartGrid
+      nu, t > 1: nu < 0 (t above 1.0213); rounding; TestRealSingularityEnvelope
+      rho and sigma: n0 >= 45; rounding for t > 1; TestRealSingularityEnvelope
+      rho and sigma, pair: n0 >= 24 |rho|; terms near |t| = 1; TestSingularPartGrid
     For |t| < 1, |A_n - g_n| R^n swings like |cos(n theta + phi)|, and
     terms near each sign change dip a decade or more below the rest.  The
     envelope E is the largest |A_n - g_n| R^n of the last
@@ -188,13 +185,13 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     takes that too for tail_bound, not for the stop: there tail_bound may
     exceed 2 tol max(1, |F|)/(1 - |z|/R).  tail_bound is 2 E
     (|z|/R)^{N+1}/(1 - |z|/R) for N terms, plus the rounding: N ulps of
-    sum |term|; each A_n term's; about 10n ulps of each subtracted
-    (|K| + |M|/(2n - 1) + 3|P|/|(2n - 1)(2n - 3)| + 15|Q|/|(2n - 1)(2n -
-    3)(2n - 5)| + 105|S|/|(2n - 1)(2n - 3)(2n - 5)(2n - 7)|) c_n |z|^n
-    (before the real part is taken), from stepping c_n and the phase n
-    theta; and (6 |w|/|1 - w| + 20) ulps of each closed-form part, whose 1
-    - w cancels near z0.  That tail is an estimate from the envelope over one swing,
-    not a proof: a proven one needs max|F - g| on a circle near R.
+    sum |term|; each A_n term's; about 10n ulps of each subtracted pair |K|
+    sum_{j < order} |lambda_j [w^n](1 - w)^(j - 1/2)| (|z|/R)^n (before the
+    real part is taken), from stepping c_n and the phase n theta; and (6
+    |w|/|1 - w| + 20) ulps of each closed-form part, one per rung and pole,
+    whose 1 - w cancels near z0.  That tail is an estimate from the envelope
+    over one swing, not a proof: a proven one needs max|F - g| on a circle
+    near R.
 
     Each A_n comes from (ln|A_n(t)|, sign) of coeffs._a_logabs_stream at
     |t|, told to expect the terms above, the quiet ones and two more, so
@@ -227,43 +224,45 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
             f"tol {tol:g} needs more than {_MAX_OUTER_TERMS} terms"
         )
     n_hi = max(math.ceil(math.log(tol) / log_ratio), 1)
-    z0, k, m, p, b, c, nxt = singular_part(pinch)  # b is Q, c is S; q below is K c_n (R/z0)^n
-    pair, mu, nu, rho, sigma = (2 if pinch.branch == "pinch" else 1), 0.0, 0.0, 0.0, 0.0
+    z0, k, ratios = singular_part(pinch)  # q below is K c_n (R/z0)^n
+    pair, order = (2 if pinch.branch == "pinch" else 1), 0
     if n_hi >= (20.0 if pair == 2 else 0.5) * abs(k) ** 2:
-        mu = m / k if n_hi >= 32.0 * abs(m / k) else 0.0
-        nu = p / k if mu and n_hi >= 43 and (pair == 2 or (p / k).real < 0.0) else 0.0
-        rho = b / k if nu and n_hi >= 45 and (pair == 1 or n_hi >= 24.0 * abs(b / k)) else 0.0
-        sigma = c / k if rho else 0.0  # S rides on Q's gate
-        # order terms subtracted; the first left out, K left [w^n] (1 - w)^(order -
-        # 1/2), is about K left (-1)^order Gamma(slope)/pi n^-slope, slope = order
-        # + 1/2: the stream expects the n where pair times that times (|z|/R)^n
-        # is tol, by Newton steps in ln n from ln n0
-        order = 5 if rho else 3 if nu else 2 if mu else 1
-        left = (m, p, b, c, nxt)[order - 1] / k
-        m, p, b, c, slope = mu * k, nu * k, rho * k, sigma * k, order + 0.5
+        # order rungs subtracted, by the rules over mu, nu and rho; sigma rides on rho's
+        order = (1 if not n_hi >= 32.0 * abs(ratios[1]) else
+                 2 if not (n_hi >= 43 and (pair == 2 or ratios[2].real < 0.0)) else
+                 3 if not (n_hi >= 45 and (pair == 1 or n_hi >= 24.0 * abs(ratios[3]))) else 5)
+        # the first term left out, K left [w^n] (1 - w)^(order - 1/2), is about K
+        # left (-1)^order Gamma(slope)/pi n^-slope, slope = order + 1/2: the stream
+        # expects the n where pair times that times (|z|/R)^n is tol, by Newton
+        # steps in ln n from ln n0
+        left, slope = ratios[order], order + 0.5
         x, ln_c = math.log(n_hi), math.log(tol * math.pi / max(
             pair * abs(left * k) * math.gamma(slope), _EPS))
         for _ in range(6):
             x -= (math.exp(x) * log_ratio - slope * x - ln_c) / (math.exp(x) * log_ratio - slope)
         n_hi = max(math.ceil(math.exp(x)), 1)
     else:
-        k, m, p, b, c, pair = 0j, 0j, 0j, 0j, 0j, 0
+        k, pair = 0j, 0
     window = math.ceil(math.pi / pinch.angle) + 2 if pinch.branch == "pinch" else 2
     closed, closed_err, rot = 0j, 0.0, radius / z0
-    both = (((k, m, p, b, c), z0), ([v.conjugate() for v in (k, m, p, b, c)], z0.conjugate()))
-    for (amp, *amps), pole in both[:pair]:
+    rungs = [k * ratio for ratio in ratios[:order]]  # K lambda_j
+    for pole, amps in ((z0, rungs), (z0.conjugate(), [a.conjugate() for a in rungs]))[:pair]:
         w = az * u / pole
         s = cmath.sqrt(1.0 - w)
-        # amp ((1 - w)^(-1/2) - 1), then amps[i] ((1 - w)^(i + 1/2) - 1) = -amps[i] w
-        # (1 + s + ... + s^(2i))/(1 + s)
-        parts = [amp * w / (s * (1.0 + s))] + [-a * w * sum(s ** e for e in range(2 * i + 1))
-                                               / (1.0 + s) for i, a in enumerate(amps)]
+        # K lambda_j ((1 - w)^(j - 1/2) - 1): K w/(s (1 + s)) at j = 0, else
+        # -K lambda_j w (1 + s + ... + s^(2j - 2))/(1 + s)
+        parts = [amps[0] * w / (s * (1.0 + s))] + [
+            -a * w * sum(s ** e for e in range(2 * j - 1)) / (1.0 + s)
+            for j, a in enumerate(amps[1:], 1)]
         closed += sum(parts)
         closed_err += sum(map(abs, parts)) * (6.0 * abs(w) / abs(1.0 - w) + 20.0)
     # envelope: (n, |A_n - g_n| R^n) falling, the window's largest first
     terms, envelope = _a_logabs_stream(abs(t), n_hi=n_hi + _QUIET_TERMS + 2), deque()
     total, abs_sum, ulps, quiet, n, q, zn = 0j, 0.0, 0.0, 0, 0, k, 1.0
     spread, step = 4.0 * (abs(log_radius) + abs(log_az)) + 8.0, math.exp(log_ratio) * u  # step z/R
+    # unrolled over the rungs, zero past order: on power_disk's calls a loop over
+    # them here cost about 5%, and stepping one coefficient per rung about 10%
+    mu, nu, rho, sigma = (*ratios[1:order], 0.0, 0.0, 0.0, 0.0)[:4]
     abs_mu, abs_nu, abs_rho, abs_sigma, exp = abs(mu), abs(nu), abs(rho), abs(sigma), math.exp
     try:
         for n, (log_a, sign) in enumerate(terms, 1):

@@ -7,6 +7,18 @@ from kapteyn import coeffs
 from kapteyn.bessel import _saddle_line
 
 
+def darboux_weights(n: int, order: int) -> list[Fraction]:
+    """[w^n](1 - w)^(j - 1/2) / c_n for j = 0..order - 1, c_n = binom(2n,
+    n)/4^n, exactly: (-1)^j (2j - 1)!!/((2n - 1)(2n - 3)...(2n - 2j + 1)).
+    Darboux's method weighs rung j of the singular part, K lambda_j from
+    domain.singular_part, by this times c_n z0^-n in A_n."""
+    weights, weight = [], Fraction(1)
+    for j in range(order):
+        weights.append(weight)
+        weight *= Fraction(-(2 * j + 1), 2 * n - 2 * j - 1)
+    return weights
+
+
 @pytest.fixture(autouse=True)
 def cold_store():
     """Each test starts with coeffs' store of certified rows empty, so a test

@@ -33,7 +33,7 @@ from kapteyn import (
     solve_r,
     taylor_to_kapteyn,
 )
-from kapteyn.domain import _SMALL_T_PREFACTOR, _lhs_power_small, _log_root, _pinch_root
+from kapteyn.domain import _SMALL_T_PREFACTOR, _log_root, _pinch_root
 
 
 @contextmanager
@@ -98,7 +98,7 @@ def test_criterion_04_fundamental_formula():
 
 def test_criterion_05_radius_at_unity():
     with criterion(5, "R(1) = 1 within 1e-10 from both branch equations"):
-        small = _log_root(1.0, _SMALL_T_PREFACTOR, _lhs_power_small, "small_t").radius
+        small = _log_root(1.0, _SMALL_T_PREFACTOR, "small_t").radius
         large = _pinch_root(1.0, model=True).radius
         assert abs(small - 1.0) < 1e-10, f"small-t branch gave {small!r}"
         assert abs(large - 1.0) < 1e-10, f"large-t branch gave {large!r}"

@@ -18,6 +18,8 @@ from kapteyn import coeffs
 from kapteyn.coeffs import _a_logabs_stream, _a_numerators, _term_rows
 from kapteyn.domain import singular_part, solve_R_true
 
+from conftest import darboux_weights
+
 # the first five polynomials, written out coefficient-by-coefficient
 PRINTED = {
     1: {1: Fraction(1, 2)},
@@ -473,32 +475,32 @@ class TestLogAbsStream:
 
 
 class TestStreamAgainstSingularPart:
-    # Darboux's method with three terms: A_n R^n = g_n R^n + O(n^{-7/2}), with
-    # g_n R^n = 2 Re[(K - M/(2n - 1) + 3P/((2n - 1)(2n - 3))) c_n e^{-i n theta}]
-    # of order n^{-1/2} (the same without 2 Re for t > 1), z0 = R e^{i theta},
-    # K, M and P from domain.singular_part and c_n = binom(2n, n)/4^n taken
-    # exactly here: an oracle for nu's formula and for the stream's magnitude
-    # and sign at n = 500-2000, where the exact kernel is slow.  n^{7/2} |A_n -
-    # g_n| R^n / |K| over each window of 100 n is flat in n: at most 0.110,
-    # 0.147, 5.83, 0.049 and 0.015 at these t, 0.70 to 0.76 of each bound;
-    # nu off by a tenth of itself reads 2.8 to 57, 6.9 to 140 times the
-    # bound at the same t.  The signs are checked where |g_n| is 100 times
-    # the bound
+    # Darboux's method with three rungs: A_n R^n = g_n R^n + O(n^{-7/2}), with
+    # g_n R^n = 2 Re[K sum_{j < 3} lambda_j w_j c_n e^{-i n theta}] of order
+    # n^{-1/2} (the same without 2 Re for t > 1), z0 = R e^{i theta}, K and
+    # lambda_j = 1, mu, nu from domain.singular_part, w_j c_n = [w^n](1 -
+    # w)^(j - 1/2) from darboux_weights and c_n = binom(2n, n)/4^n taken
+    # exactly here: an oracle for nu's row of domain._RUNGS and for the
+    # stream's magnitude and sign at n = 500-2000, where the exact kernel is
+    # slow.  n^{7/2} |A_n - g_n| R^n / |K| over each window of 100 n is flat
+    # in n: at most 0.110, 0.147, 5.83, 0.049 and 0.015 at these t, 0.70 to
+    # 0.76 of each bound; nu off by a tenth of itself reads 2.8 to 57, 6.9 to
+    # 140 times the bound at the same t.  The signs are checked where |g_n| is
+    # 100 times the bound
     _BOUND = {0.1: 0.15, 0.3: 0.2, 0.9: 8.0, 1.5: 0.07, 3.0: 0.02}
 
     @pytest.mark.parametrize("t", sorted(_BOUND))
     def test_stream_follows_the_singular_part(self, t):
         pinch = solve_R_true(t)
-        z0, k, m, p, *_ = singular_part(pinch)
+        z0, k, ratios = singular_part(pinch)
         pair, radius = (2 if pinch.branch == "pinch" else 1), abs(z0)
         values = list(islice(_a_logabs_stream(t, n_hi=2000), 2000))
         for lo in (500, 1200, 1900):
             for n in range(lo, lo + 100):
                 log_a, sign = values[n - 1]
                 a = sign * math.exp(log_a + n * math.log(radius))
-                d = 2 * n - 1
-                g = pair * ((k - m / d + 3 * p / (d * (d - 2))) * (math.comb(2 * n, n) / 4**n)
-                            * (radius / z0) ** n).real
+                rungs = sum(r * float(w) for r, w in zip(ratios, darboux_weights(n, 3)))
+                g = pair * (k * rungs * (math.comb(2 * n, n) / 4**n) * (radius / z0) ** n).real
                 bound = self._BOUND[t] * abs(k) * n**-3.5
                 assert abs(a - g) <= bound, (t, n, a - g, bound)
                 if abs(g) > 100.0 * bound:
@@ -506,63 +508,64 @@ class TestStreamAgainstSingularPart:
 
 
 class TestFirstTermLeftOut:
-    # with four terms subtracted, the residual A_n - g_n, g_n = (K - M/(2n - 1) +
-    # 3P/((2n - 1)(2n - 3)) - 15Q/((2n - 1)(2n - 3)(2n - 5))) c_n z0^-n, is
-    # about the first term left out, f_n = 105 S/((2n - 1)(2n - 3)(2n - 5)(2n -
-    # 7)) c_n z0^-n (each plus its conjugate for t < 1), S = sigma K from
-    # domain.singular_part; the next term is smaller by about 1/n.  Here |r_n
-    # - f_n| over n = 150-300 is at most 0.035 (t = 0.3) and 0.0053 (t = 1.5)
-    # of f_n's size pair |f_n| R^n.  sigma a tenth too large reads 0.122 at t
-    # = 0.3, a tenth too small 0.117 at t = 1.5, and a wrong sign of any of
-    # its five terms 0.50 to 1.31 at one t at least
+    # with four rungs subtracted, the residual A_n - g_n, g_n = K sum_{j < 4}
+    # lambda_j [w^n](1 - w)^(j - 1/2) z0^-n, is about the first term left out,
+    # f_n = K sigma [w^n](1 - w)^(7/2) z0^-n = 105 K sigma/((2n - 1)(2n -
+    # 3)(2n - 5)(2n - 7)) c_n z0^-n (each plus its conjugate for t < 1), K
+    # and sigma = lambda_4 from domain.singular_part; the next term is
+    # smaller by about 1/n.  Here |r_n - f_n| over n = 150-300 is at most
+    # 0.035 (t = 0.3) and 0.0053 (t = 1.5) of f_n's size pair |f_n| R^n.
+    # sigma a tenth too large reads 0.122 at t = 0.3, a tenth too small 0.117
+    # at t = 1.5, and a wrong sign of any of the five entries of its row in
+    # domain._RUNGS 0.50 to 1.31 at one t at least
 
     @pytest.mark.parametrize("t", [0.3, 1.5])
     def test_residual_tracks_the_first_term_left_out(self, t):
         pinch = solve_R_true(t)
-        z0, k, m, p, q, s, _ = singular_part(pinch)
+        z0, k, ratios = singular_part(pinch)
         pair, radius = (2 if pinch.branch == "pinch" else 1), abs(z0)
         values = list(islice(_a_logabs_stream(t, n_hi=300), 300))
         worst = 0.0
         for n in range(150, 301):
             log_a, sign = values[n - 1]
             a = sign * math.exp(log_a + n * math.log(radius))
-            d, phase = 2 * n - 1, math.comb(2 * n, n) / 4**n * (radius / z0) ** n
-            g = k - m / d + 3 * p / (d * (d - 2)) - 15 * q / (d * (d - 2) * (d - 4))
-            f = 105 * s / (d * (d - 2) * (d - 4) * (d - 6))
+            phase = math.comb(2 * n, n) / 4**n * (radius / z0) ** n
+            terms = [k * r * float(w) for r, w in zip(ratios, darboux_weights(n, 5))]
+            g, f = sum(terms[:4]), terms[4]
             size = pair * abs(f * phase)
             worst = max(worst, abs(a - pair * (g * phase).real - pair * (f * phase).real) / size)
         assert worst <= 0.1, (t, worst)
 
 
 class TestSixthTermLeftOut:
-    # with S subtracted too, the residual A_n - g_n, g_n = (K - M/(2n - 1) +
-    # 3P/((2n - 1)(2n - 3)) - 15Q/((2n - 1)(2n - 3)(2n - 5)) + 105S/((2n -
-    # 1)(2n - 3)(2n - 5)(2n - 7))) c_n z0^-n, is about f_n = -945 U/((2n -
-    # 1)(2n - 3)(2n - 5)(2n - 7)(2n - 9)) c_n z0^-n (each plus its conjugate
-    # for t < 1), U = upsilon K from domain.singular_part.  r_n is about
-    # n^-5 of g_n, beyond a float sum's reach, so A_n is exact and every sum
-    # is taken at 40 digits.  Here |r_n - f_n| over n = 120-240 (step 3) is
-    # at most 0.044, 0.036 and 0.036 of f_n's size pair |f_n| R^n at these
-    # t; upsilon scaled by 0.9 or 1.1 reads at least 0.077 at each t
+    # with sigma's rung subtracted too, the residual A_n - g_n, g_n = K
+    # sum_{j < 5} lambda_j [w^n](1 - w)^(j - 1/2) z0^-n, is about f_n = K
+    # upsilon [w^n](1 - w)^(9/2) z0^-n = -945 K upsilon/((2n - 1)(2n - 3)(2n
+    # - 5)(2n - 7)(2n - 9)) c_n z0^-n (each plus its conjugate for t < 1), K
+    # and upsilon = lambda_5 from domain.singular_part.  r_n is about n^-5 of
+    # g_n, beyond a float sum's reach, so A_n is exact and every sum is taken
+    # at 40 digits.  Here |r_n - f_n| over n = 120-240 (step 3) is at most
+    # 0.044, 0.036 and 0.036 of f_n's size pair |f_n| R^n at these t;
+    # upsilon scaled by 0.9 or 1.1 reads at least 0.077 at each t
 
     @staticmethod
     def _worst(t, scale=1.0):
         mpmath = pytest.importorskip("mpmath")
         pinch = solve_R_true(t)
-        z0, *amps, u = singular_part(pinch)
+        z0, k, ratios = singular_part(pinch)
         pair, radius = (2 if pinch.branch == "pinch" else 1), abs(z0)
         worst = 0.0
         with mpmath.workdps(40):
-            k, m, p, q, s = (mpmath.mpc(v) for v in amps)
-            u, rot = mpmath.mpc(u) * scale, mpmath.mpf(radius) / mpmath.mpc(z0)
+            amps = [mpmath.mpc(k) * mpmath.mpc(r) for r in ratios]  # K lambda_j
+            amps[5] *= scale
+            rot = mpmath.mpf(radius) / mpmath.mpc(z0)
             for n in range(120, 241, 3):
                 exact = a_eval_exact(n, t)
                 a = mpmath.mpf(exact.numerator) / exact.denominator * mpmath.mpf(radius) ** n
-                d = mpmath.mpf(2 * n - 1)
                 phase = mpmath.binomial(2 * n, n) / mpmath.mpf(4) ** n * rot**n
-                g = (k - m / d + 3 * p / (d * (d - 2)) - 15 * q / (d * (d - 2) * (d - 4))
-                     + 105 * s / (d * (d - 2) * (d - 4) * (d - 6)))
-                f = -945 * u / (d * (d - 2) * (d - 4) * (d - 6) * (d - 8))
+                terms = [amp * mpmath.mpf(w.numerator) / w.denominator
+                         for amp, w in zip(amps, darboux_weights(n, 6))]
+                g, f = sum(terms[:5]), terms[5]
                 r = a - pair * (g * phase).real - pair * (f * phase).real
                 worst = max(worst, float(abs(r) / (pair * abs(f * phase))))
         return worst

@@ -3,6 +3,7 @@ import math
 import random
 import statistics
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -22,8 +23,8 @@ from kapteyn import (
 )
 from kapteyn import domain
 from kapteyn.domain import (
-    _MAX_RESIDUAL, _NEWTON_CAP, _SMALL_T_PREFACTOR, _lhs_kapteyn, _lhs_power_large,
-    _lhs_power_small, _log_root, _pinch_root, _y_minus_tanh_y)
+    _MAX_RESIDUAL, _NEWTON_CAP, _RUNGS, _SMALL_T_PREFACTOR, _lhs_kapteyn, _lhs_power_large,
+    _log_root, _pinch_root, _y_minus_tanh_y, singular_part)
 
 # frozen oracle: 200-iteration bisection on r e^{sqrt(1+r^2)}/(1+sqrt(1+r^2)) = 1
 LAPLACE_LIMIT = 0.6627434193491815
@@ -122,7 +123,7 @@ class TestSolveR:
 
 class TestSolveCapitalR:
     def test_unity_from_both_branches(self):
-        small = _log_root(1.0, _SMALL_T_PREFACTOR, _lhs_power_small, "small_t")
+        small = _log_root(1.0, _SMALL_T_PREFACTOR, "small_t")
         assert small.radius == pytest.approx(1.0, abs=1e-10)
         assert _pinch_root(1.0, model=True).radius == pytest.approx(1.0, abs=1e-10)
         assert solve_R(1.0).branch == "large_t"
@@ -141,7 +142,7 @@ class TestSolveCapitalR:
 
     def test_small_t_equation_identity_at_unity(self):
         # substituting R = 1 into the small-t equation at t = 1 is exact
-        assert abs(_lhs_power_small(1.0) * 1.0 - 1.0) < 1e-14
+        assert abs(_SMALL_T_PREFACTOR * _lhs_kapteyn(1.0) * 1.0 - 1.0) < 1e-14
 
     def test_branch_seam_continuity(self):
         # R(t) has a (t-1)^{2/3} cusp from above t = 1, so the gap across
@@ -234,6 +235,93 @@ class TestSolveRTrue:
         for t in (0.0, -0.5, math.nan, math.inf):
             with pytest.raises(DomainError):
                 solve_R_true(t)
+
+
+def _series_mul(a: list, b: list) -> list:
+    # the product of two power series in s, truncated to a's length
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(len(a))]
+
+
+def _cos_sin(delta: list) -> tuple[list, list]:
+    # cos and sin of a power series in s with no constant term
+    cos, sin = [Fraction(0)] * len(delta), [Fraction(0)] * len(delta)
+    power = [Fraction(1)] + [Fraction(0)] * (len(delta) - 1)
+    for m in range(len(delta)):
+        target, c = (cos, sin)[m % 2], Fraction((-1) ** (m // 2), math.factorial(m))
+        for i, p in enumerate(power):
+            target[i] += c * p
+        power = _series_mul(power, delta)
+    return cos, sin
+
+
+def _ratios_at(T: Fraction, size: int) -> list[Fraction]:
+    """lambda_0..lambda_5 at T = tan tau0 from the split pole's equations in
+    exact power series in s, truncated after s^(size - 1): delta = s (1 + v)
+    solves E = delta - (1 + s^2/2)(T cos delta + sin delta) + T = 0, where
+    E/s^2 = T v + O(s), so v -= E/(s^2 T) gains an order per step; then
+    lambda_j = [s^(2j)] / [s^0] of s/D, D = 1 - (1 + s^2/2)(cos delta - T
+    sin delta), times (-2)^j."""
+    zero = [Fraction(0)] * size
+    one_plus = [Fraction(1), Fraction(0), Fraction(1, 2)] + zero[3:]  # 1 + s^2/2
+    v = zero
+    for _ in range(size):
+        delta = [Fraction(0), 1 + v[0]] + v[1:-1]
+        cos, sin = _cos_sin(delta)
+        e = [d - x for d, x in zip(delta, _series_mul(one_plus, [T * c + x for c, x in
+                                                                 zip(cos, sin)]))]
+        e[0] += T
+        assert e[0] == e[1] == 0
+        v = [a - b / T for a, b in zip(v, e[2:] + zero[:2])]
+    d = [-x for x in _series_mul(one_plus, [c - T * x for c, x in zip(cos, sin)])]
+    d[0] += 1
+    b = d[1:]  # D/s
+    inv = [1 / b[0]]
+    for m in range(1, len(b)):
+        inv.append(-sum(b[i] * inv[m - i] for i in range(1, m + 1)) / b[0])
+    return [inv[2 * j] / inv[0] * (-2) ** j for j in range(6)]
+
+
+def _interpolate(xs: list, ys: list) -> list[Fraction]:
+    # coefficients, lowest power first, of the polynomial through (xs, ys)
+    coeffs = [Fraction(0)] * len(xs)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis, denom = [Fraction(1)], Fraction(1)
+        for m, xm in enumerate(xs):
+            if m != i:
+                basis = [a - xm * b for a, b in zip([Fraction(0)] + basis, basis + [Fraction(0)])]
+                denom *= xi - xm
+        coeffs = [c + yi * b / denom for c, b in zip(coeffs, basis)]
+    return coeffs
+
+
+class TestRungsOracle:
+    """domain._RUNGS derived again, with no float and no sympy: lambda_j at
+    seven rational T by _ratios_at, the polynomial of degree 5 in K^2 =
+    -1/(2 T^2) through the first six, checked at the seventh.  14 series
+    orders leave one to spare: at 12, upsilon comes out as another
+    polynomial of degree 5, which the seventh T does not catch."""
+
+    _TS = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(1, 3), Fraction(5),
+           Fraction(3, 2)]
+
+    def test_rows_are_the_derived_rationals(self):
+        ratios = [_ratios_at(T, 14) for T in self._TS]
+        xs = [-1 / (2 * T * T) for T in self._TS]
+        for j, row in enumerate(_RUNGS):
+            ys = [r[j] for r in ratios]
+            exact = _interpolate(xs[:6], ys[:6])
+            assert sum(c * xs[6] ** i for i, c in enumerate(exact)) == ys[6], j
+            assert exact[len(row):] == [0] * (6 - len(row)), j
+            assert [float(c) for c in reversed(exact[:len(row)])] == list(row), j
+
+    def test_singular_part_evaluates_the_rows(self):
+        # lambda_0 = 1, and each ratio is its row at K^2 by Horner
+        for t in (0.3, 0.9, 1.5):
+            _, k, ratios = singular_part(solve_R_true(t))
+            assert len(ratios) == len(_RUNGS) and ratios[0] == 1
+            for row, ratio in zip(_RUNGS, ratios):
+                assert ratio == pytest.approx(sum(c * (k * k) ** i
+                                                  for i, c in enumerate(reversed(row))), rel=1e-12)
 
 
 class TestRadiusRelations:
@@ -415,7 +503,8 @@ def _frozen_pinch_root(t: float) -> tuple[list[float], int]:
 
 
 _FROZEN_KAPTEYN_DOMAIN = (_lhs_kapteyn, lambda t: _frozen_log_root(t, 1.0), "kapteyn_domain")
-_FROZEN_SMALL_T = (_lhs_power_small, lambda t: _frozen_log_root(t, _SMALL_T_PREFACTOR), "small_t")
+_FROZEN_SMALL_T = (lambda x: _SMALL_T_PREFACTOR * _lhs_kapteyn(x),
+                   lambda t: _frozen_log_root(t, _SMALL_T_PREFACTOR), "small_t")
 _FROZEN_LARGE_T = (_lhs_power_large, _frozen_pinch_root, "large_t")
 
 

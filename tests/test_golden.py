@@ -90,7 +90,12 @@ terms, as before, and are 4.4e-17 from a 40-digit sum of exact terms
 eval_power_above_one was recorded then, at t = 1.001 and tol 1e-13, where
 P's rule nu < 0 keeps the rounding down: 386 terms, 1.0e-11 from a
 40-digit sum, within its bound of 3.6e-11 (without the rule, 364 terms,
-4.4e-9 off, its bound 9.4e-6).
+4.4e-9 off, its bound 9.4e-6).  eval_power_near was re-recorded when
+domain.singular_part came to return the rungs' ratios from one table,
+evaluated by Horner in K^2, and eval_power to read them directly rather
+than through M/K and back: value_im 0.859818472224976 ->
+0.859818472224977, its last digit; the other cells, and every other case,
+are as before.
 
 stream.csv is not CLI output: it holds n, t, ln|A_n(t)| to 15 significant
 digits and the sign from coeffs._a_logabs_stream, for n = 1..300 at ten t

@@ -32,6 +32,8 @@ from kapteyn import (
 from kapteyn.coeffs import _a_logabs_stream
 from kapteyn.domain import singular_part
 
+from conftest import darboux_weights
+
 # Taylor coefficients of J_1: 1/2, 0, -1/16, 0, 1/384, 0, -1/18432, ...
 J1_TAYLOR = (Fraction(1, 2), Fraction(0), Fraction(-1, 16), Fraction(0),
              Fraction(1, 384), Fraction(0), Fraction(-1, 18432), Fraction(0))
@@ -438,27 +440,29 @@ class TestPowerRoundingBudget:
     # the part of tail_bound that scales with eps (read here by doubling
     # series._EPS) is, in ulps: N sum |term|; the A_n terms' own, |a| (4
     # max(1, |ln|A_n||) + n spread + 16) (z/R)^n, a = A_n R^n; about 10n of
-    # each subtracted term, pair (|K| + |M|/(2n - 1) + 3|P|/|(2n - 1)(2n -
-    # 3)| + 15|Q|/|(2n - 1)(2n - 3)(2n - 5)| + 105|S|/|(2n - 1)(2n - 3)(2n -
-    # 5)(2n - 7)|) c_n |z|^n; (6|w|/|1 - w| + 20) of each closed-form part,
-    # |K w/(s(1 + s))|, |M w/(1 + s)|, |P w (1 + s + s^2)/(1 + s)|, |Q w (1 +
-    # s + ... + s^4)/(1 + s)| and |S w (1 + s + ... + s^6)/(1 + s)|, w =
-    # z/z0, s = sqrt(1 - w); and |value|.  Recomputed here from
-    # domain.singular_part and the stream, it matches to 1e-6.  At t = 0.999,
-    # near the merging pair, mu = 16.1, nu = 46 and |rho| = 2.6e4; |z| = 0.96
-    # R subtracts K, M and P at tol 1e-10, and not Q or S; the M and P parts
-    # of the subtracted terms are 1.6-2.0% and 7.1-8.8% of the budget, the
-    # closed form's M and P parts 0.7-5.6% and 5.5-20% (off the ray of z0
-    # and on it, where 1 - w cancels).  At t = 0.9, |z| = 0.96 R subtracts Q
-    # and S too, each with two parts over 1e-3 of the budget
+    # each subtracted rung j's term, pair |K lambda_j [w^n](1 - w)^(j - 1/2)|
+    # (|z|/R)^n, [w^n](1 - w)^(j - 1/2) from darboux_weights; (6|w|/|1 - w| +
+    # 20) of each closed-form part, |K w/(s(1 + s))| for j = 0 and |K
+    # lambda_j w (1 + s + ... + s^(2j - 2))/(1 + s)| past it, w = z/z0, s =
+    # sqrt(1 - w); and |value|.  Recomputed here from domain.singular_part
+    # and the stream, it matches to 1e-6.  At t = 0.999, near the merging
+    # pair, mu = 16.1, nu = 46 and |rho| = 2.6e4; |z| = 0.96 R subtracts the
+    # rungs of K, mu and nu at tol 1e-10, and not rho's or sigma's; the mu and
+    # nu parts of the subtracted terms are 1.6-2.0% and 7.1-8.8% of the
+    # budget, the closed form's mu and nu parts 0.7-5.6% and 5.5-20% (off the
+    # ray of z0 and on it, where 1 - w cancels).  At t = 0.9, |z| = 0.96 R
+    # subtracts rho's and sigma's rungs too, each with two parts over 1e-3 of
+    # the budget
 
     @staticmethod
-    def _rounding_and_budget(t, angle, subtracts_qs, monkeypatch):
+    def _rounding_and_budget(t, angle, order, monkeypatch):
+        # the rounding part of tail_bound, the budget's parts but the rungs',
+        # and each rung's two parts, [subtracted terms, closed form]
         from kapteyn import series
 
         pinch = solve_R_true(t)
-        z0, k, m, p, q, s_, _ = singular_part(pinch)
-        q, s_ = q * subtracts_qs, s_ * subtracts_qs
+        z0, k, ratios = singular_part(pinch)
+        amps = [k * r for r in ratios[:order]]  # K lambda_j
         radius = pinch.radius
         z = 0.96 * cmath.rect(radius, pinch.angle if angle is None else angle)
         rep = eval_power(z, t)
@@ -466,53 +470,47 @@ class TestPowerRoundingBudget:
         rounding = (eval_power(z, t).tail_bound - rep.tail_bound) / (0.5 * series._EPS)
         x, n_used = abs(z) / radius, rep.terms_used
         spread = 4 * (abs(math.log(radius)) + abs(math.log(abs(z)))) + 8
-        own = abs_sum = q_own = s_own = 0.0
+        own = abs_sum = 0.0
+        rungs = [[0.0, 0.0] for _ in amps]
         for n, (log_a, sign) in enumerate(islice(_a_logabs_stream(t), n_used), 1):
-            a, d = sign * math.exp(log_a + n * math.log(radius)), 2 * n - 1
+            a = sign * math.exp(log_a + n * math.log(radius))
             c = math.comb(2 * n, n) / 4**n
-            g = 2 * ((k - m / d + 3 * p / (d * (d - 2)) - 15 * q / (d * (d - 2) * (d - 4))
-                      + 105 * s_ / (d * (d - 2) * (d - 4) * (d - 6))) * c * (radius / z0) ** n).real
-            abs_sum += abs(a - g) * x**n
-            own += x**n * (abs(a) * (4 * max(1, abs(log_a)) + n * spread + 16) + 2 * c * (
-                abs(k) + abs(m) / d + 3 * abs(p) / abs(d * (d - 2))) * (10 * n + 16))
-            q_own += x**n * 2 * c * 15 * abs(q) / abs(d * (d - 2) * (d - 4)) * (10 * n + 16)
-            s_own += x**n * 2 * c * 105 * abs(s_) / abs(d * (d - 2) * (d - 4) * (d - 6)) * (
-                10 * n + 16)
-        closed = q_closed = s_closed = 0.0
-        for pole, amps in ((z0, (k, m, p, q, s_)), (z0.conjugate(), [v.conjugate() for v in
-                                                                      (k, m, p, q, s_)])):
+            terms = [amp * float(w) * c for amp, w in zip(amps, darboux_weights(n, order))]
+            abs_sum += abs(a - 2 * (sum(terms) * (radius / z0) ** n).real) * x**n
+            own += x**n * abs(a) * (4 * max(1, abs(log_a)) + n * spread + 16)
+            for rung, term in zip(rungs, terms):
+                rung[0] += x**n * 2 * abs(term) * (10 * n + 16)
+        for pole in (z0, z0.conjugate()):
             w = z / pole
             s = cmath.sqrt(1 - w)
             cancel = 6 * abs(w) / abs(1 - w) + 20
-            parts = (amps[0] * w / (s * (1 + s)), amps[1] * w / (1 + s),
-                     amps[2] * w * (1 + s + s * s) / (1 + s))
-            closed += sum(map(abs, parts)) * cancel
-            q_closed += abs(amps[3] * w * sum(s**e for e in range(5)) / (1 + s)) * cancel
-            s_closed += abs(amps[4] * w * sum(s**e for e in range(7)) / (1 + s)) * cancel
-        return rounding, (n_used * abs_sum + own + closed + abs(rep.value), q_own, q_closed,
-                          s_own, s_closed)
+            rungs[0][1] += abs(amps[0] * w / (s * (1 + s))) * cancel
+            for j in range(1, order):
+                rungs[j][1] += abs(amps[j] * w * sum(s**e for e in range(2 * j - 1))
+                                   / (1 + s)) * cancel
+        return rounding, n_used * abs_sum + own + abs(rep.value), rungs
 
     @pytest.mark.parametrize("angle", [None, 1.0])
     def test_rounding_part_is_the_stated_budget(self, angle, monkeypatch):
-        rounding, parts = self._rounding_and_budget(0.999, angle, False, monkeypatch)
-        budget = sum(parts)
+        rounding, rest, rungs = self._rounding_and_budget(0.999, angle, 3, monkeypatch)
+        budget = rest + sum(map(sum, rungs))
         assert abs(rounding - budget) <= 1e-6 * budget, (rounding, budget)
 
     @pytest.mark.parametrize("angle", [None, 1.0])
     def test_q_rounding_parts_are_in_the_budget(self, angle, monkeypatch):
-        # each of Q's two parts is over 1e-3 of the budget, so tail_bound
-        # misses the 1e-6 match if it drops either
-        rounding, parts = self._rounding_and_budget(0.9, angle, True, monkeypatch)
-        budget = sum(parts)
-        assert min(parts[1:3]) > 1e-3 * budget, (parts, budget)
+        # each of rho's rung's two parts is over 1e-3 of the budget, so
+        # tail_bound misses the 1e-6 match if it drops either
+        rounding, rest, rungs = self._rounding_and_budget(0.9, angle, 5, monkeypatch)
+        budget = rest + sum(map(sum, rungs))
+        assert min(rungs[3]) > 1e-3 * budget, (rungs, budget)
         assert abs(rounding - budget) <= 1e-6 * budget, (rounding, budget)
 
     @pytest.mark.parametrize("angle", [None, 1.0])
     def test_s_rounding_parts_are_in_the_budget(self, angle, monkeypatch):
-        # the same for S's two parts
-        rounding, parts = self._rounding_and_budget(0.9, angle, True, monkeypatch)
-        budget = sum(parts)
-        assert min(parts[3:]) > 1e-3 * budget, (parts, budget)
+        # the same for sigma's rung's two parts
+        rounding, rest, rungs = self._rounding_and_budget(0.9, angle, 5, monkeypatch)
+        budget = rest + sum(map(sum, rungs))
+        assert min(rungs[4]) > 1e-3 * budget, (rungs, budget)
         assert abs(rounding - budget) <= 1e-6 * budget, (rounding, budget)
 
 
