@@ -166,11 +166,13 @@ def _read_sequence(path: str) -> list[float]:
             if len(row) != 2:
                 raise UsageError(f"{path}:{line_no}: expected 2 fields, got {len(row)}")
             try:
-                idx = int(row[0])
-                val = float(row[1])
+                idx, val = int(row[0]), float(row[1])
             except ValueError:
-                if line_no == 1:
-                    continue  # header row
+                try:
+                    float(row[0])
+                except ValueError:
+                    if line_no == 1:
+                        continue  # a header row: its first field is no number
                 raise UsageError(f"{path}:{line_no}: cannot parse {row!r}") from None
             if idx in entries:
                 raise UsageError(f"{path}:{line_no}: duplicate index {idx}")

@@ -25,10 +25,10 @@ log2(1/t^2) bits a step.  One certificate (_row_logabs), with one bound for
 both kinds of row, accepts each sum, and the stream restarts once, at a
 predicted width.  Floats leave
 only as (ln|A_n(t)|, sign), since A_500(t) can lie far outside float range.
-Its values at the first width, with the last two rows and the last head's
-x^m / n!, are kept for the last eight t, and later calls resume the rows
-there without stepping any head again; the closed form and the recurrence
-stay as oracles.
+Its values at the first width, and the rows' recurrence state at the last of
+them, are kept for the last eight t, and later calls resume the rows there
+without stepping any head again; the closed form and the recurrence stay as
+oracles.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from operator import floordiv, lshift, mul, rshift
 from .errors import DomainError
 
 _WIDTH = 256  # the stream's starting width, in bits: that of each row's head
-# (p, q, width) -> (values of rows 1..k on, k, rows k - 1 and k, row k's x^m / n!), newest last
+# (p, q), t = p/q -> (values of rows 1..n on, _term_rows' state at row n), newest last
 _STORE: dict = {}
 _STORE_T, _STORE_LOCK = 8, threading.Lock()  # t held; one writer at a time
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # HI has 32 bits
@@ -178,8 +178,8 @@ def _nth_power(n: int, width: int) -> tuple[int, int]:
     return nn, ne
 
 
-def _term_rows(t: Fraction, width: int, n0: int = 0, older=((), 0), newer=((), 0), state=None):
-    # (n, row, unit) for n = n0 + 1, ...: row[k] 2^unit ~ T(n, k) = |num(n, k)| x^(m-k)
+def _term_rows(t: Fraction, width: int, state=None):
+    # (n, row, unit, state) for n = 1, 2, ...: row[k] 2^unit ~ T(n, k) = |num(n, k)| x^(m-k)
     # / (n! 2^n), x = t^2, m = n // 2, num(n, k) != 0, where |t| >= 1/8; below, unit is
     # a list, one exponent per term, as one unit would widen a row's integers by about
     # log2(1/t^2) bits a step (over 1,500 rows the two cost about the same at t = 0.1).
@@ -189,20 +189,18 @@ def _term_rows(t: Fraction, width: int, n0: int = 0, older=((), 0), newer=((), 0
     # with one unit, floored once, and a zero stays zero, so trailing zeros are
     # dropped; with one exponent per term, truncated to width bits, and as that factor
     # grows with j, trailing terms under 2^-(width + 64) of the top stay so on their
-    # lineages: they are dropped.  At t = 0 each head past n = 1 is 0.  A list state
-    # holds the head's [pm, pe], x^m / n! ~ pm 2^pe, at row n0 (at n = 0 if empty),
-    # and is set in place to row n's before row n is yielded: resumed after row n0
-    # from rows n0 - 1 and n0 and its state, no x^m / n! is stepped again
+    # lineages: they are dropped.  At t = 0 each head past n = 1 is 0.  The state at
+    # row n, (n, rows, pm, pe), holds rows n - 1 and n, each (row, unit) at index n % 2
+    # of rows, and the head's x^m / n! ~ pm 2^pe; resumed from it, the rows go on at
+    # n + 1 and no x^m / n! is stepped again.  With no state they start at n = 0:
+    # rows -1 and 0 empty, x^m / n! exactly 1
     xm, xs = _scaled(t.numerator**2, t.denominator**2, width)
-    pm, pe = state or (1 << (width - 1), 1 - width)  # x^m / n!, exactly 1 at n = 0
-    state = [] if state is None else state
-    rows, squares = [older, newer] if n0 % 2 else [newer, older], [j * j for j in range(n0 + 1)]
-    one_unit = 64 * t.numerator**2 >= t.denominator**2
+    n0, rows, pm, pe = state or (0, (((), 0), ((), 0)), 1 << (width - 1), 1 - width)
+    squares, one_unit = [j * j for j in range(n0 + 1)], 64 * t.numerator**2 >= t.denominator**2
     for n in count(n0 + 1):
         squares.append(n * n)
         pm, s = _scaled(pm * xm ** (1 - n % 2), n, width)
         pe -= s + xs * (1 - n % 2)
-        state[:] = pm, pe
         nn, ne = _nth_power(n, width)
         head = pm * nn
         s = max(head.bit_length() - width, 0)
@@ -227,8 +225,8 @@ def _term_rows(t: Fraction, width: int, n0: int = 0, older=((), 0), newer=((), 0
                 unit.append(e - s - 2)
             while unit[-1] < max(unit) - width - 66:  # terms have width or width + 1 bits
                 del row[-1], unit[-1]
-        rows[n % 2] = row, unit
-        yield n, row, unit
+        rows = (rows[0], (row, unit)) if n % 2 else ((row, unit), rows[1])
+        yield n, row, unit, (n, rows, pm, pe)
 
 
 def _row_logabs(n: int, row, unit, t: Fraction, width: int):
@@ -284,22 +282,21 @@ def _a_logabs_stream(t, n_lo: int = 1, n_hi: int = 0):
     but not summed; t is checked here.
 
     The values summed at the first width in order from n = 1 are kept in
-    _STORE, the first k of a list only its call appends to, with rows k - 1
-    and k and row k's head state x^m / n!, for the last _STORE_T values of
-    t; a later call replays them and resumes the rows at row k + 1, with no
-    head stepped again, and a call stopped anywhere leaves a valid entry."""
+    _STORE, the first k of a list only its call appends to, with the state
+    _term_rows yielded at row k, for the last _STORE_T values of t; a later
+    call replays them and resumes the rows from that state, with no head
+    stepped again, and a call stopped anywhere leaves a valid entry."""
     t = _exact(t)
 
     def stream(n_next, width, n_hi):
-        key = t.numerator, t.denominator, width  # hashed in C, unlike a Fraction
-        # values of rows 1..k and on; k, rows k - 1 and k, row k's head state
-        done, *start = _STORE.get(key, ((),))
-        done = list(done[:start[0] if start else 0])  # appended to by this call alone
+        key = t.numerator, t.denominator  # hashed in C, unlike a Fraction
+        done, state = _STORE.get(key, ((), None))
+        done = list(done[:state[0] if state else 0])  # appended to by this call alone
         yield from done[n_next - 1:]
-        n_next, state = max(n_next, len(done) + 1), [*start[3]] if start else []
+        n_next = max(n_next, len(done) + 1)
         while True:
-            rows = _term_rows(t, width, *start[:3], state=state)
-            for n, row, unit in islice(rows, n_next - 1 - len(done), None):
+            rows = _term_rows(t, width, state)
+            for n, row, unit, state in islice(rows, n_next - 1 - len(done), None):
                 n_next, got = n + 1, _row_logabs(n, row, unit, t, width)
                 if isinstance(got, int):
                     lost, got = got, _logabs(*_a_kernel(n, t))
@@ -308,24 +305,24 @@ def _a_logabs_stream(t, n_lo: int = 1, n_hi: int = 0):
                         break
                 if key and n == len(done) + 1:
                     done.append(got)
-                    start = [n, start[2] if start else ((), 0), (row, unit), tuple(state)]
-                    _keep(key, (done, *start))
+                    _keep(key, done, state)
                 yield got
             # lost bits grow like n, under 1 per n; the certificate needs 68 + log2 n
             # more, and 28 are margin
             need = min(lost * n_hi // n, n_hi) + 96 + n_hi.bit_length() if n_hi else 0
             width, n_hi = max(2 * width, -(-need // 64) * 64), 0
-            key, done, start, state = None, [], (), []
+            key, done, state = None, [], None
 
     return stream(n_lo, _WIDTH, n_hi)
 
 
-def _keep(key, entry) -> None:
-    # entry, if longer than the one held for key, as the newest
+def _keep(key, values, state) -> None:
+    # values and the state at the last of them, if more than held for key, as the newest
     with _STORE_LOCK:
-        if _STORE.get(key, ((), 0))[1] < entry[1]:
+        held = _STORE.get(key)
+        if not held or held[1][0] < state[0]:
             _STORE.pop(key, None)
-            _STORE[key] = entry
+            _STORE[key] = values, state
             if len(_STORE) > _STORE_T:
                 del _STORE[next(iter(_STORE))]
 

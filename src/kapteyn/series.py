@@ -197,9 +197,9 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     |t|, told to expect the terms above, the quiet ones and two more, so
     coefficients far beyond float range still give finite terms; each log
     errs by a few ulps of max(1, |ln|A_n(t)||), each sign is exact, and an
-    exact zero leaves the term -g_n.  The stream resumes the rows earlier
-    calls at this |t| certified at its first width, with their heads'
-    state, so a sweep over z builds those once; results are unchanged.
+    exact zero leaves the term -g_n.  The stream resumes the rows from the
+    last value earlier calls at this |t| certified at its first width, so a
+    sweep over z builds those once; results are unchanged.
     """
     z = _require_finite(z)
     _require_tol(tol)

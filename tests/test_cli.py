@@ -320,6 +320,17 @@ class TestExpand:
         assert code == EXIT_USAGE
         assert ":2:" in err
 
+    @pytest.mark.parametrize("text", ["1.0,0.5\n", "1.0,0.5\n2,0.25\n", "1,x\n2,0.25\n"])
+    def test_numeric_first_line_is_no_header(self, text, capsys, tmp_path):
+        # line 1 is a header only when its first field is no number; else it
+        # is parsed like any other line, so a one-line file is not dropped
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code, out, err = run_cli(["expand", "--direction", "to-taylor",
+                                  "--input", str(path)], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert ":1:" in err
+
     @pytest.mark.parametrize("text", ["1,0.5\n2,0.25,9\n", "1,0.5\n1,0.25\n",
                                       "1,0.5\n2,nan\n", "1,0.5\n2,-inf\n"])
     def test_bad_row_reports_line(self, text, capsys, tmp_path):

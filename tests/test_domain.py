@@ -562,6 +562,16 @@ class TestNewtonCap:
             solve(t)
 
 
+class TestLargeTResidualGate:
+    @pytest.mark.parametrize("solve, t", [(solve_R, 1.001), (solve_R_true, 1.0027)])
+    def test_no_residual_is_small_enough(self, monkeypatch, solve, t):
+        # both large-t roots have a residual above 0 here, so a gate of 0
+        # refuses them
+        monkeypatch.setattr(domain, "_MAX_RESIDUAL", 0.0)
+        with pytest.raises(DomainError, match="the large_t equation has no double-precision root"):
+            solve(t)
+
+
 class TestPsiAsymptotes:
     def test_small_t_matches_solver(self):
         assert 1.0 / psi_small_t(1e-6) == pytest.approx(solve_R(1e-6).radius, rel=0.05)

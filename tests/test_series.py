@@ -2,7 +2,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -384,9 +384,9 @@ class TestEvalPower:
             exact.append(n)
             return kernel(n, t)
 
-        def recorded_rows(t, width, **state):
+        def recorded_rows(t, width, state=None):
             widths.append(width)
-            return rows(t, width, **state)
+            return rows(t, width, state)
 
         monkeypatch.setattr(coeffs, "_row_logabs", recorded_sum)
         monkeypatch.setattr(coeffs, "_a_kernel", recorded_kernel)
@@ -434,6 +434,51 @@ class TestPowerBoundBelowOne:
         p = eval_power(0.994008, 0.99, tol=8.91e-5)
         d = eval_direct(0.994008, 0.99, 1e-14)
         assert abs(p.value - d.value) <= p.tail_bound + d.tail_bound
+
+
+# the points of TestTinyTGrid where eval_power's answer misses eval_direct's
+# by more than both bounds, by up to 2.39 times: +-0.05 rad around arg z0
+_TINY_T_BREACHES = {(1e-300, 0.98, "th0", 1e-10), (1e-300, 0.98, "th0+0.05", 1e-10),
+                    (1e-100, 0.9, "th0-0.05", 1e-13), (1e-100, 0.9, "th0", 1e-13),
+                    (1e-100, 0.9, "th0+0.05", 1e-13)}
+
+
+class TestTinyTGrid:
+    # the two evaluators against each other below t = 1e-5, at arguments
+    # that include th0 = arg z0 and 0.05 rad either side; eval_direct at tol
+    # 1e-15 judges
+
+    @pytest.mark.parametrize("t, x, arg, tol", [
+        pytest.param(*point, marks=[pytest.mark.xfail(strict=True, reason="ROADMAP item 2")]
+                     if point in _TINY_T_BREACHES else [])
+        for point in product((1e-300, 1e-100, 1e-30, 1e-15), (0.5, 0.9, 0.98),
+                             (0.0, 0.7, "th0-0.05", "th0", "th0+0.05", 2.5), (1e-10, 1e-13))])
+    def test_within_both_bounds(self, t, x, arg, tol):
+        pinch = solve_R_true(t)
+        angle = pinch.angle + float(arg[3:] or 0.0) if isinstance(arg, str) else arg
+        z = x * pinch.radius * cmath.exp(1j * angle)
+        p, d = eval_power(z, t, tol), eval_direct(z, t, 1e-15)
+        assert abs(p.value - d.value) <= p.tail_bound + d.tail_bound, (p, d)
+
+
+class TestPowerRefusals:
+    # the in-loop refusals, reached by shrinking what they guard
+
+    def test_too_many_terms(self, monkeypatch):
+        # eval_power(0.5, 1.0) takes 36 terms; the refusal before the loop
+        # expects 34, so it passes at a cap of 35 and the loop refuses
+        from kapteyn import series
+
+        monkeypatch.setattr(series, "_MAX_OUTER_TERMS", 35)
+        with pytest.raises(ConvergenceError, match="did not settle within 35 terms"):
+            eval_power(0.5, 1.0)
+
+    def test_overflowed_term(self, monkeypatch):
+        # a coefficient of e^800 overflows the first term
+        monkeypatch.setattr("kapteyn.series._a_logabs_stream",
+                            lambda t, n_lo=1, n_hi=0: repeat((800.0, 1)))
+        with pytest.raises(ConvergenceError, match="overflowed at term 1"):
+            eval_power(0.5, 0.5)
 
 
 class TestPowerRoundingBudget:
