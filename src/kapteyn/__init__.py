@@ -8,7 +8,8 @@ the implicit model equation for R(t), which is exact for t >= 1 and a
 leading-order model, off by up to 6%, for 0 < t < 1.
 """
 
-from .bessel import SeriesEvalReport, sqrt1mz2
+from types import ModuleType as _ModuleType
+
 from .coeffs import (
     APoly,
     CoefficientTable,
@@ -28,10 +29,12 @@ from .domain import (
     solve_R,
     solve_R_true,
     solve_r,
+    sqrt1mz2,
 )
 from .errors import ConvergenceError, DomainError, KapteynError, ZeroCoefficientError
 from .series import (
     CoeffSequence,
+    SeriesEvalReport,
     ThetaPoly,
     eval_direct,
     eval_power,
@@ -45,37 +48,6 @@ from .series import (
 
 __version__ = "0.3.0"
 
-__all__ = [
-    "APoly",
-    "CoeffSequence",
-    "CoefficientTable",
-    "ConvergenceError",
-    "DomainError",
-    "KapteynError",
-    "RadiusResult",
-    "SeriesEvalReport",
-    "ThetaPoly",
-    "ZeroCoefficientError",
-    "a_eval_exact",
-    "a_eval_logabs",
-    "a_poly",
-    "coeff_closed_form",
-    "coeff_radius_estimate",
-    "coeff_table_recurrence",
-    "eval_direct",
-    "eval_power",
-    "fundamental_residual",
-    "kapteyn_converges",
-    "kapteyn_to_taylor",
-    "kapteyn_to_taylor_exact",
-    "omega",
-    "psi_large_t",
-    "psi_small_t",
-    "solve_R",
-    "solve_R_true",
-    "solve_r",
-    "sqrt1mz2",
-    "taylor_to_kapteyn",
-    "taylor_to_kapteyn_exact",
-    "theta_poly",
-]
+# the public names above, less the submodules they bring in
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

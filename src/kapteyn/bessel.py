@@ -1,7 +1,7 @@
-"""The saddle line and trapezoid plan of series.eval_direct, which takes
-F(z,t) = sum t^n J_n(nz) under Bessel's integral J_n(nz) = (1/2pi) int
-e^{in(tau - z sin tau)} dtau; the report type and argument checks of the
-evaluators; and sqrt1mz2.
+"""F(z,t) = sum t^n J_n(nz) under Bessel's integral J_n(nz) = (1/2pi) int
+e^{in(tau - z sin tau)} dtau, by the trapezoid rule: the saddle line, the
+plan and the nodes.  _trapezoid is the one entry; series.eval_direct checks
+the arguments and the domain and calls it.
 
 F is the trapezoid sum of w/(1-w), w = t e^{i(tau - z sin tau)}, on the line
 Im tau = c of least sup|w| = omega(z)|t|.  The integrand is periodic and
@@ -15,48 +15,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import sys
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError
 
 _MAX_NODES = 1 << 16  # trapezoid nodes; about 0.1 s of work
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class SeriesEvalReport:
-    """Result of an adaptive evaluation: terms_used counts series terms for
-    series.eval_power and trapezoid nodes for series.eval_direct; tail_bound
-    bounds the whole error (see their docstrings)."""
-
-    value: complex
-    terms_used: int
-    tail_bound: float
-
-
-def _require_finite(z: complex) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"non-finite argument {z!r}")
-    return z
-
-
-def _require_tol(tol: float) -> None:
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tolerance must be finite and positive, got {tol}")
-
-
-def sqrt1mz2(z: complex) -> complex:
-    """Square root of 1 - z^2 on the branch with Re >= 0.
-
-    When the real part is exactly zero the root with Im >= 0 is returned,
-    so e.g. sqrt1mz2(2) == +i*sqrt(3).
-    """
-    z = _require_finite(z)
-    s = cmath.sqrt(1.0 - z * z)
-    if s.real < 0.0 or (s.real == 0.0 and s.imag < 0.0):
-        s = -s
-    return s
+_EPS = sys.float_info.epsilon
 
 
 def _saddle_line(z: complex, log_tz: float):
@@ -129,3 +94,41 @@ def _plan(line, ln_tol: float, hi: float, what):
     if count > _MAX_NODES:
         raise ConvergenceError(f"{what()} needs more than {_MAX_NODES} trapezoid nodes")
     return a, count, math.exp(x + ln_tol - a * count) / -math.expm1(-a * count)
+
+
+def _trapezoid_nodes(n: int, scale: float, big: complex, small: complex
+                     ) -> tuple[complex, float]:
+    """Mean of v = w/(1-w), w = scale * e * exp(big/e - small*e), over the
+    n-th roots of unity e (n odd, e^{-2pi ik/n} taken as the exact conjugate
+    of e^{2pi ik/n}, so a real z and t give a real mean), and a bound on its
+    rounding: kappa ulps of w move v by kappa eps |w|/|1-w|^2 = kappa eps
+    |v|/|1-w|; the division adds 4 ulps of v."""
+    kappa, step = 24.0 * (1.0 + abs(big) + abs(small)), 2.0 * math.pi / n
+    re, im, rounding = [], [], 0.0
+    for k in range(-(n // 2), n // 2 + 1):
+        e = cmath.rect(1.0, step * k)
+        d = 1.0 - (w := scale * e * cmath.exp(big * e.conjugate() - small * e))
+        v = w / d
+        re.append(v.real)
+        im.append(v.imag)
+        rounding += abs(v) * (kappa / abs(d) + 4.0)
+    value = complex(math.fsum(re), math.fsum(im)) / n
+    return value, _EPS * (rounding / n + 2.0 * abs(value))
+
+
+def _trapezoid(z: complex, t: float, tol: float) -> tuple[complex, int, float]:
+    """(value, N, bound) of F(z, t) for z != 0, t > 0 and omega(z) t < 1:
+    the mean of w/(1-w) over N nodes on the saddle line Im tau = c, where
+    tau = theta + ic puts w at t |z| e^s e^{i theta} exp(z e^{-i theta}/(2
+    |z| e^s) - z |z| e^s e^{i theta}/2), s = -c - ln|z|; bound is _plan's
+    plus the nodes' rounding."""
+    az = abs(z)
+    log_tz = math.log(t) + math.log(az)
+    s, line = _saddle_line(z, log_tz)
+    # sup|w| >= t e^{-c} puts c - ln t outside the strip where sup|w| < 1
+    _, n, bound = _plan(line, math.log(tol), -s - log_tz,
+                        lambda: f"F({z!r},{t!r}) at tol {tol:g}")
+    sig = math.exp(s)
+    value, rounding = _trapezoid_nodes(n, t * az * sig, 0.5 * (z / az) / sig,
+                                       0.5 * z * az * sig)
+    return value, n, bound + rounding

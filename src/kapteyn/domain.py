@@ -46,9 +46,8 @@ import collections
 import math
 import sys
 
-from .bessel import _require_finite, sqrt1mz2
 from .coeffs import a_eval_logabs
-from .errors import ConvergenceError, DomainError, ZeroCoefficientError
+from .errors import ConvergenceError, DomainError, ZeroCoefficientError, _require_finite
 
 _SQRT2 = math.sqrt(2.0)
 # prefactor of the small-t implicit equation; equals exp(-sqrt(2))*(1+sqrt(2))
@@ -86,6 +85,20 @@ class RadiusResult(collections.namedtuple(
     """
 
     __slots__ = ()
+
+
+def sqrt1mz2(z: complex) -> complex:
+    """Square root of 1 - z^2 on the branch with Re >= 0.
+
+    When the real part is exactly zero the root with Im >= 0 is returned,
+    so e.g. sqrt1mz2(2) == +i*sqrt(3).  From |z| = 1e150 on, below where
+    z^2 overflows, it is taken as z sqrt(z^-2 - 1).
+    """
+    z = _require_finite(z)
+    s = cmath.sqrt(1.0 - z * z) if abs(z) < 1e150 else z * cmath.sqrt((1.0 / z) ** 2 - 1.0)
+    if s.real < 0.0 or (s.real == 0.0 and s.imag < 0.0):
+        s = -s
+    return s
 
 
 def omega(z: complex) -> float:
@@ -324,11 +337,14 @@ def coeff_radius_estimate(n: int, t: float) -> float:
 
     At n = 500 it lies within 1% of solve_R_true(t) for 0.2 <= t <= 0.9
     and within a few percent of solve_R(t) for t >= 1, where the two
-    solvers agree.
+    solvers agree.  It is math.inf where it is past the largest float.
     """
     log_abs, sign = a_eval_logabs(n, t)
     if sign == 0:
         raise ZeroCoefficientError(
             f"A_{n}({t!r}) is exactly zero; perturb t to estimate the radius"
         )
-    return math.exp(-log_abs / n)
+    try:
+        return math.exp(-log_abs / n)
+    except OverflowError:
+        return math.inf

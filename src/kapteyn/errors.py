@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check
+that the evaluators and the domain functions put their arguments through."""
+
+import math
 
 
 class KapteynError(Exception):
@@ -20,3 +23,10 @@ class ConvergenceError(KapteynError, ArithmeticError):
 
 class ZeroCoefficientError(KapteynError, ArithmeticError):
     """A coefficient that must be nonzero evaluated to exactly zero."""
+
+
+def _require_finite(z: complex) -> complex:
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError(f"non-finite argument {z!r}")
+    return z

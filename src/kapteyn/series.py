@@ -2,9 +2,10 @@
 
 F(z,t) = sum_{n>=1} t^n J_n(nz) is evaluated two independent ways: the
 Kapteyn sum taken under Bessel's integral, as the trapezoid rule on one
-contour, and the power series sum_{n>=1} A_n(t) z^n built from the exact
-coefficients.  Agreement between the two is the strongest correctness
-oracle in the package.
+contour (bessel), and the power series sum_{n>=1} A_n(t) z^n built from the
+exact coefficients (coeffs).  Agreement between the two is the strongest
+correctness oracle in the package.  Both check their arguments here and
+return a SeriesEvalReport.
 
 The general coefficient maps connect sum a_n z^n = sum alpha_n J_n(nz):
 
@@ -34,16 +35,32 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bessel import SeriesEvalReport, _plan, _require_finite, _require_tol, _saddle_line
+from .bessel import _trapezoid
 from .coeffs import _a_logabs_stream, a_poly
 from .domain import kapteyn_converges, omega, singular_part, solve_R_true
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _require_finite
 
 _MAX_OUTER_TERMS = 2000
 _QUIET_TERMS = 5  # consecutive below-threshold terms required to stop
 _EPS = sys.float_info.epsilon
 
 _CONVENTIONS = ("kapteyn_alpha", "taylor_a")
+
+
+@dataclass(frozen=True)
+class SeriesEvalReport:
+    """Result of an adaptive evaluation: terms_used counts series terms for
+    eval_power and trapezoid nodes for eval_direct; tail_bound bounds the
+    whole error (see their docstrings)."""
+
+    value: complex
+    terms_used: int
+    tail_bound: float
+
+
+def _require_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be finite and positive, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -74,35 +91,15 @@ class ThetaPoly:
     terms: tuple[tuple[int, Fraction], ...]
 
 
-def _trapezoid_nodes(n: int, scale: float, big: complex, small: complex
-                     ) -> tuple[complex, float]:
-    """Mean of v = w/(1-w), w = scale * e * exp(big/e - small*e), over the
-    n-th roots of unity e (n odd, e^{-2pi ik/n} taken as the exact conjugate
-    of e^{2pi ik/n}, so a real z and t give a real mean), and a bound on its
-    rounding: kappa ulps of w move v by kappa eps |w|/|1-w|^2 = kappa eps
-    |v|/|1-w|; the division adds 4 ulps of v."""
-    kappa, step = 24.0 * (1.0 + abs(big) + abs(small)), 2.0 * math.pi / n
-    re, im, rounding = [], [], 0.0
-    for k in range(-(n // 2), n // 2 + 1):
-        e = cmath.rect(1.0, step * k)
-        d = 1.0 - (w := scale * e * cmath.exp(big * e.conjugate() - small * e))
-        v = w / d
-        re.append(v.real)
-        im.append(v.imag)
-        rounding += abs(v) * (kappa / abs(d) + 4.0)
-    value = complex(math.fsum(re), math.fsum(im)) / n
-    return value, _EPS * (rounding / n + 2.0 * abs(value))
-
-
 def eval_direct(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     """F(z,t) = (1/2pi) int w/(1-w) dtau, w = t exp(i(tau - z sin tau)), by
-    the trapezoid rule on bessel._saddle_line, where sup|w| is least.
+    bessel._trapezoid, on the line Im tau = c where sup|w| is least.
 
     The integrand is the sum of t^n J_n(nz) under Bessel's integral.  A line
     with sup|w| < 1 exists exactly on the Kapteyn domain omega(z)|t| < 1
     (DomainError outside it).  N nodes on a strip |Im tau - c| < a where |w|
     <= s < 1 err by at most 2M/(e^{aN} - 1), M = s/(1-s), for any N and a;
-    bessel._plan takes a and N from the strip where |w| < 1, for a bound <=
+    bessel takes a and N from the strip where |w| < 1, for a bound <=
     tol (absolute), and refuses past 65536 nodes (at z = 0.5: 1 - omega|t|
     below about 2e-7).  terms_used is N; tail_bound is the theorem bound
     plus the nodes' rounding, the larger near the edge.
@@ -113,20 +110,11 @@ def eval_direct(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
         raise DomainError(
             f"(z={z!r}, t={t!r}) lies outside the Kapteyn convergence domain"
         )
-    az = abs(z)
-    if az == 0.0 or t == 0.0:
+    if z == 0.0 or t == 0.0:
         return SeriesEvalReport(value=0j, terms_used=0, tail_bound=0.0)
     if t < 0.0:
         z, t = -z, -t  # F(z, -t) = F(-z, t), as J_n(-x) = (-1)^n J_n(x)
-    log_tz = math.log(t) + math.log(az)
-    s, log_sup_strip = _saddle_line(z, log_tz)
-    # sup|w| >= t e^{-c} puts c - ln t outside the strip where sup|w| < 1
-    _, n, bound = _plan(log_sup_strip, math.log(tol), -s - log_tz,
-                        lambda: f"F({z!r},{t!r}) at tol {tol:g}")
-    sig = math.exp(s)
-    value, rounding = _trapezoid_nodes(n, t * az * sig, 0.5 * (z / az) / sig,
-                                       0.5 * z * az * sig)
-    return SeriesEvalReport(value=value, terms_used=n, tail_bound=bound + rounding)
+    return SeriesEvalReport(*_trapezoid(z, t, tol))
 
 
 def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:

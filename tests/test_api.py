@@ -1,3 +1,5 @@
+import ast
+import importlib
 import inspect
 import pathlib
 import re
@@ -20,3 +22,24 @@ def test_every_public_function_and_class_is_exported():
 def test_version_matches_the_project_metadata():
     text = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == kapteyn.__version__
+
+
+def _relative_imports(module: str) -> dict:
+    """{sibling module: names} of kapteyn.<module>'s `from .x import` lines."""
+    path = importlib.import_module(f"kapteyn.{module}").__file__
+    graph: dict = {}
+    for node in ast.walk(ast.parse(pathlib.Path(path).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                graph.setdefault(node.module or alias.name, set()).add(alias.name)
+    return graph
+
+
+def test_each_layer_imports_only_the_layers_below_it():
+    # errors is no layer: bessel and coeffs stand on it alone, domain adds
+    # coeffs (for a_eval_logabs), and series takes the trapezoid rule from
+    # bessel through one name
+    assert set(_relative_imports("bessel")) <= {"errors"}
+    assert set(_relative_imports("coeffs")) <= {"errors"}
+    assert set(_relative_imports("domain")) <= {"coeffs", "errors"}
+    assert len(_relative_imports("series")["bessel"]) == 1

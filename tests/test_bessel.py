@@ -1,36 +1,8 @@
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from kapteyn import ConvergenceError, DomainError, sqrt1mz2
-
-
-class TestSqrt1mz2:
-    def test_zero(self):
-        assert sqrt1mz2(0) == 1
-
-    def test_imaginary_unit(self):
-        assert sqrt1mz2(1j) == pytest.approx(math.sqrt(2))
-
-    def test_tie_broken_upward(self):
-        # 1 - 4 = -3: real part of the root is zero, pick Im >= 0
-        s = sqrt1mz2(2)
-        assert s == pytest.approx(1j * math.sqrt(3))
-        assert s.imag > 0
-
-    @given(st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
-    def test_square_identity_and_branch(self, z):
-        s = sqrt1mz2(z)
-        assert abs(s * s - (1 - z * z)) < 1e-14 * (1 + abs(z) ** 2)
-        assert s.real >= 0.0
-        if s.real == 0.0:
-            assert s.imag >= 0.0
-
-    def test_rejects_nan(self):
-        with pytest.raises(DomainError):
-            sqrt1mz2(complex(float("nan"), 0))
+from kapteyn import ConvergenceError
 
 
 def _bisect64(ok, hi):

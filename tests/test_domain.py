@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kapteyn import (
     ConvergenceError,
@@ -20,6 +22,7 @@ from kapteyn import (
     solve_R,
     solve_R_true,
     solve_r,
+    sqrt1mz2,
 )
 from kapteyn import domain
 from kapteyn.domain import (
@@ -28,6 +31,38 @@ from kapteyn.domain import (
 
 # frozen oracle: 200-iteration bisection on r e^{sqrt(1+r^2)}/(1+sqrt(1+r^2)) = 1
 LAPLACE_LIMIT = 0.6627434193491815
+
+
+class TestSqrt1mz2:
+    def test_zero(self):
+        assert sqrt1mz2(0) == 1
+
+    def test_imaginary_unit(self):
+        assert sqrt1mz2(1j) == pytest.approx(math.sqrt(2))
+
+    def test_tie_broken_upward(self):
+        # 1 - 4 = -3: real part of the root is zero, pick Im >= 0
+        s = sqrt1mz2(2)
+        assert s == pytest.approx(1j * math.sqrt(3))
+        assert s.imag > 0
+
+    @given(st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
+    def test_square_identity_and_branch(self, z):
+        s = sqrt1mz2(z)
+        assert abs(s * s - (1 - z * z)) < 1e-14 * (1 + abs(z) ** 2)
+        assert s.real >= 0.0
+        if s.real == 0.0:
+            assert s.imag >= 0.0
+
+    def test_rejects_nan(self):
+        with pytest.raises(DomainError):
+            sqrt1mz2(complex(float("nan"), 0))
+
+    def test_beyond_where_z_squared_overflows(self):
+        # z^2 overflows from |z| = 1.34e154 on; -i z is 3 - 1e200 i here, so
+        # the branch with Re >= 0 is its negative
+        assert sqrt1mz2(1e200) == 1e200j
+        assert sqrt1mz2(-1e200 + 3j) == pytest.approx(3 + 1e200j, rel=1e-15)
 
 
 class TestOmega:
@@ -58,12 +93,20 @@ class TestOmega:
         # ln omega(1000i) is about 1000, past the largest float's 709.8
         assert omega(1000j) == math.inf
 
+    @pytest.mark.parametrize("z", [1e160 + 1j, -1e160 - 1j])
+    def test_beyond_where_z_squared_overflows(self, z):
+        # sqrt1mz2 is -i z and i z to the last bit, so ln omega = ln|z| + 1 - ln|z|
+        assert omega(z) == pytest.approx(math.e, abs=1e-15)
+
 
 class TestKapteynConverges:
     def test_examples(self):
         assert kapteyn_converges(0.5, 1.0) is True
         assert kapteyn_converges(1.0, 1.0) is False
         assert kapteyn_converges(0.9j, 1.0) is False  # 0.9 > Laplace limit
+
+    def test_beyond_where_z_squared_overflows(self):
+        assert kapteyn_converges(1e160 + 1j, 0.5) is False  # omega = e
 
     def test_zero_t_always_converges(self):
         assert kapteyn_converges(3.9, 0.0) is True
@@ -205,6 +248,20 @@ class TestSolveRTrue:
         for _ in range(2000):
             t = rng.uniform(1.00265, 1.0035)
             assert solve_R_true(t).residual <= 256 * eps, t
+
+    def test_other_root_is_refused(self, monkeypatch):
+        # tau -> -conj(tau) maps the roots of tau - tan tau = i ln t onto
+        # roots, so Newton started from the mirrored tau0 settles on the root
+        # of the mirrored singularity, with Re tau < 0
+        acos = cmath.acos
+
+        def mirrored(x):
+            monkeypatch.setattr(cmath, "acos", acos)
+            return -acos(x).conjugate()
+
+        monkeypatch.setattr(cmath, "acos", mirrored)
+        with pytest.raises(ConvergenceError, match="left the principal root"):
+            solve_R_true(0.5)
 
     def test_continuous_at_unity_from_below(self):
         assert abs(solve_R_true(1 - 1e-9).radius - 1.0) < 1e-5
@@ -613,3 +670,8 @@ class TestCoeffRadiusEstimate:
     def test_zero_coefficient_signalled(self):
         with pytest.raises(ZeroCoefficientError):
             coeff_radius_estimate(4, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_overflow_is_infinite(self, n):
+        # A_1 = t/2 and A_2 = t^2/2, so |A_n|^(-1/n) is about 1/t = 2e323
+        assert coeff_radius_estimate(n, 5e-324) == math.inf

@@ -42,15 +42,15 @@ J1_TAYLOR = (Fraction(1, 2), Fraction(0), Fraction(-1, 16), Fraction(0),
 @pytest.fixture
 def node_calls(monkeypatch):
     """(n, line) of each call eval_direct makes to its quadrature."""
-    from kapteyn import series
+    from kapteyn import bessel
 
-    calls, nodes = [], series._trapezoid_nodes
+    calls, nodes = [], bessel._trapezoid_nodes
 
     def recorded(n, *line):
         calls.append((n, line))
         return nodes(n, *line)
 
-    monkeypatch.setattr(series, "_trapezoid_nodes", recorded)
+    monkeypatch.setattr(bessel, "_trapezoid_nodes", recorded)
     return calls
 
 
@@ -71,6 +71,11 @@ class TestEvalDirect:
             eval_direct(2.0, 1.0)
         with pytest.raises(DomainError):
             eval_direct(1.0, 1.0)  # boundary is excluded (strict inequality)
+
+    def test_outside_domain_where_z_squared_overflows(self):
+        # omega(1e160 + 1j) = e, so omega t = 1.36 here
+        with pytest.raises(DomainError, match="outside the Kapteyn convergence domain"):
+            eval_direct(1e160 + 1j, 0.5)
 
     def test_near_boundary_within_tail_bound_of_closed_form(self):
         # 1 - omega(z) is 9.5e-4 and 9.4e-7 here, so the Kapteyn terms
@@ -98,7 +103,7 @@ class TestEvalDirect:
         def no_nodes(*args):
             raise AssertionError("a trapezoid node was evaluated")
 
-        monkeypatch.setattr("kapteyn.series._trapezoid_nodes", no_nodes)
+        monkeypatch.setattr("kapteyn.bessel._trapezoid_nodes", no_nodes)
         assert kapteyn_converges(z, t)
         with pytest.raises(ConvergenceError):
             eval_direct(z, t)
@@ -689,11 +694,11 @@ class TestTruncationHonesty:
     @pytest.mark.parametrize("z,t", [(0.9, 0.25), (0.5 + 0.3j, 0.5), (0.2, 2.0), (-0.35, 1.0)])
     def test_direct_tail_bound(self, z, t, node_calls):
         # the same line with 2N + 1 nodes (the rule takes odd counts)
-        from kapteyn import series
+        from kapteyn import bessel
 
         rep = eval_direct(z, t, 1e-8)
         ((n, line),) = node_calls
-        longer, _ = series._trapezoid_nodes(2 * n + 1, *line)
+        longer, _ = bessel._trapezoid_nodes(2 * n + 1, *line)
         assert abs(rep.value - longer) <= rep.tail_bound
 
 
