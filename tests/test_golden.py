@@ -95,7 +95,13 @@ domain.singular_part came to return the rungs' ratios from one table,
 evaluated by Horner in K^2, and eval_power to read them directly rather
 than through M/K and back: value_im 0.859818472224976 ->
 0.859818472224977, its last digit; the other cells, and every other case,
-are as before.
+are as before.  eval_power_near and eval_power_real were re-recorded when
+eval_power came to step each Darboux weight from the one before, in one
+pass over the rungs: value_im 0.859818472224977 -> 0.859818472224976
+(back to its value before the table), and value_re 6.29975654544009 ->
+6.29975654544008 with tail_bound 3.76298905438197e-08 ->
+3.76298917467116e-08, as one ulp of g_n shows where |A_n - g_n| is far
+below |A_n|; both stay 1.6e-10 and 1.4e-9 from a 40-digit sum.
 
 stream.csv is not CLI output: it holds n, t, ln|A_n(t)| to 15 significant
 digits and the sign from coeffs._a_logabs_stream, for n = 1..300 at ten t
