@@ -144,7 +144,7 @@ def _cmd_figure(args) -> tuple[list[str], list[list]]:
             n_hi = args.samples
         if not 1 <= n_lo <= n_hi:
             raise UsageError(f"bad n range [{n_lo}, {n_hi}]")
-        stream = islice(coeffs._a_logabs_stream(_FIG2_T, n_lo), n_hi - n_lo + 1)
+        stream = islice(coeffs._a_logabs_stream(_FIG2_T), n_lo - 1, n_hi)
         rows = [[n, *v] for n, v in enumerate(stream, n_lo)]
         return ["n", "ln_abs_A_n", "sign"], rows
 

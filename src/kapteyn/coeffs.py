@@ -22,13 +22,13 @@ of the row is stepped from the row two before, where |t| >= 1/8 as integers
 over one power of two by C-level maps, and below 1/8 as fixed-width binary
 floats, since there one unit per row would widen the integers by about
 log2(1/t^2) bits a step.  One certificate (_row_logabs), with one bound for
-both kinds of row, accepts each sum, and the stream restarts once, at a
-predicted width.  Floats leave
-only as (ln|A_n(t)|, sign), since A_500(t) can lie far outside float range.
-Its values at the first width, and the rows' recurrence state at the last of
-them, are kept for the last eight t, and later calls resume the rows there
-without stepping any head again; the closed form and the recurrence stay as
-oracles.
+both kinds of row, accepts each sum; a row it refuses is taken exactly and
+the rows restart at twice the width.  Floats leave only as (ln|A_n(t)|,
+sign), since A_500(t) can lie far outside float range.  Every value, with
+the rows' width and recurrence state at the last of them, is kept for the
+last eight t, and later calls resume the rows there without stepping any
+head again, so the values never depend on the order of calls; the closed
+form and the recurrence stay as oracles.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from operator import floordiv, lshift, mul, rshift
 from .errors import DomainError
 
 _WIDTH = 256  # the stream's starting width, in bits: that of each row's head
-# (p, q), t = p/q -> (values of rows 1..n on, _term_rows' state at row n), newest last
+# (p, q), t = p/q -> (values of rows 1..n on, width, _term_rows' state at row n), newest last
 _STORE: dict = {}
 _STORE_T, _STORE_LOCK = 8, threading.Lock()  # t held; one writer at a time
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # HI has 32 bits
@@ -270,59 +270,55 @@ def _row_logabs(n: int, row, unit, t: Fraction, width: int):
     return _logabs(total * p, q, unit)
 
 
-def _a_logabs_stream(t, n_lo: int = 1, n_hi: int = 0):
-    """(ln|A_n(t)|, sign) for n = n_lo, n_lo + 1, ..., each log within a
-    few ulps of max(1, |ln|A_n(t)||), each sign exact, summed from the
-    rows of _term_rows, whatever t, and each sum certified by _row_logabs,
-    whichever step built its row.  An n that
-    _row_logabs cannot certify is taken from the exact kernel, and unless
-    it is 0 the rows restart from n = 1, yielding nothing twice: at twice
-    the width, or the first time at least the width its lost bits predict
-    for n_hi, the last n the caller will read.  Rows below n_lo are built
-    but not summed; t is checked here.
+def _a_logabs_stream(t):
+    """(ln|A_n(t)|, sign) for n = 1, 2, ..., each log within a few ulps of
+    max(1, |ln|A_n(t)||), each sign exact, summed from the rows of
+    _term_rows, whatever t, and each sum certified by _row_logabs,
+    whichever step built its row.  An n that _row_logabs cannot certify is
+    taken from the exact kernel, and unless it is 0 the rows restart from
+    n = 1 at twice the width, yielding nothing twice.  So the values are a
+    function of t alone, checked here, and never of where calls stopped.
 
-    The values summed at the first width in order from n = 1 are kept in
-    _STORE, the first k of a list only its call appends to, with the state
-    _term_rows yielded at row k, for the last _STORE_T values of t; a later
-    call replays them and resumes the rows from that state, with no head
-    stepped again, and a call stopped anywhere leaves a valid entry."""
+    Every value yielded is kept in _STORE, the first k of a list only its
+    call appends to, with the width of the rows and the state _term_rows
+    yielded at row k, for the last _STORE_T values of t; a later call
+    replays them and resumes the rows from that state, with no head stepped
+    again.  An entry is kept only after a row summed at its width, so a
+    call stopped anywhere, even while restarted rows are rebuilt, leaves a
+    valid entry."""
     t = _exact(t)
 
-    def stream(n_next, width, n_hi):
+    def stream():
         key = t.numerator, t.denominator  # hashed in C, unlike a Fraction
-        done, state = _STORE.get(key, ((), None))
-        done = list(done[:state[0] if state else 0])  # appended to by this call alone
-        yield from done[n_next - 1:]
-        n_next = max(n_next, len(done) + 1)
-        while True:
+        values, width, state = _STORE.get(key, ((), _WIDTH, None))
+        values = list(values[:state[0] if state else 0])  # appended to by this call alone
+        yield from values
+        while True:  # from state, or restarted from n = 1, summing no row yielded before
             rows = _term_rows(t, width, state)
-            for n, row, unit, state in islice(rows, n_next - 1 - len(done), None):
-                n_next, got = n + 1, _row_logabs(n, row, unit, t, width)
+            for n, row, unit, state in islice(rows, 0 if state else len(values), None):
+                got = _row_logabs(n, row, unit, t, width)
                 if isinstance(got, int):
-                    lost, got = got, _logabs(*_a_kernel(n, t))
+                    got = _logabs(*_a_kernel(n, t))
                     if got[1]:
+                        values.append(got)
                         yield got
                         break
-                if key and n == len(done) + 1:
-                    done.append(got)
-                    _keep(key, done, state)
+                values.append(got)
+                _keep(key, values, width, state)
                 yield got
-            # lost bits grow like n, under 1 per n; the certificate needs 68 + log2 n
-            # more, and 28 are margin
-            need = min(lost * n_hi // n, n_hi) + 96 + n_hi.bit_length() if n_hi else 0
-            width, n_hi = max(2 * width, -(-need // 64) * 64), 0
-            key, done, state = None, [], None
+            width, state = 2 * width, None
 
-    return stream(n_lo, _WIDTH, n_hi)
+    return stream()
 
 
-def _keep(key, values, state) -> None:
-    # values and the state at the last of them, if more than held for key, as the newest
+def _keep(key, values, width, state) -> None:
+    # values, the rows' width and their state at the last value, if more than
+    # held for key, as the newest
     with _STORE_LOCK:
         held = _STORE.get(key)
-        if not held or held[1][0] < state[0]:
+        if not held or held[2][0] < state[0]:
             _STORE.pop(key, None)
-            _STORE[key] = values, state
+            _STORE[key] = values, width, state
             if len(_STORE) > _STORE_T:
                 del _STORE[next(iter(_STORE))]
 

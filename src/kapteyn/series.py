@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -67,16 +68,17 @@ def _require_tol(tol: float) -> None:
 class CoeffSequence:
     """Coefficient sequence indexed from 1; values[i] belongs to index i+1."""
 
-    values: tuple[float, ...]
+    values: tuple[float, ...]  # kept as a tuple of the entries given, checked once
     convention: str  # "kapteyn_alpha" or "taylor_a"
 
     def __post_init__(self):
+        object.__setattr__(self, "values", tuple(self.values))
         if self.convention not in _CONVENTIONS:
             raise DomainError(f"unknown convention {self.convention!r}")
         if len(self.values) < 1:
             raise DomainError("sequence must have at least one entry")
-        if not all(math.isfinite(v) for v in self.values):
-            raise DomainError("sequence entries must be finite")
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in self.values):
+            raise DomainError("sequence entries must be finite real numbers")
 
 
 @dataclass(frozen=True)
@@ -145,10 +147,7 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     (1 - 2j)/(2n - 2j + 1).  A_n - g_n falls like n^{-(order +
     1/2)}: it is about the first term left out, f_n = K left [w^n](1 -
     w)^(order - 1/2) z0^-n (plus the conjugate), left = lambda_order, of
-    size pair |K left| Gamma(order + 1/2)/pi n^{-(order + 1/2)} R^-n, and
-    the stream is told to expect the n where that times (|z|/R)^n is tol:
-    0.87-0.94 of the terms used on power_disk's calls of 70 terms or more
-    (6 calls at seeds 11 and 23).
+    size pair |K left| Gamma(order + 1/2)/pi n^{-(order + 1/2)} R^-n.
     As |t| -> 1 the pair merges into the pole of F(z, 1) = z/(2(1 - z)), K
     grows like 1/|tau0| and lambda_j like 1/|tau0|^(2j), so each rung helps
     only far enough out.  Rung j is subtracted only where rung j - 1 is and
@@ -186,12 +185,12 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
     near R.
 
     Each A_n comes from (ln|A_n(t)|, sign) of coeffs._a_logabs_stream at
-    |t|, told to expect the terms above, the quiet ones and two more, so
-    coefficients far beyond float range still give finite terms; each log
-    errs by a few ulps of max(1, |ln|A_n(t)||), each sign is exact, and an
-    exact zero leaves the term -g_n.  The stream resumes the rows from the
-    last value earlier calls at this |t| certified at its first width, so a
-    sweep over z builds those once; results are unchanged.
+    |t|, so coefficients far beyond float range still give finite terms;
+    each log errs by a few ulps of max(1, |ln|A_n(t)||), each sign is exact,
+    and an exact zero leaves the term -g_n.  The stream is a function of |t|
+    alone and resumes the rows after the last value earlier calls at this
+    |t| read, at whatever width they had restarted to, so a sweep over z
+    builds each row once, and results never depend on the order of calls.
     """
     z = _require_finite(z)
     _require_tol(tol)
@@ -215,24 +214,15 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
             f"|z|/R({abs(t):g}) = {az / radius:.6g} is too close to 1: "
             f"tol {tol:g} needs more than {_MAX_OUTER_TERMS} terms"
         )
-    n_hi = max(math.ceil(math.log(tol) / log_ratio), 1)
+    n0 = max(math.ceil(math.log(tol) / log_ratio), 1)
     z0, k, ratios = singular_part(pinch)  # q below is K c_n (R/z0)^n
     pair, order = (2 if pinch.branch == "pinch" else 1), 0
-    if n_hi >= (20.0 if pair == 2 else 0.5) * abs(k) ** 2:
+    if n0 >= (20.0 if pair == 2 else 0.5) * abs(k) ** 2:
         # order rungs subtracted, by the rules over mu, nu and rho; sigma rides on rho's
-        order = (1 if not n_hi >= 32.0 * abs(ratios[1]) else
-                 2 if not (n_hi >= 43 and (pair == 2 or ratios[2].real < 0.0)) else
-                 3 if not (n_hi >= 45 and (pair == 1 or n_hi >= 24.0 * abs(ratios[3]))) else 5)
-        # the first term left out, K left [w^n] (1 - w)^(order - 1/2), is about K
-        # left (-1)^order Gamma(slope)/pi n^-slope, slope = order + 1/2: the stream
-        # expects the n where pair times that times (|z|/R)^n is tol, by Newton
-        # steps in ln n from ln n0
-        left, slope = ratios[order], order + 0.5
-        x, ln_c = math.log(n_hi), math.log(tol) + math.log(math.pi / max(
-            pair * abs(left * k) * math.gamma(slope), _EPS))
-        for _ in range(6):
-            x -= (math.exp(x) * log_ratio - slope * x - ln_c) / (math.exp(x) * log_ratio - slope)
-        n_hi = max(math.ceil(math.exp(x)), 1)
+        order = (1 if not n0 >= 32.0 * abs(ratios[1]) else
+                 2 if not (n0 >= 43 and (pair == 2 or ratios[2].real < 0.0)) else
+                 3 if not (n0 >= 45 and (pair == 1 or n0 >= 24.0 * abs(ratios[3]))) else 5)
+        left = ratios[order]  # the first rung left out
     else:
         k, pair = 0j, 0
     window = math.ceil(math.pi / pinch.angle) + 2 if pinch.branch == "pinch" else 2
@@ -249,7 +239,7 @@ def eval_power(z: complex, t: float, tol: float = 1e-10) -> SeriesEvalReport:
         closed += sum(parts)
         closed_err += sum(map(abs, parts)) * (6.0 * abs(w) / abs(1.0 - w) + 20.0)
     # envelope: (n, |A_n - g_n| R^n) falling, the window's largest first
-    terms, envelope = _a_logabs_stream(abs(t), n_hi=n_hi + _QUIET_TERMS + 2), deque()
+    terms, envelope = _a_logabs_stream(abs(t)), deque()
     total, abs_sum, ulps, quiet, n, q, zn = 0j, 0.0, 0.0, 0, 0, k, 1.0
     spread, step = 4.0 * (abs(log_radius) + abs(log_az)) + 8.0, math.exp(log_ratio) * u  # step z/R
     # (lambda_j, |lambda_j|, 1 - 2j, 2j - 2), one per rung above lambda_0
@@ -382,8 +372,8 @@ def _map(seq: CoeffSequence, expected: str, n_out: int, exact_map, out: str
         raise DomainError(
             f"expected a {expected!r} sequence, got {seq.convention!r}"
         )
-    if n_out < 1:
-        raise DomainError(f"output length must be >= 1, got {n_out}")
+    if not isinstance(n_out, numbers.Integral) or n_out < 1:
+        raise DomainError(f"output length must be an integer >= 1, got {n_out!r}")
     exact = exact_map(seq.values, n_out)
     return CoeffSequence(values=tuple(float(v) for v in exact), convention=out)
 

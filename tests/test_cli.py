@@ -3,10 +3,11 @@ import io
 import json
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 
-from kapteyn.cli import EXIT_DOMAIN, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from kapteyn.cli import EXIT_DOMAIN, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, _cell, main
 
 
 def run_cli(argv, capsys):
@@ -209,22 +210,15 @@ class TestFigure:
         assert float(rows[-1][1]) < float(rows[0][1])
         assert all(r[2] in {"-1", "0", "1"} for r in rows)
 
-    def test_figure2_range_sums_only_its_rows(self, capsys, monkeypatch):
-        # rows below n_lo are built from the row two back, but not summed
+    def test_figure2_range_prints_rows_of_the_stream(self, capsys):
+        # rows 40-80 of the one stream at t = 0.1, read from n = 1
         from kapteyn import coeffs
 
-        summed = []
-        row_logabs = coeffs._row_logabs
-
-        def recorded(n, *args):
-            summed.append(n)
-            return row_logabs(n, *args)
-
-        monkeypatch.setattr(coeffs, "_row_logabs", recorded)
         code, out, _ = run_cli(["figure", "2", "--range", "40", "80"], capsys)
         assert code == EXIT_OK
-        assert summed == list(range(40, 81))
-        assert len(parse_csv(out)[1]) == 80 - 40 + 1
+        coeffs._STORE.clear()
+        stream = list(islice(coeffs._a_logabs_stream(0.1), 80))
+        assert parse_csv(out)[1] == [list(map(_cell, [n, *stream[n - 1]])) for n in range(40, 81)]
 
     def test_figure1_small_sample(self, capsys):
         code, out, _ = run_cli(["figure", "1", "--samples", "3",

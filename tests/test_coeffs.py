@@ -435,44 +435,6 @@ class TestLogAbsStream:
         for n, got in enumerate(values, 1):
             _check_logabs(got, a_eval_exact(n, t))
 
-    def test_predicted_width_restarts_once(self, monkeypatch):
-        # read to the n_hi it was given, the stream refuses once at 256 bits
-        # and restarts at a width that certifies every row up to n_hi
-        widths, built = [], []
-        rows = coeffs._term_rows
-
-        def recorded_rows(t, width, state=None):
-            widths.append(width)
-            for row in rows(t, width, state):
-                built.append(row[0])
-                yield row
-
-        monkeypatch.setattr(coeffs, "_term_rows", recorded_rows)
-        values = list(islice(_a_logabs_stream(0.9, n_hi=1000), 1000))
-        assert len(widths) == 2 and widths[0] == coeffs._WIDTH
-        assert len(built) <= 1.4 * len(values)
-        for n in range(50, 1001, 50):
-            _check_logabs(values[n - 1], a_eval_exact(n, 0.9))
-
-    @pytest.mark.parametrize("t", [0.3, -0.4, Fraction(3, 7), 20])
-    def test_each_restart_at_least_doubles(self, t, monkeypatch):
-        # from 8 bits, with a predicted restart width, each width after a
-        # refusal is at least twice the one before, and the values hold
-        widths = []
-        rows = coeffs._term_rows
-
-        def recorded_rows(t, width, state=None):
-            widths.append(width)
-            return rows(t, width, state)
-
-        monkeypatch.setattr(coeffs, "_WIDTH", 8)
-        monkeypatch.setattr(coeffs, "_term_rows", recorded_rows)
-        values = list(islice(_a_logabs_stream(t, n_hi=150), 150))
-        assert len(widths) >= 2
-        assert all(b >= 2 * a for a, b in zip(widths, widths[1:]))
-        for n, got in enumerate(values, 1):
-            _check_logabs(got, a_eval_exact(n, t))
-
 
 class TestStreamAgainstSingularPart:
     # Darboux's method with three rungs: A_n R^n = g_n R^n + O(n^{-7/2}), with
@@ -494,7 +456,7 @@ class TestStreamAgainstSingularPart:
         pinch = solve_R_true(t)
         z0, k, ratios = singular_part(pinch)
         pair, radius = (2 if pinch.branch == "pinch" else 1), abs(z0)
-        values = list(islice(_a_logabs_stream(t, n_hi=2000), 2000))
+        values = list(islice(_a_logabs_stream(t), 2000))
         for lo in (500, 1200, 1900):
             for n in range(lo, lo + 100):
                 log_a, sign = values[n - 1]
@@ -524,7 +486,7 @@ class TestFirstTermLeftOut:
         pinch = solve_R_true(t)
         z0, k, ratios = singular_part(pinch)
         pair, radius = (2 if pinch.branch == "pinch" else 1), abs(z0)
-        values = list(islice(_a_logabs_stream(t, n_hi=300), 300))
+        values = list(islice(_a_logabs_stream(t), 300))
         worst = 0.0
         for n in range(150, 301):
             log_a, sign = values[n - 1]
@@ -583,8 +545,11 @@ class TestSixthTermLeftOut:
 
 
 class TestStore:
-    """coeffs._STORE: values certified at the first width, and the rows after
-    them, kept per t so that later calls at that t resume the rows."""
+    """coeffs._STORE: every value the stream yielded at t, with the width of
+    its rows and their state at the last value, kept per t so that later
+    calls at that t resume the rows, whatever width they had restarted to.
+    The stream is a function of t alone, so no read depends on the calls
+    before it."""
 
     @staticmethod
     def _key(t):
@@ -592,7 +557,7 @@ class TestStore:
 
     @classmethod
     def _kept(cls, t):  # the count of values the entry for t holds
-        return coeffs._STORE[cls._key(t)][1][0]
+        return coeffs._STORE[cls._key(t)][2][0]
 
     @staticmethod
     def _cold(f, *args):
@@ -601,7 +566,8 @@ class TestStore:
 
     def test_interleaved_calls_equal_cold_calls(self):
         # rings swept outward over several t, taking turns, the last ring at
-        # t = 0.9 past the first refused row (n = 276); and reads from n_lo > 1
+        # t = 0.9 past the first refused row (n = 276); and reads from n_lo > 1,
+        # which sum the rows below n_lo too
         from kapteyn import eval_power, solve_R_true
 
         def report(z, t):
@@ -609,7 +575,7 @@ class TestStore:
             return rep.value, rep.terms_used, rep.tail_bound
 
         def rows(t, n_lo, count):
-            return list(islice(_a_logabs_stream(t, n_lo), count))
+            return list(islice(_a_logabs_stream(t), n_lo - 1, n_lo - 1 + count))
 
         calls = [(rows, 0.3, 60, 20)]
         for ratio in (0.3, 0.6, 0.8, 0.95):
@@ -644,12 +610,6 @@ class TestStore:
         del summed[:]
         second = list(islice(_a_logabs_stream(0.3), 50))
         assert summed == list(range(31, 51)) and second[:30] == first
-        del summed[:]
-        assert list(islice(_a_logabs_stream(0.3, 20), 31)) == second[19:]
-        assert summed == []
-        # rows below n_lo are built but not summed, so nothing past them is kept
-        list(islice(_a_logabs_stream(0.3, 80), 10))
-        assert summed == list(range(80, 90))
         assert self._kept(0.3) == 50
 
     @pytest.mark.parametrize("t", [0.05, 0.3])
@@ -688,6 +648,81 @@ class TestStore:
         warm = list(islice(_a_logabs_stream(0.7), 60))
         assert warm == self._cold(lambda: list(islice(_a_logabs_stream(0.7), 60)))
 
+    def test_call_stopped_while_rebuilding_leaves_a_valid_entry(self, monkeypatch):
+        # at t = 0.999 row 303 is refused at 256 bits; a call stopped at row 100
+        # of the 512-bit rows that rebuild rows 1-303 leaves the 256-bit entry
+        # to row 302, and it resumes to the cold values
+        t, rows, raised = 0.999, coeffs._term_rows, []
+        cold = list(islice(_a_logabs_stream(t), 400))
+        coeffs._STORE.clear()
+
+        def stopped(t, width, state=None):
+            for row in rows(t, width, state):
+                if width > coeffs._WIDTH and row[0] == 100 and not raised:
+                    raised.append(width)
+                    raise RuntimeError("stopped")
+                yield row
+
+        list(islice(_a_logabs_stream(t), 200))
+        monkeypatch.setattr(coeffs, "_term_rows", stopped)
+        with pytest.raises(RuntimeError):
+            list(islice(_a_logabs_stream(t), 400))
+        assert raised == [512] and self._kept(t) == 302
+        assert coeffs._STORE[self._key(t)][1] == coeffs._WIDTH
+        assert list(islice(_a_logabs_stream(t), 400)) == cold
+
+    def test_repeat_call_past_a_restart_builds_no_row(self, monkeypatch):
+        # 440 terms at t = 0.999, past the row refused at 256 bits (n = 303):
+        # a repeat call replays the values the first one read at 512 bits
+        import cmath
+
+        from kapteyn import eval_power
+
+        z = 0.95 * solve_R_true(0.999).radius * cmath.exp(0.7j)
+        cold = eval_power(z, 0.999, 1e-10)
+        assert cold.terms_used == 440
+        built, rows = [], coeffs._term_rows
+
+        def recorded_rows(t, width, state=None):
+            for row in rows(t, width, state):
+                built.append(row[0])
+                yield row
+
+        monkeypatch.setattr(coeffs, "_term_rows", recorded_rows)
+        assert eval_power(z, 0.999, 1e-10) == cold
+        assert built == []
+
+    def test_stream_is_a_function_of_t_alone(self):
+        # at t = 0.999 rows are refused at n = 303 (256 bits) and 733 (512):
+        # the cold read holds across both restarts, and reads resumed from the
+        # store, a read after eight other t evicted its entry, and four threads
+        # at once all give its values
+        import threading
+
+        t, got = 0.999, {}
+        cold = list(islice(_a_logabs_stream(t), 1300))
+        for n in range(100, 1301, 100):  # across both restarts
+            _check_logabs(cold[n - 1], a_eval_exact(n, t))
+        coeffs._STORE.clear()
+        for k, width in ((300, 256), (700, 512), (1300, 1024)):
+            assert list(islice(_a_logabs_stream(t), k)) == cold[:k]
+            assert coeffs._STORE[self._key(t)][1] == width and self._kept(t) == k
+        for other in range(1, 9):
+            list(islice(_a_logabs_stream(other / 10), 5))
+        assert self._key(t) not in coeffs._STORE
+        assert list(islice(_a_logabs_stream(t), 1300)) == cold
+
+        def read(i):
+            got[i] = list(islice(_a_logabs_stream(t), 1300))
+
+        coeffs._STORE.clear()
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+        assert [got.get(i) for i in range(4)] == [cold] * 4
+
     def test_threads_at_one_t_agree(self):
         # more threads than cores, switching often, mid-row; past the first
         # refused row (n = 276) each restarts on its own
@@ -697,7 +732,7 @@ class TestStore:
         interval, got = sys.getswitchinterval(), {}
 
         def read(i):
-            got[i] = list(islice(_a_logabs_stream(0.9, n_hi=400), 400))
+            got[i] = list(islice(_a_logabs_stream(0.9), 400))
 
         threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
         sys.setswitchinterval(1e-6)
@@ -709,7 +744,7 @@ class TestStore:
         finally:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
-        cold = self._cold(lambda: list(islice(_a_logabs_stream(0.9, n_hi=400), 400)))
+        cold = self._cold(lambda: list(islice(_a_logabs_stream(0.9), 400)))
         assert [got[i] for i in range(4)] == [cold] * 4
 
     def test_keeps_at_most_eight_t(self):
